@@ -13,7 +13,6 @@ from .bounds import (
     expectation_bound_sequence,
     linear_region_scaling,
     noise_energy,
-    quadratic_recursion_bound,
     select_rate,
 )
 from .certify import (
@@ -35,7 +34,6 @@ from .errors import (
 from .model import (
     FeedbackGain,
     SystemSpec,
-    VertexSet,
     error_step,
     nominal_step,
     saturate,
@@ -69,7 +67,6 @@ __all__ = [
     "SynthesisError",
     "SystemSpec",
     "VerificationReport",
-    "VertexSet",
     "area",
     "boundary_polyline",
     "closed_loop_rate",
@@ -84,7 +81,6 @@ __all__ = [
     "nominal_step",
     "prs_sequence",
     "pub",
-    "quadratic_recursion_bound",
     "sample_noise",
     "saturate",
     "select_rate",

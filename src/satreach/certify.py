@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CertificateError, SynthesisError
-from .model import FeedbackGain, SystemSpec, VertexSet, vertex_matrices
+from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
 
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_BISECT_TOL = 1e-4
@@ -53,17 +53,8 @@ class ContractionCertificate:
     bisect_tol: float = DEFAULT_BISECT_TOL
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"P must be square, got shape {P.shape}")
-        if np.max(np.abs(P - P.T)) > 1e-9 * max(1.0, np.max(np.abs(P))):
-            raise ValueError("P must be symmetric")
-        if not (0.0 <= self.rate_linear < self.rate < 1.0):
-            raise ValueError(
-                "rates must satisfy 0 <= rate_linear < rate < 1, got "
-                f"rate_linear={self.rate_linear}, rate={self.rate}"
-            )
-        P = 0.5 * (P + P.T)
+        P = _symmetric_shape(self.P)
+        check_rates(self.rate, self.rate_linear)
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
 
@@ -86,13 +77,40 @@ class VerificationReport:
     passed: bool
 
 
-def _spd_factorize(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_rate(rate: float) -> None:
+    """A contraction rate lies in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"rate must lie in [0, 1), got {rate}")
+
+
+def check_rates(rate: float, rate_linear: float) -> None:
+    """The linear rate lies strictly below the hull-wide rate."""
+    check_rate(rate)
+    if not 0.0 <= rate_linear < rate:
+        raise ValueError(
+            "rates must satisfy 0 <= rate_linear < rate < 1, got "
+            f"rate_linear={rate_linear}, rate={rate}"
+        )
+
+
+def _symmetric_shape(P) -> np.ndarray:
+    """Square, symmetric to relative tolerance 1e-9, and symmetrized."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"P must be square, got shape {P.shape}")
+    if np.max(np.abs(P - P.T)) > 1e-9 * max(1.0, np.max(np.abs(P))):
+        raise CertificateError("shape matrix must be symmetric")
+    return 0.5 * (P + P.T)
+
+
+def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
     """Validated matrix and its lower Cholesky factor.
 
     A nominally positive definite matrix that fails to factor is perturbed
     by 1e-12 * I exactly once and the perturbed matrix is kept; a second
     failure is surfaced as a CertificateError rather than masked.
     """
+    P = _symmetric_shape(P)
     try:
         return P, scipy.linalg.cholesky(P, lower=True)
     except scipy.linalg.LinAlgError:
@@ -103,31 +121,24 @@ def _spd_factorize(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise CertificateError("shape matrix is not positive definite") from exc
 
 
-def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"P must be square, got shape {P.shape}")
-    if np.max(np.abs(P - P.T)) > 1e-9 * max(1.0, np.max(np.abs(P))):
-        raise CertificateError("shape matrix must be symmetric")
-    return _spd_factorize(0.5 * (P + P.T))
+def _vertex_rates(P, vertices) -> np.ndarray:
+    """Largest generalized eigenvalue of (M' P M, P) for each M in the stack.
+
+    With P = L L', that eigenvalue is the top eigenvalue of G' G for
+    G = L' M inv(L)'.
+    """
+    P, L = _shape_and_factor(P)
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim != 3 or vertices.shape[1:] != P.shape:
+        raise ValueError("vertex dimension does not match P")
+    inv_lt = scipy.linalg.solve_triangular(L, np.eye(P.shape[0]), lower=True).T
+    G = L.T @ vertices @ inv_lt
+    whitened = G.transpose(0, 2, 1) @ G
+    return np.linalg.eigvalsh(0.5 * (whitened + whitened.transpose(0, 2, 1)))[:, -1]
 
 
-def _check_shape_matrix(P) -> np.ndarray:
-    return _shape_and_factor(P)[0]
-
-
-def _congruence_rate(P: np.ndarray, L: np.ndarray, M: np.ndarray) -> float:
-    """Largest generalized eigenvalue of (M' P M, P) via the factor P = L L'."""
-    quad = M.T @ P @ M
-    quad = 0.5 * (quad + quad.T)
-    half = scipy.linalg.solve_triangular(L, quad, lower=True)
-    whitened = scipy.linalg.solve_triangular(L, half.T, lower=True).T
-    whitened = 0.5 * (whitened + whitened.T)
-    return float(np.linalg.eigvalsh(whitened)[-1])
-
-
-def min_contraction_rate(P, vertices: VertexSet) -> float:
-    """Smallest rate certified by a fixed shape matrix over all vertices.
+def min_contraction_rate(P, vertices) -> float:
+    """Smallest rate certified by a fixed shape matrix over a vertex stack.
 
     For each vertex this is the largest generalized eigenvalue of
     (A_J' P A_J, P); the result is tight on at least one vertex.
@@ -135,22 +146,13 @@ def min_contraction_rate(P, vertices: VertexSet) -> float:
     Raises:
         CertificateError: if P is not symmetric positive definite.
     """
-    P, L = _shape_and_factor(P)
-    n = P.shape[0]
-    for M in vertices:
-        if M.shape != (n, n):
-            raise ValueError("vertex dimension does not match P")
-    return max(_congruence_rate(P, L, M) for M in vertices)
+    return float(_vertex_rates(P, vertices).max())
 
 
 def closed_loop_rate(P, sys: SystemSpec, gain: FeedbackGain) -> float:
     """Contraction rate of the fully linear loop A + B K under P."""
-    P, L = _shape_and_factor(P)
-    if P.shape[0] != sys.n:
-        raise ValueError("P dimension does not match the system")
-    if gain.K.shape != (sys.m, sys.n):
-        raise ValueError(f"gain must have shape {(sys.m, sys.n)}")
-    return _congruence_rate(P, L, sys.A + sys.B @ gain.K)
+    _check_gain(sys, gain)
+    return float(_vertex_rates(P, (sys.A + sys.B @ gain.K)[None])[0])
 
 
 def _stein_correction(vertex: np.ndarray, rate: float, deficit: np.ndarray) -> np.ndarray:
@@ -162,7 +164,7 @@ def _stein_correction(vertex: np.ndarray, rate: float, deficit: np.ndarray) -> n
 
 
 def _feasible_shape(
-    vertices: VertexSet,
+    vertices: np.ndarray,
     rate: float,
     feas_tol: float,
     max_iter: int,
@@ -173,13 +175,11 @@ def _feasible_shape(
     Violated vertex inequalities are repaired by lifting the negative
     eigenvalues of rate * P - A_J' P A_J and mapping the lift back to a
     positive semidefinite increment of P, so the iterate grows monotonically
-    from the identity.  Returns None when the residual stalls, the iterate
-    diverges, or the iteration budget runs out.
+    from the identity.  `rate` must exceed every vertex's squared spectral
+    radius.  Returns None when the residual stalls, the iterate diverges, or
+    the iteration budget runs out.
     """
-    n = vertices[0].shape[0]
-    for M in vertices:
-        if np.max(np.abs(np.linalg.eigvals(M))) ** 2 >= rate:
-            return None
+    n = vertices.shape[1]
     P = np.eye(n) if init is None else init.copy()
     best = np.inf
     stalled = 0
@@ -245,9 +245,7 @@ def synthesize_contraction(
             1 - bisect_tol; carries that rate as `last_infeasible`.
     """
     vertices = vertex_matrices(sys, gain)
-    floor = max(
-        float(np.max(np.abs(np.linalg.eigvals(M)))) ** 2 for M in vertices
-    )
+    floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
     hi = 1.0 - bisect_tol
     if floor >= hi:
         raise SynthesisError(
@@ -275,6 +273,12 @@ def synthesize_contraction(
     return 0.5 * (shape + shape.T), hi
 
 
+def _slack_floors(rate: float, P: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of rate * P - M' P M for each M in the stack."""
+    slack = rate * P - vertices.transpose(0, 2, 1) @ P @ vertices
+    return np.linalg.eigvalsh(0.5 * (slack + slack.transpose(0, 2, 1)))[:, 0]
+
+
 def verify_certificate(
     cert: ContractionCertificate, sys: SystemSpec, gain: FeedbackGain
 ) -> VerificationReport:
@@ -285,27 +289,19 @@ def verify_certificate(
     `cert.rate_linear`, the rates are strictly ordered, and P is positive
     definite beyond feas_tol.
     """
-    P = 0.5 * (cert.P + cert.P.T)
-    vertices = vertex_matrices(sys, gain)
-    residuals = []
-    for M in vertices:
-        slack = cert.rate * P - M.T @ P @ M
-        slack = 0.5 * (slack + slack.T)
-        residuals.append(float(np.linalg.eigvalsh(slack)[0]))
-    closed = sys.A + sys.B @ gain.K
-    linear_slack = cert.rate_linear * P - closed.T @ P @ closed
-    linear_slack = 0.5 * (linear_slack + linear_slack.T)
-    linear_residual = float(np.linalg.eigvalsh(linear_slack)[0])
+    P = cert.P
+    residuals = _slack_floors(cert.rate, P, vertex_matrices(sys, gain))
+    linear_residual = float(_slack_floors(cert.rate_linear, P, (sys.A + sys.B @ gain.K)[None])[0])
     shape_min_eig = float(np.linalg.eigvalsh(P)[0])
     rate_gap = cert.rate - cert.rate_linear
     passed = (
-        all(res >= -cert.feas_tol for res in residuals)
+        bool(np.all(residuals >= -cert.feas_tol))
         and linear_residual >= -cert.feas_tol
         and rate_gap > 0.0
         and shape_min_eig >= cert.feas_tol
     )
     return VerificationReport(
-        vertex_residuals=tuple(residuals),
+        vertex_residuals=tuple(residuals.tolist()),
         linear_residual=linear_residual,
         rate_gap=rate_gap,
         shape_min_eig=shape_min_eig,

@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .bounds import (
+    ContractionProfile,
+    _feedback_quadratic,
+    check_k_max,
     expectation_bound_sequence,
     linear_region_scaling,
     noise_energy,
@@ -34,7 +35,6 @@ from .certify import (
     verify_certificate,
 )
 from .errors import (
-    CertificateError,
     ConfigError,
     NotApplicableError,
     PreconditionError,
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .model import FeedbackGain, SystemSpec, vertex_matrices
 from .montecarlo import SimulationConfig, simulate_ensemble
-from .sets import area, boundary_polyline, pub
+from .sets import Ellipsoid, area, boundary_polyline, check_epsilon, pub
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,6 +50,19 @@ EXIT_SYNTHESIS = 3
 EXIT_PRECONDITION = 4
 
 CSV_NAMES = ("data", "lell", "lbell", "states", "convergence")
+
+# Every key a config may hold, by section; anything else is rejected.
+CONFIG_KEYS = {
+    "system": ("A", "B", "W", "ubar"),
+    "gain": ("K",),
+    "rates": ("P", "feas_tol", "bisect_tol", "trace_scale"),
+    "prs": ("epsilon", "k_max", "vbar", "boundary_points"),
+    "simulation": ("horizon", "num_traj", "seed", "noise_kind", "v_policy", "workers"),
+    "output": ("directory", "emit"),
+    "sweep": ("ubar_values", "ubar_min", "ubar_max", "count"),
+}
+
+DEFAULT_SIMULATION = SimulationConfig(horizon=100, num_traj=1000, seed=0)
 
 
 @dataclass
@@ -76,51 +89,53 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _reject_unknown(block: dict, known, where: str) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}")
+
+
 def _block(raw: dict, name: str) -> dict:
     block = raw.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config section '{name}' must be an object")
+    _reject_unknown(block, CONFIG_KEYS[name], f"section '{name}'")
     return block
 
 
-def _parse_v_policy(entry, horizon: int):
-    if entry is None or entry == "zero":
-        return None
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ConfigError("v_policy must be 'zero', a vector, or a list of vectors")
-    return arr
+def _int(block: dict, key: str, default: int) -> int:
+    """An integer entry; booleans and non-integral numbers are rejected."""
+    value = block.get(key, default)
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_simulation(raw: dict) -> SimulationConfig | None:
-    block = raw.get("simulation")
-    if block is None:
+    if raw.get("simulation") is None:
         return None
-    if not isinstance(block, dict):
-        raise ConfigError("config section 'simulation' must be an object")
-    horizon = int(block.get("horizon", 100))
+    block = _block(raw, "simulation")
+    v_policy = block.get("v_policy")
     return SimulationConfig(
-        horizon=horizon,
-        num_traj=int(block.get("num_traj", 1000)),
-        seed=int(block.get("seed", 0)),
-        noise_kind=str(block.get("noise_kind", "gaussian")),
-        v_policy=_parse_v_policy(block.get("v_policy"), horizon),
-        workers=int(block.get("workers", 1)),
+        horizon=_int(block, "horizon", DEFAULT_SIMULATION.horizon),
+        num_traj=_int(block, "num_traj", DEFAULT_SIMULATION.num_traj),
+        seed=_int(block, "seed", DEFAULT_SIMULATION.seed),
+        noise_kind=str(block.get("noise_kind", DEFAULT_SIMULATION.noise_kind)),
+        v_policy=None if v_policy == "zero" else v_policy,
+        workers=_int(block, "workers", DEFAULT_SIMULATION.workers),
     )
 
 
 def _parse_sweep(raw: dict) -> np.ndarray | None:
-    block = raw.get("sweep")
-    if block is None:
+    if raw.get("sweep") is None:
         return None
-    if not isinstance(block, dict):
-        raise ConfigError("config section 'sweep' must be an object")
+    block = _block(raw, "sweep")
     if "ubar_values" in block:
         values = np.asarray(block["ubar_values"], dtype=float)
     else:
         lo = float(block["ubar_min"])
         hi = float(block["ubar_max"])
-        count = int(block.get("count", 100))
+        count = _int(block, "count", 100)
         if count < 2 or hi <= lo:
             raise ConfigError("sweep needs ubar_min < ubar_max and count >= 2")
         values = np.linspace(lo, hi, count)
@@ -137,21 +152,20 @@ def load_config(path) -> AnalysisConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
+    _reject_unknown(raw, CONFIG_KEYS, "the config")
     try:
-        system_block = _block(raw, "system")
-        system = SystemSpec(
-            A=system_block["A"],
-            B=system_block["B"],
-            W=system_block["W"],
-            ubar=system_block["ubar"],
-        )
-        gain = FeedbackGain(K=_block(raw, "gain")["K"])
+        system = SystemSpec(**_block(raw, "system"))
+        gain = FeedbackGain(**_block(raw, "gain"))
         rates = _block(raw, "rates")
         fixed_shape = None
         if rates.get("P") is not None:
             fixed_shape = np.asarray(rates["P"], dtype=float)
         trace_scale = rates.get("trace_scale")
         prs_block = _block(raw, "prs")
+        epsilon = float(prs_block.get("epsilon", 0.2))
+        check_epsilon(epsilon)
+        k_max = _int(prs_block, "k_max", 100)
+        check_k_max(k_max)
         vbar = np.asarray(prs_block.get("vbar", np.zeros(system.m)), dtype=float)
         output = _block(raw, "output")
         emit = tuple(output.get("emit", CSV_NAMES))
@@ -165,10 +179,10 @@ def load_config(path) -> AnalysisConfig:
             feas_tol=float(rates.get("feas_tol", 1e-7)),
             bisect_tol=float(rates.get("bisect_tol", 1e-4)),
             trace_scale=None if trace_scale is None else float(trace_scale),
-            epsilon=float(prs_block.get("epsilon", 0.2)),
-            k_max=int(prs_block.get("k_max", 100)),
+            epsilon=epsilon,
+            k_max=k_max,
             vbar=vbar,
-            boundary_points=int(prs_block.get("boundary_points", 256)),
+            boundary_points=_int(prs_block, "boundary_points", 256),
             simulation=_parse_simulation(raw),
             out_dir=Path(output.get("directory", "out")),
             emit=emit,
@@ -178,10 +192,6 @@ def load_config(path) -> AnalysisConfig:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    if not 0.0 < cfg.epsilon <= 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1], got {cfg.epsilon}")
-    if cfg.k_max < 0:
-        raise ConfigError("k_max must be nonnegative")
     if cfg.vbar.shape != (system.m,):
         raise ConfigError(f"vbar must have length {system.m}")
     return cfg
@@ -259,57 +269,66 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
     return payload
 
 
-def _analysis_state(cfg: AnalysisConfig) -> dict:
+@dataclass(frozen=True)
+class AnalysisState:
+    """The certificate, rate decision and ultimate bounds of one analysis."""
+
+    P: np.ndarray
+    profile: ContractionProfile
+    pub_rate: Ellipsoid
+    pub_selected: Ellipsoid
+
+
+def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:
     P, rate, rate_linear = _resolve_certificate(cfg)
     noise = noise_energy(P, cfg.system.W)
     r_lin = linear_region_scaling(P, cfg.gain.K, cfg.system.ubar, cfg.vbar)
     profile = select_rate(rate, rate_linear, noise, r_lin)
-    ks = np.arange(cfg.k_max + 1)
-    bound_rate = expectation_bound_sequence(rate, noise, cfg.k_max)
-    bound_linear = expectation_bound_sequence(rate_linear, noise, cfg.k_max)
-    bound_selected = expectation_bound_sequence(profile.rate_selected, noise, cfg.k_max)
-    pub_rate = pub(P, rate, noise, cfg.epsilon)
-    pub_selected = pub(P, profile.rate_selected, noise, cfg.epsilon)
-    return {
-        "P": P,
-        "profile": profile,
-        "ks": ks,
-        "bound_rate": bound_rate,
-        "bound_linear": bound_linear,
-        "bound_selected": bound_selected,
-        "pub_rate": pub_rate,
-        "pub_selected": pub_selected,
-    }
+    return AnalysisState(
+        P=P,
+        profile=profile,
+        pub_rate=pub(P, rate, noise, cfg.epsilon),
+        pub_selected=pub(P, profile.rate_selected, noise, cfg.epsilon),
+    )
 
 
-def _write_data_csv(cfg: AnalysisConfig, state: dict, q_mean=None) -> None:
-    rows = []
-    for k in state["ks"]:
-        empirical = ""
-        if q_mean is not None and k < len(q_mean):
-            empirical = _fmt(float(q_mean[k]))
-        rows.append(
-            [
-                str(int(k)),
-                empirical,
-                _fmt(float(state["bound_rate"][k])),
-                _fmt(float(state["bound_linear"][k])),
-                _fmt(float(state["bound_selected"][k])),
-            ]
+def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
+    """Write the CSV artifacts cfg.emit names; `stats` adds the ensemble's."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    if "data" in cfg.emit:
+        profile = state.profile
+        bounds = [
+            expectation_bound_sequence(rate, profile.noise_energy, cfg.k_max)
+            for rate in (profile.rate, profile.rate_linear, profile.rate_selected)
+        ]
+        q_mean = () if stats is None else stats.q_mean
+        # Rows are generated while writing, so no artifact is held as text.
+        rows = (
+            [str(k), _fmt(float(q_mean[k])) if k < len(q_mean) else ""]
+            + [_fmt(float(bound[k])) for bound in bounds]
+            for k in range(cfg.k_max + 1)
         )
-    _write_csv(cfg.out_dir / "data.csv", ["k", "e", "l", "ll", "lb"], rows)
+        _write_csv(cfg.out_dir / "data.csv", ["k", "e", "l", "ll", "lb"], rows)
+    curves = {"lell": state.pub_rate, "lbell": state.pub_selected}
+    planar = [*curves, "states"] if stats is not None else list(curves)
+    wanted = [name for name in planar if name in cfg.emit]
+    if cfg.system.n != 2:
+        if wanted:
+            print(f"{', '.join(wanted)} need a planar system; skipped", file=sys.stderr)
+        return
+    for name in wanted:
+        if name == "states":
+            pts = stats.final_states
+        else:
+            pts = boundary_polyline(curves[name], cfg.boundary_points)
+        rows = ([_fmt(float(x)), _fmt(float(y))] for x, y in pts)
+        _write_csv(cfg.out_dir / f"{name}.csv", ["x", "y"], rows)
 
 
-def _write_boundary_csv(cfg: AnalysisConfig, name: str, ellipsoid) -> None:
-    pts = boundary_polyline(ellipsoid, cfg.boundary_points)
-    rows = [[_fmt(float(x)), _fmt(float(y))] for x, y in pts]
-    _write_csv(cfg.out_dir / f"{name}.csv", ["x", "y"], rows)
-
-
-def _analysis_payload(cfg: AnalysisConfig, state: dict) -> dict:
-    profile = state["profile"]
-    r_full = state["pub_rate"].r
-    r_sel = state["pub_selected"].r
+def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:
+    profile = state.profile
+    r_full = state.pub_rate.r
+    r_sel = state.pub_selected.r
     payload = {
         "lambda": float(profile.rate),
         "lambda_L": float(profile.rate_linear),
@@ -326,11 +345,11 @@ def _analysis_payload(cfg: AnalysisConfig, state: dict) -> dict:
         "pub_scalings": {"lambda": float(r_full), "lambda_hat": float(r_sel)},
         "scaling_reduction": float(1.0 - r_sel / r_full) if r_full > 0.0 else 0.0,
         "ll_reference_only": True,
-        "P": np.asarray(state["P"]).tolist(),
+        "P": np.asarray(state.P).tolist(),
     }
     if cfg.system.n == 2:
-        a_full = area(state["pub_rate"])
-        a_sel = area(state["pub_selected"])
+        a_full = area(state.pub_rate)
+        a_sel = area(state.pub_selected)
         payload["areas"] = {
             "lambda": float(a_full),
             "lambda_hat": float(a_sel),
@@ -342,16 +361,7 @@ def _analysis_payload(cfg: AnalysisConfig, state: dict) -> dict:
 def cmd_analyze(cfg: AnalysisConfig) -> dict:
     """Bounds, reachable-set scalings, and boundary polylines; no simulation."""
     state = _analysis_state(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if "data" in cfg.emit:
-        _write_data_csv(cfg, state)
-    if cfg.system.n == 2:
-        if "lell" in cfg.emit:
-            _write_boundary_csv(cfg, "lell", state["pub_rate"])
-        if "lbell" in cfg.emit:
-            _write_boundary_csv(cfg, "lbell", state["pub_selected"])
-    elif {"lell", "lbell"} & set(cfg.emit):
-        print("boundary polylines need a planar system; skipped", file=sys.stderr)
+    _emit(cfg, state)
     payload = _analysis_payload(cfg, state)
     _write_json(cfg.out_dir / "analysis.json", payload)
     return payload
@@ -359,28 +369,16 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
 
 def cmd_simulate(cfg: AnalysisConfig) -> dict:
     """Analysis plus a Monte Carlo ensemble; fills the empirical column."""
-    sim = cfg.simulation or SimulationConfig(horizon=100, num_traj=1000, seed=0)
+    sim = cfg.simulation or DEFAULT_SIMULATION
     state = _analysis_state(cfg)
     stats = simulate_ensemble(
         cfg.system,
         cfg.gain,
         sim,
-        shape_matrix=state["P"],
-        ellipsoid=state["pub_selected"],
+        shape_matrix=state.P,
+        ellipsoid=state.pub_selected,
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if "data" in cfg.emit:
-        _write_data_csv(cfg, state, q_mean=stats.q_mean)
-    if cfg.system.n == 2:
-        if "lell" in cfg.emit:
-            _write_boundary_csv(cfg, "lell", state["pub_rate"])
-        if "lbell" in cfg.emit:
-            _write_boundary_csv(cfg, "lbell", state["pub_selected"])
-        if "states" in cfg.emit:
-            rows = [[_fmt(float(x)), _fmt(float(y))] for x, y in stats.final_states]
-            _write_csv(cfg.out_dir / "states.csv", ["x", "y"], rows)
-    elif "states" in cfg.emit:
-        print("states.csv needs a planar system; skipped", file=sys.stderr)
+    _emit(cfg, state, stats)
     violations = 1.0 - stats.containment
     payload = _analysis_payload(cfg, state)
     payload.update(
@@ -390,7 +388,6 @@ def cmd_simulate(cfg: AnalysisConfig) -> dict:
             "num_traj": int(sim.num_traj),
             "noise_kind": sim.noise_kind,
             "workers": int(sim.workers),
-            "horizon_note": "horizon defaults to 100 steps when the config leaves it out",
             "pub_violation_max": float(violations.max()),
             "pub_violation_final": float(violations[-1]),
             "q_mean_final": float(stats.q_mean[-1]),
@@ -407,26 +404,21 @@ def cmd_sweep(cfg: AnalysisConfig) -> dict:
     P, rate, rate_linear = _resolve_certificate(cfg)
     noise = noise_energy(P, cfg.system.W)
     threshold_lhs = noise / (1.0 - rate)
-    cho = scipy.linalg.cho_factor(np.asarray(P, dtype=float))
-    K = cfg.gain.K
-    quad = np.einsum("ij,ji->i", K, scipy.linalg.cho_solve(cho, K.T))
     # Infimum budget at which the tightening condition starts to hold:
     # every channel needs (u - vbar_i)^2 / quad_i > noise / (1 - rate).
+    quad = _feedback_quadratic(P, cfg.gain.K)
     ubar_star = float(np.max(cfg.vbar + np.sqrt(threshold_lhs * quad)))
-    rows = []
+    budgets = np.repeat(cfg.sweep_ubar[:, None], cfg.system.m, axis=1)
+    budgets = budgets[np.all(cfg.vbar <= budgets, axis=1)]
+    r_lins = linear_region_scaling(P, cfg.gain.K, budgets, cfg.vbar)
     swept = []
-    for u in cfg.sweep_ubar:
-        ubar_vec = np.full(cfg.system.m, float(u))
-        if np.any(cfg.vbar > ubar_vec):
-            continue
-        r_lin = linear_region_scaling(P, K, ubar_vec, cfg.vbar)
+    for u, r_lin in zip(budgets[:, 0], r_lins):
         profile = select_rate(rate, rate_linear, noise, r_lin)
-        if profile.fallback:
-            continue
-        rows.append([_fmt(r_lin), _fmt(rate_linear), _fmt(profile.rate_effective)])
-        swept.append((float(u), float(r_lin), float(profile.rate_effective)))
+        if not profile.fallback:
+            swept.append((float(u), float(r_lin), float(profile.rate_effective)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "convergence" in cfg.emit:
+        rows = ([_fmt(r_lin), _fmt(rate_linear), _fmt(mu)] for _, r_lin, mu in swept)
         _write_csv(cfg.out_dir / "convergence.csv", ["rl", "ll", "lb"], rows)
     payload = {
         "lambda": float(rate),
@@ -491,10 +483,10 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = Path(args.out)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            base = cfg.simulation or SimulationConfig(horizon=100, num_traj=1000, seed=0)
-            cfg.simulation = replace(base, seed=args.seed)
+            try:
+                cfg.simulation = replace(cfg.simulation or DEFAULT_SIMULATION, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from exc
         payload = _COMMANDS[args.command](cfg)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
@@ -504,7 +496,7 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"synthesis failure: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS
-    except (PreconditionError, NotApplicableError, CertificateError, ValueError) as exc:
+    except (PreconditionError, NotApplicableError, ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -9,7 +9,7 @@ class PreconditionError(SatreachError):
     """An operation was invoked outside its documented preconditions."""
 
 
-class CertificateError(SatreachError):
+class CertificateError(SatreachError, ValueError):
     """A shape matrix is not usable as a quadratic certificate."""
 
 

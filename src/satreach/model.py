@@ -111,35 +111,6 @@ class FeedbackGain:
         return self.K.shape[1]
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """The 2^m vertex matrices of the saturation hull, bitmask ordered.
-
-    Index 0 is the open-loop matrix A (every feedback row dropped) and the
-    last index is the fully linear closed loop A + B K.
-    """
-
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        count = len(self.matrices)
-        if count == 0 or count & (count - 1):
-            raise ValueError("vertex count must be a power of two")
-        n = self.matrices[0].shape[0]
-        for M in self.matrices:
-            if M.shape != (n, n):
-                raise ValueError("vertex matrices must share a square shape")
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.matrices[index]
-
-
 def _check_gain(sys: SystemSpec, gain: FeedbackGain) -> None:
     if gain.K.shape != (sys.m, sys.n):
         raise ValueError(
@@ -198,12 +169,14 @@ def nominal_step(z, v, sys: SystemSpec) -> np.ndarray:
     return sys.A @ z + sys.B @ v
 
 
-def vertex_matrices(sys: SystemSpec, gain: FeedbackGain) -> VertexSet:
+def vertex_matrices(sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:
     """Enumerate the saturation-hull vertices A + sum_{i in J} B_i K_i.
 
     Vertex J keeps the feedback rows indexed by the set bits of J and drops
-    the rest, so the enumeration is ordered by bitmask: vertex 0 is A and
-    vertex 2^m - 1 is A + B K.
+    the rest, so the read-only (2^m, n, n) stack is ordered by bitmask:
+    vertex 0 is A and vertex 2^m - 1 is A + B K.  Bit h doubles the stack,
+    adding row h's term to every vertex built from the lower bits, so each
+    vertex sums its terms in ascending bit order.
 
     Raises:
         ValueError: on dimension mismatch or m > MAX_INPUT_DIM.
@@ -213,12 +186,9 @@ def vertex_matrices(sys: SystemSpec, gain: FeedbackGain) -> VertexSet:
         raise ValueError(
             f"refusing to enumerate 2^{sys.m} vertices (limit m <= {MAX_INPUT_DIM})"
         )
-    mats = []
-    for mask in range(2 ** sys.m):
-        M = sys.A.copy()
-        for i in range(sys.m):
-            if mask >> i & 1:
-                M += np.outer(sys.B[:, i], gain.K[i])
-        M.setflags(write=False)
-        mats.append(M)
-    return VertexSet(tuple(mats))
+    stack = np.empty((2 ** sys.m, sys.n, sys.n))
+    stack[0] = sys.A
+    for h in range(sys.m):
+        stack[2 ** h : 2 ** (h + 1)] = stack[: 2 ** h] + np.outer(sys.B[:, h], gain.K[h])
+    stack.setflags(write=False)
+    return stack

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .certify import _check_shape_matrix, _shape_and_factor
+from .bounds import check_noise, expectation_bound_sequence
+from .certify import _shape_and_factor, check_rate
 
 CONTAINS_TOL = 1e-12
 
@@ -28,7 +29,7 @@ class Ellipsoid:
     r: float
 
     def __post_init__(self):
-        P = _check_shape_matrix(self.P)
+        P = _shape_and_factor(self.P)[0]
         if not self.r >= 0.0:
             raise ValueError(f"scaling must be nonnegative, got {self.r}")
         P.setflags(write=False)
@@ -78,11 +79,8 @@ def boundary_polyline(ellipsoid: Ellipsoid, num_points: int) -> np.ndarray:
     return (np.sqrt(ellipsoid.r) * pts).T
 
 
-def _check_tail_inputs(rate: float, noise: float, epsilon: float) -> None:
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must lie in [0, 1), got {rate}")
-    if noise < 0.0:
-        raise ValueError("noise energy must be nonnegative")
+def check_epsilon(epsilon: float) -> None:
+    """A violation level lies in (0, 1]."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"violation level must lie in (0, 1], got {epsilon}")
 
@@ -90,16 +88,13 @@ def _check_tail_inputs(rate: float, noise: float, epsilon: float) -> None:
 def prs_sequence(P, rate: float, noise: float, epsilon: float, k_max: int) -> list[Ellipsoid]:
     """Per-step reachable ellipsoids at violation level epsilon.
 
-    Step k gets scaling r_k = (1 - rate^k) / (1 - rate) * noise / epsilon,
-    a nondecreasing sequence starting at r_0 = 0 (the error starts at the
-    origin).  All ellipsoids share the shape matrix P.
+    Step k gets scaling r_k = b_k / epsilon for the expectation bound
+    b_k = (1 - rate^k) / (1 - rate) * noise, a nondecreasing sequence
+    starting at r_0 = 0 (the error starts at the origin).  All ellipsoids
+    share the shape matrix P.
     """
-    P = _check_shape_matrix(P)
-    _check_tail_inputs(rate, noise, epsilon)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    k = np.arange(k_max + 1)
-    scalings = (1.0 - rate ** k) / (1.0 - rate) * noise / epsilon
+    check_epsilon(epsilon)
+    scalings = expectation_bound_sequence(rate, noise, k_max) / epsilon
     return [Ellipsoid(P, float(r)) for r in scalings]
 
 
@@ -109,6 +104,7 @@ def pub(P, rate: float, noise: float, epsilon: float) -> Ellipsoid:
     Returns the ellipsoid of scaling noise / (epsilon * (1 - rate)), which
     contains every per-step reachable set and is approached monotonically.
     """
-    P = _check_shape_matrix(P)
-    _check_tail_inputs(rate, noise, epsilon)
+    check_rate(rate)
+    check_noise(noise)
+    check_epsilon(epsilon)
     return Ellipsoid(P, noise / (epsilon * (1.0 - rate)))

@@ -8,8 +8,15 @@ the balance equation.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from satreach import FeedbackGain, SystemSpec
+
+# Property tests replay the same examples on every run and carry no
+# per-example deadline, so tier-1 stays reproducible on machines whose
+# speed drifts.
+settings.register_profile("satreach", derandomize=True, deadline=None)
+settings.load_profile("satreach")
 
 
 @pytest.fixture

@@ -233,35 +233,3 @@ def test_bound_sequence_validation():
         sr.expectation_bound_sequence(0.5, -1.0, 5)
     with pytest.raises(ValueError):
         sr.expectation_bound_sequence(0.5, 1.0, -1)
-
-
-def test_quadratic_recursion_reference_profile():
-    c = sr.quadratic_recursion_bound(
-        REF_RATE, REF_RATE_LINEAR, REF_R_LIN, REF_NOISE, 100
-    )
-    assert c[0] == 0.0
-    assert c[1] == REF_NOISE
-    b_full = sr.expectation_bound_sequence(REF_RATE, REF_NOISE, 100)
-    b_lin = sr.expectation_bound_sequence(REF_RATE_LINEAR, REF_NOISE, 100)
-    # The curvature term keeps the recursion between the two pure
-    # geometric bounds whenever the noise fits the linear region.
-    assert np.all(c <= b_full + 1e-9)
-    assert np.all(c >= b_lin - 1e-9)
-
-
-def test_quadratic_recursion_infinite_region_is_linear():
-    c = sr.quadratic_recursion_bound(0.9, 0.6, np.inf, 1.5, 30)
-    b = sr.expectation_bound_sequence(0.6, 1.5, 30)
-    assert np.allclose(c, b, rtol=1e-12, atol=0.0)
-
-
-def test_quadratic_recursion_rejects_empty_region():
-    with pytest.raises(NotApplicableError):
-        sr.quadratic_recursion_bound(0.9, 0.6, 0.0, 1.5, 10)
-
-
-def test_quadratic_recursion_validation():
-    with pytest.raises(ValueError):
-        sr.quadratic_recursion_bound(0.6, 0.9, 10.0, 1.5, 10)
-    with pytest.raises(ValueError):
-        sr.quadratic_recursion_bound(0.9, 0.6, 10.0, -1.5, 10)

@@ -88,7 +88,7 @@ def test_min_rate_is_tight(ref_sys, ref_gain, ref_shape):
 
 def test_min_rate_monotone_in_vertex_set(ref_sys, ref_gain, ref_shape):
     verts = sr.vertex_matrices(ref_sys, ref_gain)
-    single = sr.VertexSet((verts[1],))
+    single = verts[1:]
     both = sr.min_contraction_rate(ref_shape, verts)
     assert sr.min_contraction_rate(ref_shape, single) <= both + 1e-15
 
@@ -108,7 +108,7 @@ def test_closed_loop_rate_reference(ref_sys, ref_gain, ref_shape):
 
 def test_closed_loop_rate_equals_full_vertex(ref_sys, ref_gain, ref_shape):
     verts = sr.vertex_matrices(ref_sys, ref_gain)
-    full = sr.VertexSet((verts[-1],))
+    full = verts[-1:]
     assert sr.closed_loop_rate(ref_shape, ref_sys, ref_gain) == pytest.approx(
         sr.min_contraction_rate(ref_shape, full), rel=1e-12
     )

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import satreach as sr
-from satreach.cli import EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, EXIT_SYNTHESIS, main
+from satreach.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    EXIT_SYNTHESIS,
+    load_config,
+    main,
+)
 
 REF_RATE = 0.98010206886129503
 REF_RATE_LINEAR = 0.76852028012028373
@@ -120,7 +127,7 @@ def test_analyze_reference_report(tmp_path):
     assert payload["lambda_bar_star"] == pytest.approx(REF_EFFECTIVE, abs=1e-6)
     assert payload["lambda_hat"] == payload["lambda_bar_star"]
     assert payload["pub_scalings"]["lambda"] == pytest.approx(1771.5409584, rel=1e-9)
-    assert payload["pub_scalings"]["lambda_hat"] == pytest.approx(162.1904573, rel=1e-9)
+    assert payload["pub_scalings"]["lambda_hat"] == pytest.approx(162.1904561, rel=1e-9)
     assert 0.90 <= payload["scaling_reduction"] <= 0.92
     assert 0.90 <= payload["areas"]["reduction"] <= 0.92
 
@@ -344,3 +351,42 @@ def test_out_flag_overrides_directory(tmp_path):
     assert main(["analyze", "--config", str(cfg_path), "--out", str(override)]) == EXIT_OK
     assert (override / "analysis.json").exists()
     assert not (tmp_path / "out").exists()
+
+
+def test_demo_config_loads():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    assert cfg.simulation.horizon == 100
+    assert cfg.sweep_ubar.size == 60
+
+
+def test_config_rejects_fractional_integers(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["simulation"]["horizon"] = 10.7
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    cfg["simulation"]["horizon"] = 25.0
+    assert load_config(write_config(tmp_path, cfg, "whole.json")).simulation.horizon == 25
+
+
+def test_config_rejects_boolean_integers(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["simulation"]["num_traj"] = True
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+
+
+def test_config_rejects_unknown_section_keys(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["simulation"]["num_trajs"] = 500
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+
+
+def test_config_rejects_unknown_top_level_keys(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["simulations"] = {"horizon": 5}
+    assert main(["analyze", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+
+
+def test_seed_override_beyond_64_bits_is_a_config_error(tmp_path):
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
+    argv = ["simulate", "--config", str(cfg_path), "--seed", str(2**64)]
+    assert main(argv) == EXIT_CONFIG
+    assert main(argv[:-1] + ["-1"]) == EXIT_CONFIG

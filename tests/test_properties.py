@@ -1,0 +1,84 @@
+"""Property tests: hull membership, the certified side of the effective
+rate, and row-wise equality of the broadcast linear-region scaling."""
+
+import math
+
+import numpy as np
+from conftest import hull_membership_check
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import satreach as sr
+from satreach import FeedbackGain, SystemSpec
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(1, 4)
+
+
+def _random_plant(n: int, m: int, seed: int):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.95 / max(1.0, np.abs(np.linalg.eigvals(A)).max())
+    sys_r = SystemSpec(
+        A=A, B=rng.normal(size=(n, m)), W=np.eye(n), ubar=rng.uniform(0.1, 2.0, m)
+    )
+    return sys_r, FeedbackGain(K=rng.normal(size=(m, n))), rng
+
+
+@given(n=DIMS, m=DIMS, seed=SEEDS)
+def test_vertex_stack_is_the_hull_of_the_saturated_step(n, m, seed):
+    sys_r, gain, rng = _random_plant(n, m, seed)
+    stack = sr.vertex_matrices(sys_r, gain)
+    assert stack.shape == (2**m, n, n)
+    for mask, vertex in enumerate(stack):
+        expected = sys_r.A.copy()
+        for i in range(m):
+            if mask >> i & 1:
+                expected += np.outer(sys_r.B[:, i], gain.K[i])
+        assert np.array_equal(vertex, expected)
+    # Per-row scalings theta blend the vertices with multilinear weights.
+    theta = rng.uniform(0.0, 1.0, m)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    weights = np.prod(np.where(bits, theta, 1.0 - theta), axis=1)
+    blend = np.tensordot(weights, stack, axes=1)
+    assert np.allclose(blend, sys_r.A + (sys_r.B * theta) @ gain.K, rtol=1e-12, atol=1e-12)
+    for _ in range(20):
+        e = rng.normal(scale=5.0, size=n)
+        v = rng.uniform(-1.0, 1.0, m) * sys_r.ubar
+        hull_membership_check(sys_r, gain, e, v, rng.normal(size=n))
+
+
+@given(
+    rate=st.floats(0.01, 0.999),
+    fraction=st.floats(0.0, 0.99),
+    noise=st.just(0.0) | st.floats(1e-9, 1e4),
+    stretch=st.floats(1.0, 1e4),
+    margin=st.floats(1e-9, 1e3),
+    infinite=st.booleans(),
+)
+def test_effective_rate_is_on_the_certified_side(rate, fraction, noise, stretch, margin, infinite):
+    rate_linear = fraction * rate
+    r_lin = math.inf if infinite else noise / (1.0 - rate) * stretch + margin
+    assume(not sr.select_rate(rate, rate_linear, noise, r_lin).fallback)
+    mu = sr.effective_rate(rate, rate_linear, noise, r_lin)
+    assert rate_linear <= mu <= rate
+    if noise == 0.0 or infinite:
+        assert mu == rate_linear
+    else:
+        slope = r_lin / (rate - rate_linear)
+        assert (mu - rate_linear) * slope - noise / (1.0 - mu) >= 0.0
+
+
+@given(n=DIMS, m=DIMS, rows=st.integers(0, 6), seed=SEEDS)
+def test_broadcast_linear_region_matches_scalar_rows(n, m, rows, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(n, n))
+    P = G @ G.T + 0.1 * np.eye(n)
+    K = rng.normal(size=(m, n))
+    K[rng.random(m) < 0.25] = 0.0
+    vbar = rng.uniform(0.0, 1.0, m)
+    ubar = vbar + rng.uniform(0.0, 3.0, (rows, m)) * (rng.random((rows, m)) < 0.9)
+    scalings = sr.linear_region_scaling(P, K, ubar, vbar)
+    assert scalings.shape == (rows,)
+    for budget, scaling in zip(ubar, scalings):
+        assert scaling == sr.linear_region_scaling(P, K, budget, vbar)

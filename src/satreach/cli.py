@@ -41,7 +41,7 @@ from .errors import (
     SynthesisError,
 )
 from .model import FeedbackGain, SystemSpec, vertex_matrices
-from .montecarlo import SimulationConfig, simulate_ensemble
+from .montecarlo import SimulationConfig, simulate_ensemble, wilson_upper
 from .sets import Ellipsoid, area, boundary_polyline, check_epsilon, pub
 
 EXIT_OK = 0
@@ -234,7 +234,11 @@ def _resolve_certificate(cfg: AnalysisConfig) -> tuple[np.ndarray, float, float]
 
 
 def cmd_certify(cfg: AnalysisConfig) -> dict:
-    """Produce and independently verify a certificate; write certificate.json."""
+    """Produce and independently verify a certificate; write certificate.json.
+
+    A certificate that fails verification is still written, so its
+    residuals can be inspected, and then reported as a synthesis failure.
+    """
     P, rate, rate_linear = _resolve_certificate(cfg)
     if rate_linear < rate:
         cert = ContractionCertificate(
@@ -266,6 +270,10 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "certificate.json", payload)
+    if not passed:
+        raise SynthesisError(
+            f"certificate fails verification; residuals in {cfg.out_dir / 'certificate.json'}"
+        )
     return payload
 
 
@@ -390,6 +398,7 @@ def cmd_simulate(cfg: AnalysisConfig) -> dict:
             "workers": int(sim.workers),
             "pub_violation_max": float(violations.max()),
             "pub_violation_final": float(violations[-1]),
+            "pub_violation_wilson_upper": wilson_upper(float(violations.max()), sim.num_traj),
             "q_mean_final": float(stats.q_mean[-1]),
         }
     )

@@ -122,16 +122,18 @@ def saturate(u, ubar) -> np.ndarray:
     """Componentwise symmetric saturation sign(u_i) * min(|u_i|, ubar_i).
 
     Args:
-        u: length-m input vector.
+        u: length-m input vector, or a (..., m) stack of them.
         ubar: length-m vector of positive saturation magnitudes.
 
     Returns:
         The clipped input, same shape as u.
     """
-    u = _as_float_array(u, "u", 1)
+    u = np.asarray(u, dtype=float)
     ubar = _as_float_array(ubar, "ubar", 1)
-    if u.shape != ubar.shape:
-        raise ValueError(f"u and ubar must share a shape, got {u.shape} vs {ubar.shape}")
+    if u.ndim == 0 or u.shape[-1] != ubar.shape[0]:
+        raise ValueError(f"u must end in a dimension of {ubar.shape[0]}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must be finite")
     if np.any(ubar <= 0.0):
         raise ValueError("saturation magnitudes must be strictly positive")
     return np.clip(u, -ubar, ubar)

@@ -106,6 +106,20 @@ def test_synthesis_failure_exit_code(tmp_path):
     assert main(["certify", "--config", str(cfg_path)]) == EXIT_SYNTHESIS
 
 
+def test_certify_zero_gain_writes_failed_certificate_and_exits_nonzero(tmp_path, capsys):
+    # With K = 0 every hull vertex is the closed loop, so the rate gap the
+    # certificate needs cannot exist and verification must fail.
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["gain"]["K"] = [[0.0, 0.0]]
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", str(cfg_path)]) == EXIT_SYNTHESIS
+    payload = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
+    assert payload["pass"] is False
+    assert payload["lambda"] == payload["lambda_L"]
+    assert "certificate fails verification" in capsys.readouterr().err
+
+
 def test_precondition_failure_exit_code(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["prs"]["vbar"] = [11.0]
@@ -218,6 +232,9 @@ def test_simulate_fills_empirical_column(tmp_path):
     assert payload["seed"] == 0
     assert payload["num_traj"] == 60
     assert payload["pub_violation_max"] <= 0.2
+    assert payload["pub_violation_wilson_upper"] == sr.montecarlo.wilson_upper(
+        payload["pub_violation_max"], 60
+    )
     _, rows = read_csv(out / "data.csv")
     assert len(rows) == 41
     assert rows[0][1] == "0"

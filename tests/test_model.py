@@ -37,6 +37,25 @@ def test_saturate_rejects_bad_inputs():
         sr.saturate([1.0], [0.0])
 
 
+def test_saturate_stack_matches_per_row_calls():
+    rng = np.random.default_rng(11)
+    ubar = np.array([0.5, 1.5, 4.0])
+    stack = rng.normal(scale=3.0, size=(7, 3))
+    out = sr.saturate(stack, ubar)
+    assert out.shape == (7, 3)
+    rows = np.array([sr.saturate(row, ubar) for row in stack])
+    assert np.array_equal(out.view(np.uint64), rows.view(np.uint64))
+
+
+def test_saturate_stack_rejects_a_nan_row():
+    stack = np.zeros((7, 3))
+    stack[4] = np.nan
+    with pytest.raises(ValueError):
+        sr.saturate(stack, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        sr.saturate(np.zeros((7, 2)), [1.0, 2.0, 3.0])
+
+
 def test_error_step_with_deep_saturation(ref_sys, ref_gain):
     # Far from the origin the feedback rails at -ubar and only the second
     # state feels it through B.

@@ -209,3 +209,76 @@ def test_reachable_sets_hold_empirically(ref_sys, ref_gain, ref_shape):
     slack = 3.0 * np.sqrt(epsilon * (1.0 - epsilon) / num_traj)
     for k in range(horizon + 1):
         assert sr.violation_rate(stats, sets[k], k) <= epsilon + slack
+
+
+def _block_runs(monkeypatch, sys_, gain, cfg, ellipsoid):
+    runs = []
+    for size in (1, 7, cfg.num_traj):
+        monkeypatch.setattr(sr.montecarlo, "_BLOCK_SIZE", size)
+        runs.append(
+            sr.simulate_ensemble(
+                sys_, gain, cfg, shape_matrix=ellipsoid.P, ellipsoid=ellipsoid
+            )
+        )
+    return runs
+
+
+def _assert_bitwise_equal(runs):
+    for stats in runs[1:]:
+        for name in ("q_samples", "final_states", "containment"):
+            ours, theirs = getattr(stats, name), getattr(runs[0], name)
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("kind", sr.montecarlo.NOISE_KINDS)
+def test_ensemble_bitwise_invariant_to_block_size(monkeypatch, ref_gain, ref_shape, kind):
+    # A non-diagonal W makes the noise factor a full triangle, not the identity.
+    plant = sr.SystemSpec(
+        A=[[0.89, 0.10], [0.10, 0.89]],
+        B=[[0.0], [1.0]],
+        W=[[2.0, 0.7], [0.7, 1.0]],
+        ubar=[1.5],
+    )
+    assert np.count_nonzero(sr.noise_factor(plant.W)) == 3
+    cfg = SimulationConfig(horizon=30, num_traj=23, seed=17, noise_kind=kind)
+    ell = Ellipsoid(P=ref_shape, r=20.0)
+    runs = _block_runs(monkeypatch, plant, ref_gain, cfg, ell)
+    assert 0.0 < runs[0].containment[1:].min() < 1.0
+    _assert_bitwise_equal(runs)
+
+
+def test_ensemble_bitwise_invariant_to_block_size_when_saturated(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, m, horizon = 3, 2, 25
+    A = 0.8 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+    B = rng.normal(size=(n, m))
+    K = -0.5 * np.linalg.pinv(B) @ A
+    ubar = np.array([0.2, 0.3])
+    plant = sr.SystemSpec(A=A, B=B, W=0.5 * np.eye(n) + 0.1, ubar=ubar)
+    gain = sr.FeedbackGain(K=K)
+    policy = rng.uniform(-0.5, 0.5, size=(horizon, m)) * ubar
+    cfg = SimulationConfig(horizon=horizon, num_traj=19, seed=3, v_policy=policy)
+    clipped = []
+    saturate = sr.montecarlo.saturate
+
+    def recording_saturate(u, bound):
+        clipped.append(bool(np.any(np.abs(u) > bound)))
+        return saturate(u, bound)
+
+    monkeypatch.setattr(sr.montecarlo, "saturate", recording_saturate)
+    runs = _block_runs(monkeypatch, plant, gain, cfg, Ellipsoid(P=np.eye(n), r=2.0))
+    assert any(clipped)
+    _assert_bitwise_equal(runs)
+
+
+def test_wilson_upper_hand_computed():
+    # z = 1.96, N = 100, f = 0.1: z^2/N = 0.038416, so the upper end is
+    # (0.1 + 0.019208 + 1.96 * sqrt(0.0009 + 0.00009604)) / 1.038416.
+    assert sr.montecarlo.wilson_upper(0.1, 100) == pytest.approx(0.1743673, abs=1e-7)
+    # f = 0 leaves z^2/N / (1 + z^2/N) = 0.038416 / 1.038416.
+    assert sr.montecarlo.wilson_upper(0.0, 100) == pytest.approx(0.0369948, abs=1e-7)
+    assert sr.montecarlo.wilson_upper(1.0, 100) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        sr.montecarlo.wilson_upper(0.5, 0)
+    with pytest.raises(ValueError):
+        sr.montecarlo.wilson_upper(1.5, 10)

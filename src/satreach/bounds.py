@@ -11,7 +11,6 @@ decides which rate applies, and evaluates the resulting bound sequences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,25 +40,28 @@ def check_k_max(k_max: int) -> None:
 class ContractionProfile:
     """Every rate relevant to one analysis, plus the branch evidence.
 
-    `rate_effective` is None when the tightening condition fails, in which
-    case `rate_selected` falls back to the hull-wide `rate`.
+    Where the tightening condition fails, `fallback` is set and
+    `rate_selected` falls back to the hull-wide `rate`; `rate_effective` is
+    then None.  With an array `r_lin` the fields that depend on it are
+    arrays of its shape, and `rate_effective` holds NaN where it falls back.
     """
 
     rate: float
     rate_linear: float
     noise_energy: float
-    r_lin: float
+    r_lin: float | np.ndarray
     condition_lhs: float
-    rate_effective: float | None
-    rate_selected: float
-
-    @property
-    def fallback(self) -> bool:
-        return self.rate_effective is None
+    rate_effective: float | np.ndarray | None
+    rate_selected: float | np.ndarray
+    fallback: bool | np.ndarray
 
 
-def _feedback_quadratic(P: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Per-row K_i inv(P) K_i' for a validated shape matrix P."""
+def _feedback_quadratic(P, K) -> np.ndarray:
+    """Per-row K_i inv(P) K_i' after validating P and the shape of K."""
+    P = _shape_and_factor(P)[0]
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[1] != P.shape[0]:
+        raise ValueError(f"K must have {P.shape[0]} columns, got shape {K.shape}")
     return np.einsum("ij,ji->i", K, scipy.linalg.cho_solve(scipy.linalg.cho_factor(P), K.T))
 
 
@@ -78,24 +80,30 @@ def linear_region_scaling(P, K, ubar, vbar) -> float | np.ndarray:
     Raises:
         PreconditionError: unless 0 <= vbar <= ubar componentwise.
     """
-    P = _shape_and_factor(P)[0]
-    K = np.asarray(K, dtype=float)
+    quad = _feedback_quadratic(P, K)
     ubar = np.asarray(ubar, dtype=float)
     vbar = np.asarray(vbar, dtype=float)
-    if K.ndim != 2 or K.shape[1] != P.shape[0]:
-        raise ValueError(f"K must have {P.shape[0]} columns, got shape {K.shape}")
-    m = K.shape[0]
-    if ubar.shape[-1:] != (m,) or vbar.shape[-1:] != (m,):
-        raise ValueError(f"ubar and vbar must have length {m}")
+    if ubar.shape[-1:] != quad.shape or vbar.shape[-1:] != quad.shape:
+        raise ValueError(f"ubar and vbar must have length {quad.size}")
     if np.any(vbar < 0.0) or np.any(vbar > ubar):
         raise PreconditionError("need 0 <= vbar <= ubar componentwise")
-    quad = _feedback_quadratic(P, K)
     margins = (ubar - vbar) ** 2
     ratios = np.full(margins.shape, np.inf)
     active = quad > 0.0
     ratios[..., active] = margins[..., active] / quad[active]
     scaling = ratios.min(axis=-1)
     return float(scaling) if scaling.ndim == 0 else scaling
+
+
+def linear_region_budget(P, K, vbar, scaling: float) -> float:
+    """Smallest common budget u whose linear region reaches `scaling`.
+
+    The inverse of linear_region_scaling at ubar = (u, ..., u): row i
+    needs (u - vbar_i)^2 >= scaling * K_i inv(P) K_i', so
+    u = max_i vbar_i + sqrt(scaling * K_i inv(P) K_i').
+    """
+    quad = _feedback_quadratic(P, K)
+    return float(np.max(np.asarray(vbar, dtype=float) + np.sqrt(scaling * quad)))
 
 
 def noise_energy(P, W) -> float:
@@ -107,70 +115,97 @@ def noise_energy(P, W) -> float:
     return max(float(np.trace(P @ W)), 0.0)
 
 
-def _condition(rate: float, rate_linear: float, noise: float, r_lin: float) -> tuple[bool, float]:
+def _condition(rate: float, rate_linear: float, noise: float, r_lin) -> tuple:
     """Validate one rate-selection input and test the tightening condition.
 
-    Returns whether the noise mass noise / (1 - rate) fits the linear
-    region strictly (beyond BRANCH_TOL), and that mass.
+    Returns `r_lin` as an array, whether the noise mass noise / (1 - rate)
+    fits it strictly (beyond BRANCH_TOL) entry by entry, and that mass.
     """
     check_rates(rate, rate_linear)
     check_noise(noise)
-    if r_lin < 0.0:
+    r_lin = np.asarray(r_lin, dtype=float)
+    if np.any(r_lin < 0.0):
         raise ValueError("r_lin must be nonnegative")
     condition_lhs = noise / (1.0 - rate)
-    return r_lin - condition_lhs > BRANCH_TOL, condition_lhs
+    return r_lin, r_lin - condition_lhs > BRANCH_TOL, condition_lhs
 
 
-def effective_rate(rate: float, rate_linear: float, noise: float, r_lin: float) -> float:
+# Ulp steps taken up from the closed-form root before bisecting instead.
+_WALK_STEPS = 4
+
+
+def effective_rate(rate: float, rate_linear: float, noise: float, r_lin):
     """Blended contraction rate: the root of the two-regime balance.
 
     The geometric tail mass noise / (1 - mu) equals the linear-regime
     share (mu - rate_linear) / (rate - rate_linear) * r_lin exactly when
     mu^2 - (1 + rate_linear) mu + rate_linear + noise (rate - rate_linear) / r_lin
     vanishes, and its smaller root is the only one in [rate_linear, rate].
-    The root is taken in the cancellation-free form 2c / (b + sqrt(b^2 - 4c)),
-    with b^2 - 4c = (1 - rate_linear)^2 - 4 noise (rate - rate_linear) / r_lin,
-    then raised one ulp at a time until the balance is nonnegative, so the
-    certified side is kept.  Zero noise or an infinite r_lin leaves the
-    linear regime in force everywhere and returns rate_linear.
+    The root is taken in the cancellation-free form 2c / (b + sqrt(b^2 - 4c))
+    and raised one ulp at a time until the balance is nonnegative, so the
+    certified side is kept; a start still short after _WALK_STEPS ulps (near
+    a double root) is bisected on its bit pattern up to `rate`.  Zero noise
+    or an infinite r_lin leaves the linear regime in force everywhere and
+    returns rate_linear.  An array `r_lin` gives an array whose entries
+    equal the scalar calls.
 
     Raises:
         NotApplicableError: when noise / (1 - rate) >= r_lin, i.e. the
             tightening hypothesis fails.
         ValueError: on rate ordering or sign violations.
     """
-    applicable, condition_lhs = _condition(rate, rate_linear, noise, r_lin)
-    if not applicable:
+    r_lin, applicable, condition_lhs = _condition(rate, rate_linear, noise, r_lin)
+    if not np.all(applicable):
         raise NotApplicableError(
-            f"noise mass {condition_lhs:.6g} does not fit the linear region {r_lin:.6g}"
+            f"noise mass {condition_lhs:.6g} does not fit the linear region {np.min(r_lin):.6g}"
         )
-    if noise == 0.0 or math.isinf(r_lin):
-        return rate_linear
-    share = noise * (rate - rate_linear) / r_lin
+    mu = np.full(r_lin.shape, float(rate_linear))
+    live = np.isfinite(r_lin) & (noise != 0.0)
+    share = noise * (rate - rate_linear) / r_lin[live]
     # Positive whenever the condition holds; the clamp absorbs rounding.
     discriminant = (1.0 - rate_linear) ** 2 - 4.0 * share
-    mu = 2.0 * (rate_linear + share) / (1.0 + rate_linear + math.sqrt(max(discriminant, 0.0)))
-    mu = min(mu, rate)
-    slope = r_lin / (rate - rate_linear)
-    # The balance at `rate` is positive up to rounding, so stop there.
-    while mu < rate and (mu - rate_linear) * slope < noise / (1.0 - mu):
-        mu = math.nextafter(mu, 1.0)
-    return mu
+    root = 2.0 * (rate_linear + share) / (1.0 + rate_linear + np.sqrt(np.maximum(discriminant, 0.0)))
+    root = np.minimum(root, rate)
+    slope = r_lin[live] / (rate - rate_linear)
+
+    def short(x, slope):
+        # The balance at `rate` is positive up to rounding, so stop there.
+        return (x < rate) & ((x - rate_linear) * slope < noise / (1.0 - x))
+
+    low = short(root, slope)
+    for _ in range(_WALK_STEPS):
+        root = np.where(low, np.nextafter(root, 1.0), root)
+        low = short(root, slope)
+    # Positive doubles order like their bit patterns: bisect those between
+    # the last failing float and `rate`.
+    lo = root[low].view(np.int64)
+    hi = np.full_like(lo, np.float64(rate).view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        fails = short(mid.view(np.float64), slope[low])
+        lo, hi = np.where(fails, mid, lo), np.where(fails, hi, mid)
+    root[low] = hi.view(np.float64)
+    mu[live] = root
+    return float(mu) if mu.ndim == 0 else mu
 
 
-def select_rate(rate: float, rate_linear: float, noise: float, r_lin: float) -> ContractionProfile:
+def select_rate(rate: float, rate_linear: float, noise: float, r_lin) -> ContractionProfile:
     """Pick the tightest applicable rate and record the decision.
 
     Uses the effective rate when the tightening condition holds strictly
     (beyond BRANCH_TOL); ties and failures fall back to the hull-wide rate.
+    An array `r_lin`, e.g. the scalings of a budget grid, gives a profile of
+    arrays, with one effective_rate call on the entries where it applies.
     """
-    applicable, condition_lhs = _condition(rate, rate_linear, noise, r_lin)
-    if applicable:
-        blended = effective_rate(rate, rate_linear, noise, r_lin)
-        selected = blended
-    else:
-        blended = None
-        selected = rate
+    r_lin, applicable, condition_lhs = _condition(rate, rate_linear, noise, r_lin)
+    blended = np.full(r_lin.shape, np.nan)
+    if r_lin.ndim or applicable:
+        blended[applicable] = effective_rate(rate, rate_linear, noise, r_lin[applicable])
+    selected = np.where(applicable, blended, rate)
+    fallback = ~applicable
+    if r_lin.ndim == 0:
+        r_lin, selected, fallback = float(r_lin), float(selected), bool(fallback)
+        blended = None if fallback else float(blended)
     return ContractionProfile(
         rate=rate,
         rate_linear=rate_linear,
@@ -179,6 +214,7 @@ def select_rate(rate: float, rate_linear: float, noise: float, r_lin: float) -> 
         condition_lhs=condition_lhs,
         rate_effective=blended,
         rate_selected=selected,
+        fallback=fallback,
     )
 
 

@@ -43,14 +43,12 @@ class ContractionCertificate:
         rate_linear: contraction rate of the fully linear closed loop,
             strictly smaller than `rate`.
         feas_tol: semidefinite slack used when checking the certificate.
-        bisect_tol: rate resolution used when the certificate was built.
     """
 
     P: np.ndarray
     rate: float
     rate_linear: float
     feas_tol: float = DEFAULT_FEAS_TOL
-    bisect_tol: float = DEFAULT_BISECT_TOL
 
     def __post_init__(self):
         P = _symmetric_shape(self.P)

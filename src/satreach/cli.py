@@ -20,26 +20,22 @@ import numpy as np
 
 from .bounds import (
     ContractionProfile,
-    _feedback_quadratic,
     check_k_max,
     expectation_bound_sequence,
+    linear_region_budget,
     linear_region_scaling,
     noise_energy,
     select_rate,
 )
 from .certify import (
     ContractionCertificate,
+    check_rates,
     closed_loop_rate,
     min_contraction_rate,
     synthesize_contraction,
     verify_certificate,
 )
-from .errors import (
-    ConfigError,
-    NotApplicableError,
-    PreconditionError,
-    SynthesisError,
-)
+from .errors import ConfigError, PreconditionError, SynthesisError
 from .model import FeedbackGain, SystemSpec, vertex_matrices
 from .montecarlo import SimulationConfig, simulate_ensemble, wilson_upper
 from .sets import Ellipsoid, area, boundary_polyline, check_epsilon, pub
@@ -210,8 +206,12 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+class _UnorderedRates(SynthesisError):
+    """The linear rate is not below the hull-wide rate; `certificate` holds both and P."""
+
+
 def _resolve_certificate(cfg: AnalysisConfig) -> tuple[np.ndarray, float, float]:
-    """Fixed shape matrix if configured, otherwise synthesized."""
+    """Fixed or synthesized P and its two rates, strictly ordered below one."""
     vertices = vertex_matrices(cfg.system, cfg.gain)
     if cfg.fixed_shape is not None:
         P = cfg.fixed_shape
@@ -230,6 +230,12 @@ def _resolve_certificate(cfg: AnalysisConfig) -> tuple[np.ndarray, float, float]
             trace_scale=cfg.trace_scale,
         )
     rate_linear = closed_loop_rate(P, cfg.system, cfg.gain)
+    try:
+        check_rates(rate, rate_linear)
+    except ValueError as exc:
+        error = _UnorderedRates(f"certificate rates are unordered: {exc}")
+        error.certificate = (P, rate, rate_linear)
+        raise error from exc
     return P, rate, rate_linear
 
 
@@ -239,15 +245,17 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
     A certificate that fails verification is still written, so its
     residuals can be inspected, and then reported as a synthesis failure.
     """
-    P, rate, rate_linear = _resolve_certificate(cfg)
-    if rate_linear < rate:
-        cert = ContractionCertificate(
-            P=P,
-            rate=rate,
-            rate_linear=rate_linear,
-            feas_tol=cfg.feas_tol,
-            bisect_tol=cfg.bisect_tol,
-        )
+    failure = "certificate fails verification"
+    try:
+        P, rate, rate_linear = _resolve_certificate(cfg)
+    except _UnorderedRates as exc:
+        # Zero-gain corner: every vertex equals the closed loop, so the
+        # rate gap degenerates and no vertex inequality is checked.
+        P, rate, rate_linear = exc.certificate
+        residuals = {"vertices": [], "linear": None, "shape_min_eig": None, "rate_gap": 0.0}
+        passed, failure = False, f"{failure}: {exc}"
+    else:
+        cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear, feas_tol=cfg.feas_tol)
         report = verify_certificate(cert, cfg.system, cfg.gain)
         residuals = {
             "vertices": [float(r) for r in report.vertex_residuals],
@@ -256,11 +264,6 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
             "rate_gap": float(report.rate_gap),
         }
         passed = bool(report.passed)
-    else:
-        # Zero-gain corner: every vertex equals the closed loop, so the
-        # rate gap degenerates and only the vertex inequalities are checked.
-        residuals = {"vertices": [], "linear": None, "shape_min_eig": None, "rate_gap": 0.0}
-        passed = False
     payload = {
         "P": np.asarray(P).tolist(),
         "lambda": float(rate),
@@ -271,9 +274,7 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "certificate.json", payload)
     if not passed:
-        raise SynthesisError(
-            f"certificate fails verification; residuals in {cfg.out_dir / 'certificate.json'}"
-        )
+        raise SynthesisError(f"{failure}; residuals in {cfg.out_dir / 'certificate.json'}")
     return payload
 
 
@@ -287,16 +288,21 @@ class AnalysisState:
     pub_selected: Ellipsoid
 
 
-def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:
+def _rate_profile(cfg: AnalysisConfig, ubar) -> tuple[np.ndarray, ContractionProfile]:
+    """The certificate's P and the rate decision at one budget or a (G, m) grid."""
     P, rate, rate_linear = _resolve_certificate(cfg)
     noise = noise_energy(P, cfg.system.W)
-    r_lin = linear_region_scaling(P, cfg.gain.K, cfg.system.ubar, cfg.vbar)
-    profile = select_rate(rate, rate_linear, noise, r_lin)
+    r_lin = linear_region_scaling(P, cfg.gain.K, ubar, cfg.vbar)
+    return P, select_rate(rate, rate_linear, noise, r_lin)
+
+
+def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:
+    P, profile = _rate_profile(cfg, cfg.system.ubar)
     return AnalysisState(
         P=P,
         profile=profile,
-        pub_rate=pub(P, rate, noise, cfg.epsilon),
-        pub_selected=pub(P, profile.rate_selected, noise, cfg.epsilon),
+        pub_rate=pub(P, profile.rate, profile.noise_energy, cfg.epsilon),
+        pub_selected=pub(P, profile.rate_selected, profile.noise_energy, cfg.epsilon),
     )
 
 
@@ -343,11 +349,9 @@ def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:
         "trace_PW": float(profile.noise_energy),
         "r_L": float(profile.r_lin),
         "condition_lhs": float(profile.condition_lhs),
-        "lambda_bar_star": None
-        if profile.rate_effective is None
-        else float(profile.rate_effective),
+        "lambda_bar_star": profile.rate_effective,
         "lambda_hat": float(profile.rate_selected),
-        "fallback": bool(profile.fallback),
+        "fallback": profile.fallback,
         "epsilon": float(cfg.epsilon),
         "k_max": int(cfg.k_max),
         "pub_scalings": {"lambda": float(r_full), "lambda_hat": float(r_sel)},
@@ -410,35 +414,26 @@ def cmd_sweep(cfg: AnalysisConfig) -> dict:
     """Effective rate as the saturation budget varies; writes convergence.csv."""
     if cfg.sweep_ubar is None:
         raise ConfigError("sweep command needs a 'sweep' config section")
-    P, rate, rate_linear = _resolve_certificate(cfg)
-    noise = noise_energy(P, cfg.system.W)
-    threshold_lhs = noise / (1.0 - rate)
-    # Infimum budget at which the tightening condition starts to hold:
-    # every channel needs (u - vbar_i)^2 / quad_i > noise / (1 - rate).
-    quad = _feedback_quadratic(P, cfg.gain.K)
-    ubar_star = float(np.max(cfg.vbar + np.sqrt(threshold_lhs * quad)))
     budgets = np.repeat(cfg.sweep_ubar[:, None], cfg.system.m, axis=1)
     budgets = budgets[np.all(cfg.vbar <= budgets, axis=1)]
-    r_lins = linear_region_scaling(P, cfg.gain.K, budgets, cfg.vbar)
-    swept = []
-    for u, r_lin in zip(budgets[:, 0], r_lins):
-        profile = select_rate(rate, rate_linear, noise, r_lin)
-        if not profile.fallback:
-            swept.append((float(u), float(r_lin), float(profile.rate_effective)))
+    P, profile = _rate_profile(cfg, budgets)
+    kept = ~profile.fallback
+    swept = np.column_stack([budgets[kept, 0], profile.r_lin[kept], profile.rate_effective[kept]])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "convergence" in cfg.emit:
-        rows = ([_fmt(r_lin), _fmt(rate_linear), _fmt(mu)] for _, r_lin, mu in swept)
+        rows = ([_fmt(r_lin), _fmt(profile.rate_linear), _fmt(mu)] for _, r_lin, mu in swept)
         _write_csv(cfg.out_dir / "convergence.csv", ["rl", "ll", "lb"], rows)
     payload = {
-        "lambda": float(rate),
-        "lambda_L": float(rate_linear),
-        "trace_PW": float(noise),
-        "ubar_star": ubar_star,
+        "lambda": float(profile.rate),
+        "lambda_L": float(profile.rate_linear),
+        "trace_PW": float(profile.noise_energy),
+        # Infimum budget at which the tightening condition starts to hold.
+        "ubar_star": linear_region_budget(P, cfg.gain.K, cfg.vbar, profile.condition_lhs),
         "grid_size": int(cfg.sweep_ubar.size),
         "admissible": len(swept),
-        "first_admissible_ubar": swept[0][0] if swept else None,
-        "largest_r_L": swept[-1][1] if swept else None,
-        "last_effective_rate": swept[-1][2] if swept else None,
+        "first_admissible_ubar": float(swept[0, 0]) if len(swept) else None,
+        "largest_r_L": float(swept[-1, 1]) if len(swept) else None,
+        "last_effective_rate": float(swept[-1, 2]) if len(swept) else None,
     }
     _write_json(cfg.out_dir / "sweep.json", payload)
     return payload
@@ -505,7 +500,7 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"synthesis failure: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS
-    except (PreconditionError, NotApplicableError, ValueError) as exc:
+    except (PreconditionError, ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

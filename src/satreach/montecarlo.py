@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import FeedbackGain, SystemSpec, saturate
-from .sets import CONTAINS_TOL, Ellipsoid
+from .sets import Ellipsoid
 
 NOISE_KINDS = ("gaussian", "uniform", "rademacher_scaled")
 
@@ -253,8 +253,7 @@ def simulate_ensemble(
         q_stderr = np.zeros(steps + 1)
     containment = None
     if ellipsoid is not None:
-        slack = ellipsoid.r + CONTAINS_TOL * max(1.0, ellipsoid.r)
-        containment = (qs <= slack).mean(axis=0)
+        containment = (qs <= ellipsoid.threshold).mean(axis=0)
     return EnsembleStats(
         shape_matrix=P,
         q_mean=q_mean,
@@ -279,8 +278,7 @@ def violation_rate(stats: EnsembleStats, ellipsoid: Ellipsoid, k: int) -> float:
         raise ValueError(f"step must lie in [0, {stats.horizon}], got {k}")
     if not np.allclose(ellipsoid.P, stats.shape_matrix, rtol=1e-9, atol=1e-12):
         raise ValueError("ellipsoid shape matrix does not match the statistics")
-    slack = ellipsoid.r + CONTAINS_TOL * max(1.0, ellipsoid.r)
-    return float(np.mean(stats.q_samples[:, k] > slack))
+    return float(np.mean(stats.q_samples[:, k] > ellipsoid.threshold))
 
 
 def wilson_upper(frequency: float, trials: int) -> float:

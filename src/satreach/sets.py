@@ -40,14 +40,20 @@ class Ellipsoid:
     def n(self) -> int:
         return self.P.shape[0]
 
+    @property
+    def threshold(self) -> float:
+        """Largest x' P x counted as inside: r plus CONTAINS_TOL slack,
+        absolute below r = 1 and relative above."""
+        return self.r + CONTAINS_TOL * max(1.0, self.r)
+
 
 def contains(ellipsoid: Ellipsoid, x) -> bool:
-    """Membership test with absolute-relative slack CONTAINS_TOL."""
+    """Membership test against the ellipsoid's slackened threshold."""
     x = np.asarray(x, dtype=float)
     if x.shape != (ellipsoid.n,):
         raise ValueError(f"x must have length {ellipsoid.n}, got shape {x.shape}")
     value = float(x @ ellipsoid.P @ x)
-    return value <= ellipsoid.r + CONTAINS_TOL * max(1.0, ellipsoid.r)
+    return value <= ellipsoid.threshold
 
 
 def area(ellipsoid: Ellipsoid) -> float:

@@ -1,11 +1,14 @@
 """Region-of-linearity scaling, rate selection, and bound sequences."""
 
+import time
+
 import numpy as np
 import pytest
 from conftest import grid_effective_rate_oracle
 
 import satreach as sr
 from satreach import NotApplicableError, PreconditionError
+from satreach.bounds import linear_region_budget
 
 REF_R_LIN = 485.29192773090068
 REF_RATE = 0.98010206886129503
@@ -61,6 +64,15 @@ def test_linear_region_shrinks_with_tighter_bounds(ref_gain, ref_shape):
     wide = sr.linear_region_scaling(ref_shape, ref_gain.K, [10.0], [0.0])
     narrow = sr.linear_region_scaling(ref_shape, ref_gain.K, [5.0], [0.0])
     assert narrow == pytest.approx(0.25 * wide, rel=1e-12)
+
+
+def test_linear_region_budget_inverts_the_scaling():
+    # Row 0 needs u >= 0.1 + sqrt(4 * 1), row 1 needs u >= 0.3 + sqrt(4 * 4).
+    K = [[1.0, 0.0], [0.0, 2.0]]
+    vbar = [0.1, 0.3]
+    u = linear_region_budget(np.eye(2), K, vbar, 4.0)
+    assert u == 4.3
+    assert sr.linear_region_scaling(np.eye(2), K, [u, u], vbar) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_noise_energy_reference(ref_shape):
@@ -137,6 +149,34 @@ def test_effective_rate_monotonicity():
 def test_effective_rate_degenerate_inputs():
     assert sr.effective_rate(0.9, 0.5, 0.0, 10.0) == 0.5
     assert sr.effective_rate(0.9, 0.5, 1.0, np.inf) == 0.5
+
+
+@pytest.mark.parametrize(
+    "rate, rate_linear, noise, r_lin",
+    [
+        # rate = (1 + rate_linear) / 2 and the condition within ~1e-12 of a
+        # tie: the rounded closed-form start lies ~1e5 ulps below the root.
+        (0.5 * (1.0 + 0.4704665682711589), 0.4704665682711589, 3.9248621768572716,
+         14.823850362171195),
+        (0.6, 0.2, 2.0, 5.0 + 2e-12),
+    ],
+)
+def test_effective_rate_near_a_double_root_is_bounded(rate, rate_linear, noise, r_lin):
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        mu = sr.effective_rate(rate, rate_linear, noise, r_lin)
+        elapsed.append(time.perf_counter() - start)
+    assert rate_linear <= mu <= rate
+
+    slope = r_lin / (rate - rate_linear)
+
+    def balance(x):
+        return (x - rate_linear) * slope - noise / (1.0 - x)
+
+    # The computed balance changes sign between mu and the float below it.
+    assert balance(mu) >= 0.0 > balance(np.nextafter(mu, 0.0))
+    assert min(elapsed) < 0.01
 
 
 def test_effective_rate_not_applicable():

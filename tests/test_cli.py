@@ -120,6 +120,19 @@ def test_certify_zero_gain_writes_failed_certificate_and_exits_nonzero(tmp_path,
     assert "certificate fails verification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "analyze", "simulate", "sweep"])
+def test_unordered_rates_are_a_synthesis_failure_for_every_command(tmp_path, capsys, command):
+    # K = 0 makes the linear rate equal the hull-wide rate; each command
+    # stops where the certificate is resolved and names that failure.
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"ubar_min": 4.0, "ubar_max": 30.0, "count": 5})
+    cfg["gain"]["K"] = [[0.0, 0.0]]
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_SYNTHESIS
+    assert "certificate rates are unordered" in capsys.readouterr().err
+    written = sorted(path.name for path in out.iterdir()) if out.exists() else []
+    assert written == (["certificate.json"] if command == "certify" else [])
+
+
 def test_precondition_failure_exit_code(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["prs"]["vbar"] = [11.0]

@@ -1,5 +1,6 @@
 """Property tests: hull membership, the certified side of the effective
-rate, and row-wise equality of the broadcast linear-region scaling."""
+rate, and entry-wise equality of the broadcast linear-region scaling and
+rate selection with their scalar calls."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import satreach as sr
 from satreach import FeedbackGain, SystemSpec
+from satreach.bounds import BRANCH_TOL
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 4)
@@ -82,3 +84,32 @@ def test_broadcast_linear_region_matches_scalar_rows(n, m, rows, seed):
     assert scalings.shape == (rows,)
     for budget, scaling in zip(ubar, scalings):
         assert scaling == sr.linear_region_scaling(P, K, budget, vbar)
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@given(
+    rate=st.floats(0.01, 0.999),
+    fraction=st.floats(0.0, 0.99),
+    noise=st.just(0.0) | st.floats(1e-9, 1e4),
+    stretches=st.lists(st.floats(0.0, 1e4), max_size=6),
+)
+def test_broadcast_select_rate_matches_scalar_calls(rate, fraction, noise, stretches):
+    rate_linear = fraction * rate
+    mass = noise / (1.0 - rate)
+    ties = [mass, mass + BRANCH_TOL, max(mass - BRANCH_TOL, 0.0), 0.0, math.inf, mass + 1.0]
+    r_lin = np.array(ties + [mass * stretch for stretch in stretches])
+    profile = sr.select_rate(rate, rate_linear, noise, r_lin)
+    assert profile.fallback.dtype == bool and profile.fallback.shape == r_lin.shape
+    for i, r in enumerate(r_lin):
+        one = sr.select_rate(rate, rate_linear, noise, float(r))
+        assert profile.fallback[i] == one.fallback
+        assert _bits(profile.r_lin[i]) == _bits(one.r_lin)
+        assert _bits(profile.rate_selected[i]) == _bits(one.rate_selected)
+        if one.rate_effective is None:
+            assert np.isnan(profile.rate_effective[i])
+        else:
+            assert _bits(profile.rate_effective[i]) == _bits(one.rate_effective)
+        assert profile.condition_lhs == one.condition_lhs

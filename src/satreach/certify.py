@@ -11,6 +11,7 @@ solver itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,11 +154,51 @@ def closed_loop_rate(P, sys: SystemSpec, gain: FeedbackGain) -> float:
     return float(_vertex_rates(P, (sys.A + sys.B @ gain.K)[None])[0])
 
 
-def _stein_correction(vertex: np.ndarray, rate: float, deficit: np.ndarray) -> np.ndarray:
-    # Unique solution of rate * dP - vertex' dP vertex = deficit, which
-    # exists because rate exceeds the squared spectral radius of the vertex.
+# scipy.linalg.solve_discrete_lyapunov switches from the direct Kronecker
+# solve to a bilinear transform at this order; the factored solve below
+# reproduces only the direct one.
+_DIRECT_MAX_ORDER = 9
+
+
+def _stein_factor(vertex: np.ndarray, rate: float):
+    """Solver of the Stein equation rate * dP - vertex' dP vertex = Q.
+
+    The returned callable maps Q / rate to dP.  Where scipy's discrete
+    Lyapunov solver runs its direct path on a general operator, the
+    operator I - kron(a, a), a = vertex' / sqrt(rate), is LU-factored here
+    once and each call is a back-substitution, bitwise equal to scipy's
+    solve.  Operators scipy's solve would treat as structured (symmetric or
+    triangular) and orders it solves by a bilinear transform go through
+    scipy itself.
+
+    Raises:
+        scipy.linalg.LinAlgError: if the operator is singular.
+    """
     a = vertex.T / math.sqrt(rate)
-    dP = scipy.linalg.solve_discrete_lyapunov(a, deficit / rate)
+    n = a.shape[0]
+    if n <= _DIRECT_MAX_ORDER:
+        lhs = np.eye(n * n) - np.kron(a, a)
+        lower, upper = np.tril(lhs, -1), np.triu(lhs, 1)
+        if lower.any() and upper.any() and not np.array_equal(lower, upper.T):
+            lu, piv, info = scipy.linalg.lapack.dgetrf(lhs)
+            if info > 0:
+                raise scipy.linalg.LinAlgError("Stein operator is singular")
+
+            def solve(q: np.ndarray) -> np.ndarray:
+                x, info = scipy.linalg.lapack.dgetrs(lu, piv, q.ravel())
+                if info != 0:
+                    raise scipy.linalg.LinAlgError(f"dgetrs failed with info={info}")
+                return x.reshape(q.shape)
+
+            return solve
+    return functools.partial(scipy.linalg.solve_discrete_lyapunov, a)
+
+
+def _stein_correction(factor, rate: float, deficit: np.ndarray) -> np.ndarray:
+    # Unique solution of rate * dP - vertex' dP vertex = deficit, which
+    # exists because rate exceeds the squared spectral radius of the vertex;
+    # `factor` is the vertex's `_stein_factor` at this rate.
+    dP = factor(deficit / rate)
     return 0.5 * (dP + dP.T)
 
 
@@ -181,21 +222,27 @@ def _feasible_shape(
     P = np.eye(n) if init is None else init.copy()
     best = np.inf
     stalled = 0
+    # Stein solvers of the vertices violated so far; they depend only on
+    # the vertex and the rate, so each is built once per call.
+    factors = {}
+    scale = np.trace(P) / n
     for _ in range(max_iter):
         worst = 0.0
-        for M in vertices:
+        for index, M in enumerate(vertices):
             slack = rate * P - M.T @ P @ M
             slack = 0.5 * (slack + slack.T)
             eigvals, eigvecs = np.linalg.eigh(slack)
-            scale = np.trace(P) / n
             violation = -eigvals[0] / scale
             if violation <= feas_tol:
                 continue
             worst = max(worst, violation)
             lift = np.where(eigvals < 0.0, -_OVERSHOOT * eigvals, 0.0)
             deficit = (eigvecs * lift) @ eigvecs.T
-            P = P + _stein_correction(M, rate, deficit)
+            if index not in factors:
+                factors[index] = _stein_factor(M, rate)
+            P = P + _stein_correction(factors[index], rate, deficit)
             P = 0.5 * (P + P.T)
+            scale = np.trace(P) / n
         if worst == 0.0:
             return P
         if np.trace(P) > _GROWTH_CAP * n:

@@ -1,5 +1,7 @@
 """Rate computation, shape-matrix synthesis, and certificate verification."""
 
+import functools
+import math
 import time
 
 import numpy as np
@@ -8,6 +10,7 @@ import scipy.linalg
 from conftest import grid_min_rate_oracle, random_certifiable_problem
 
 import satreach as sr
+import satreach.certify as certify
 from satreach import (
     CertificateError,
     ContractionCertificate,
@@ -163,6 +166,81 @@ def test_synthesize_round_trip_random_problems():
         verts = sr.vertex_matrices(sys_r, gain_r)
         floor = max(np.abs(np.linalg.eigvals(M)).max() ** 2 for M in verts)
         assert floor - 1e-9 <= rate <= floor + 5e-4
+
+
+def _scipy_stein_factor(vertex, rate):
+    # The unfactored path: one scipy solve per correction.
+    return functools.partial(scipy.linalg.solve_discrete_lyapunov, vertex.T / math.sqrt(rate))
+
+
+def _multi_input_plants():
+    rng = np.random.default_rng(4)
+    return [random_certifiable_problem(rng, n=n, m=m) for n, m in ((3, 3), (4, 3), (3, 4))]
+
+
+def test_synthesis_matches_the_unfactored_scipy_solve(monkeypatch):
+    plants = _multi_input_plants()
+    factored = [sr.synthesize_contraction(*plant) for plant in plants]
+    monkeypatch.setattr(certify, "_stein_factor", _scipy_stein_factor)
+    for plant, (P, rate) in zip(plants, factored):
+        P_ref, rate_ref = sr.synthesize_contraction(*plant)
+        assert rate == rate_ref
+        assert np.array_equal(P, P_ref)
+
+
+def _probe_log(monkeypatch):
+    """Per `_feasible_shape` call: the vertices factored, the factors
+    built and the number of `_stein_correction` calls."""
+    log = []
+    feasible, factor, correction = (
+        certify._feasible_shape, certify._stein_factor, certify._stein_correction
+    )
+
+    def logged_feasible(*args, **kwargs):
+        log.append({"vertices": [], "factors": [], "solves": 0})
+        return feasible(*args, **kwargs)
+
+    def logged_factor(vertex, rate):
+        built = factor(vertex, rate)
+        log[-1]["vertices"].append(vertex.tobytes())
+        log[-1]["factors"].append(built)
+        return built
+
+    def logged_correction(built, rate, deficit):
+        assert any(built is own for own in log[-1]["factors"])
+        log[-1]["solves"] += 1
+        return correction(built, rate, deficit)
+
+    monkeypatch.setattr(certify, "_feasible_shape", logged_feasible)
+    monkeypatch.setattr(certify, "_stein_factor", logged_factor)
+    monkeypatch.setattr(certify, "_stein_correction", logged_correction)
+    return log
+
+
+def test_each_probe_factors_a_vertex_at_most_once(monkeypatch):
+    plant = _multi_input_plants()[2]
+    vertices = sr.vertex_matrices(*plant)
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_stein_factor", _scipy_stein_factor)
+        reference = _probe_log(patch)
+        sr.synthesize_contraction(*plant)
+    log = _probe_log(monkeypatch)
+    sr.synthesize_contraction(*plant)
+    assert len(log) == len(reference) > 1
+    for probe, ref_probe in zip(log, reference):
+        assert len(set(probe["vertices"])) == len(probe["vertices"]) <= len(vertices)
+        # General vertices take the LU-factored path, not scipy's solver.
+        assert not any(isinstance(f, functools.partial) for f in probe["factors"])
+        # One solve per correction, as on the unfactored path.
+        assert probe["solves"] == ref_probe["solves"]
+    assert sum(p["solves"] for p in log) > sum(len(p["factors"]) for p in log)
+
+
+def test_singular_stein_operator_is_loud():
+    # Eigenvalues +-1 at rate one: I - kron(a, a) is exactly singular and
+    # neither symmetric nor triangular, so the LU path must refuse it.
+    with pytest.raises(scipy.linalg.LinAlgError):
+        certify._stein_factor(np.array([[0.0, 0.5], [2.0, 0.0]]), 1.0)
 
 
 def test_synthesize_rejects_unstable_closed_loop():

@@ -13,6 +13,8 @@ from satreach.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_SYNTHESIS,
+    _write_csv,
+    _write_json,
     load_config,
     main,
 )
@@ -420,3 +422,21 @@ def test_seed_override_beyond_64_bits_is_a_config_error(tmp_path):
     argv = ["simulate", "--config", str(cfg_path), "--seed", str(2**64)]
     assert main(argv) == EXIT_CONFIG
     assert main(argv[:-1] + ["-1"]) == EXIT_CONFIG
+
+
+def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
+    assert main(["analyze", "--config", str(write_config(tmp_path, base_config(tmp_path / "out")))]) == EXIT_OK
+    out = tmp_path / "out"
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def rows():
+        for k in range(10_000):
+            if k == 5_000:
+                raise RuntimeError("interrupted")
+            yield [str(k), "1.0"]
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _write_csv(out / "data.csv", ["k", "e"], rows())
+    with pytest.raises(TypeError):
+        _write_json(out / "analysis.json", {"a": list(range(10_000)), "b": object()})
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before

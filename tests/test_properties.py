@@ -1,10 +1,12 @@
 """Property tests: hull membership, the certified side of the effective
-rate, and entry-wise equality of the broadcast linear-region scaling and
-rate selection with their scalar calls."""
+rate, entry-wise equality of the broadcast linear-region scaling and
+rate selection with their scalar calls, and bitwise equality of the
+factored Stein solve with scipy's discrete Lyapunov solver."""
 
 import math
 
 import numpy as np
+import scipy.linalg
 from conftest import hull_membership_check
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import satreach as sr
 from satreach import FeedbackGain, SystemSpec
 from satreach.bounds import BRANCH_TOL
+from satreach.certify import _stein_correction, _stein_factor
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 4)
@@ -113,3 +116,36 @@ def test_broadcast_select_rate_matches_scalar_calls(rate, fraction, noise, stret
         else:
             assert _bits(profile.rate_effective[i]) == _bits(one.rate_effective)
         assert profile.condition_lhs == one.condition_lhs
+
+
+# Structures for which scipy's solve picks its own solver (symmetric,
+# triangular, diagonal operators), besides the general case.
+_VERTEX_SHAPES = {
+    "general": lambda M: M,
+    "symmetric": lambda M: M + M.T,
+    "upper": np.triu,
+    "lower": np.tril,
+    "diagonal": lambda M: np.diag(np.diag(M)),
+}
+
+
+@given(
+    n=st.integers(1, 10),
+    shape=st.sampled_from(sorted(_VERTEX_SHAPES)),
+    radius=st.floats(0.0, 0.99),
+    position=st.floats(1e-6, 1.0, exclude_max=True),
+    seed=SEEDS,
+)
+def test_factored_stein_solve_equals_scipy(n, shape, radius, position, seed):
+    rng = np.random.default_rng(seed)
+    M = _VERTEX_SHAPES[shape](rng.normal(size=(n, n)))
+    M *= radius / np.abs(np.linalg.eigvals(M)).max()
+    floor = np.abs(np.linalg.eigvals(M)).max() ** 2
+    rate = floor + position * (1.0 - floor)
+    assume(floor < rate < 1.0)
+    factor = _stein_factor(M, rate)
+    for _ in range(3):
+        F = rng.normal(size=(n, n))
+        deficit = F @ F.T
+        expected = scipy.linalg.solve_discrete_lyapunov(M.T / math.sqrt(rate), deficit / rate)
+        assert np.array_equal(_stein_correction(factor, rate, deficit), 0.5 * (expected + expected.T))

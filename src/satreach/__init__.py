@@ -35,7 +35,6 @@ from .model import (
     FeedbackGain,
     SystemSpec,
     error_step,
-    nominal_step,
     saturate,
     vertex_matrices,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "min_contraction_rate",
     "noise_energy",
     "noise_factor",
-    "nominal_step",
     "prs_sequence",
     "pub",
     "sample_noise",

@@ -133,6 +133,13 @@ def _condition(rate: float, rate_linear: float, noise: float, r_lin) -> tuple:
 # Ulp steps taken up from the closed-form root before bisecting instead.
 _WALK_STEPS = 4
 
+# Relative rounding bound on the computed balance.  The share
+# (x - rate_linear) * r_lin / (rate - rate_linear) carries four roundings
+# and the tail noise / (1 - x) two, so each is within 4u of its exact value
+# (u = 2^-53).  A computed balance above 8 eps = 16u times share + tail is
+# therefore positive in exact arithmetic on the same float inputs.
+_BALANCE_ROUNDING = 8.0 * np.finfo(float).eps
+
 
 def effective_rate(rate: float, rate_linear: float, noise: float, r_lin):
     """Blended contraction rate: the root of the two-regime balance.
@@ -170,7 +177,9 @@ def effective_rate(rate: float, rate_linear: float, noise: float, r_lin):
 
     def short(x, slope):
         # The balance at `rate` is positive up to rounding, so stop there.
-        return (x < rate) & ((x - rate_linear) * slope < noise / (1.0 - x))
+        share = (x - rate_linear) * slope
+        tail = noise / (1.0 - x)
+        return (x < rate) & (share - tail <= _BALANCE_ROUNDING * (share + tail))
 
     low = short(root, slope)
     for _ in range(_WALK_STEPS):

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bounds import (
     ContractionProfile,
     check_k_max,
@@ -72,7 +74,7 @@ class AnalysisConfig:
     fixed_shape: np.ndarray | None
     feas_tol: float
     bisect_tol: float
-    trace_scale: float | None
+    trace_scale: float
     epsilon: float
     k_max: int
     vbar: np.ndarray
@@ -158,7 +160,6 @@ def load_config(path) -> AnalysisConfig:
         fixed_shape = None
         if rates.get("P") is not None:
             fixed_shape = np.asarray(rates["P"], dtype=float)
-        trace_scale = rates.get("trace_scale")
         prs_block = _block(raw, "prs")
         epsilon = float(prs_block.get("epsilon", 0.2))
         check_epsilon(epsilon)
@@ -176,7 +177,7 @@ def load_config(path) -> AnalysisConfig:
             fixed_shape=fixed_shape,
             feas_tol=float(rates.get("feas_tol", 1e-7)),
             bisect_tol=float(rates.get("bisect_tol", 1e-4)),
-            trace_scale=None if trace_scale is None else float(trace_scale),
+            trace_scale=1.0 if rates.get("trace_scale") is None else float(rates["trace_scale"]),
             epsilon=epsilon,
             k_max=k_max,
             vbar=vbar,
@@ -225,54 +226,69 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-class _UnorderedRates(SynthesisError):
-    """The linear rate is not below the hull-wide rate; `certificate` holds both and P."""
+class _FailedCertificate(SynthesisError):
+    """A certificate that fails verification; `payload` is its certificate.json."""
+
+    def __init__(self, message: str, payload: dict):
+        super().__init__(message)
+        self.payload = payload
 
 
-def _resolve_certificate(cfg: AnalysisConfig) -> tuple[np.ndarray, float, float]:
-    """Fixed or synthesized P and its two rates, strictly ordered below one."""
-    vertices = vertex_matrices(cfg.system, cfg.gain)
-    if cfg.fixed_shape is not None:
-        P = cfg.fixed_shape
-        rate = min_contraction_rate(P, vertices)
-        if rate >= 1.0:
-            raise SynthesisError(
-                f"fixed shape matrix certifies no rate below one (got {rate:.6f})",
-                last_infeasible=None,
-            )
-    else:
-        P, rate = synthesize_contraction(
-            cfg.system,
-            cfg.gain,
-            feas_tol=cfg.feas_tol,
-            bisect_tol=cfg.bisect_tol,
-            trace_scale=cfg.trace_scale,
-        )
-    rate_linear = closed_loop_rate(P, cfg.system, cfg.gain)
+def _synthesis_digest(cfg: AnalysisConfig) -> str:
+    """SHA-256 of canonical JSON over every config value synthesis reads.
+
+    These are the resolved values, so an omitted default and the same value
+    written out hash alike.  W and ubar do not enter synthesis.
+    """
+    inputs = {
+        "version": __version__,
+        "A": cfg.system.A.tolist(),
+        "B": cfg.system.B.tolist(),
+        "K": cfg.gain.K.tolist(),
+        "feas_tol": cfg.feas_tol,
+        "bisect_tol": cfg.bisect_tol,
+        "trace_scale": cfg.trace_scale,
+    }
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _stored_certificate(cfg: AnalysisConfig, digest: str) -> tuple[np.ndarray, float, float] | None:
+    """P and its rates from the output directory's certificate.json, or None.
+
+    Only a file that passed for a config with the same synthesis digest
+    counts; anything unreadable or malformed is None.  The linear rate is
+    recomputed from the stored P.
+    """
     try:
-        check_rates(rate, rate_linear)
-    except ValueError as exc:
-        error = _UnorderedRates(f"certificate rates are unordered: {exc}")
-        error.certificate = (P, rate, rate_linear)
-        raise error from exc
-    return P, rate, rate_linear
+        stored = json.loads((cfg.out_dir / "certificate.json").read_text(encoding="utf-8"))
+        if not (
+            isinstance(stored, dict)
+            and stored.get("pass") is True
+            and stored.get("config_sha256") == digest
+            and type(stored.get("lambda")) is float
+        ):
+            return None
+        P = np.asarray(stored["P"], dtype=float)
+        return P, stored["lambda"], closed_loop_rate(P, cfg.system, cfg.gain)
+    except (OSError, ValueError, TypeError, KeyError, RecursionError, np.linalg.LinAlgError):
+        return None
 
 
-def cmd_certify(cfg: AnalysisConfig) -> dict:
-    """Produce and independently verify a certificate; write certificate.json.
+def _verified(cfg: AnalysisConfig, P, rate: float, rate_linear: float, digest: str | None) -> dict:
+    """The certificate.json payload of P and its rates, after the exact check.
 
-    A certificate that fails verification is still written, so its
-    residuals can be inspected, and then reported as a synthesis failure.
+    Raises:
+        _FailedCertificate: the rates are unordered or verification fails;
+            it carries the payload with `pass` false and the residuals.
     """
     failure = "certificate fails verification"
     try:
-        P, rate, rate_linear = _resolve_certificate(cfg)
-    except _UnorderedRates as exc:
+        check_rates(rate, rate_linear)
+    except ValueError as exc:
         # Zero-gain corner: every vertex equals the closed loop, so the
         # rate gap degenerates and no vertex inequality is checked.
-        P, rate, rate_linear = exc.certificate
         residuals = {"vertices": [], "linear": None, "shape_min_eig": None, "rate_gap": 0.0}
-        passed, failure = False, f"{failure}: {exc}"
+        passed, failure = False, f"{failure}: certificate rates are unordered: {exc}"
     else:
         cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear, feas_tol=cfg.feas_tol)
         report = verify_certificate(cert, cfg.system, cfg.gain)
@@ -289,10 +305,67 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
         "lambda_L": float(rate_linear),
         "residuals": residuals,
         "pass": passed,
+        "config_sha256": digest,
     }
+    if not passed:
+        raise _FailedCertificate(failure, payload)
+    return payload
+
+
+def _resolve_certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray, dict]:
+    """P and its certificate.json payload, which has passed verification.
+
+    A fixed P gets the smallest rate it certifies.  Otherwise, with `reuse`,
+    a certificate.json in the output directory that passed for the same
+    synthesis digest is checked again and returned; failing that, P is
+    synthesized.  Reuse gives the same bits as synthesis, since JSON floats
+    round-trip and the linear rate is recomputed from P.
+
+    Raises:
+        SynthesisError: no certificate, or one that fails verification
+            (a _FailedCertificate, carrying its payload).
+    """
+    digest = None
+    if cfg.fixed_shape is not None:
+        P = cfg.fixed_shape
+        rate = min_contraction_rate(P, vertex_matrices(cfg.system, cfg.gain))
+        if rate >= 1.0:
+            raise SynthesisError(
+                f"fixed shape matrix certifies no rate below one (got {rate:.6f})",
+                last_infeasible=None,
+            )
+    else:
+        digest = _synthesis_digest(cfg)
+        stored = _stored_certificate(cfg, digest) if reuse else None
+        if stored is not None:
+            with suppress(_FailedCertificate):
+                return stored[0], _verified(cfg, *stored, digest)
+        P, rate = synthesize_contraction(
+            cfg.system,
+            cfg.gain,
+            feas_tol=cfg.feas_tol,
+            bisect_tol=cfg.bisect_tol,
+            trace_scale=cfg.trace_scale,
+        )
+    return P, _verified(cfg, P, rate, closed_loop_rate(P, cfg.system, cfg.gain), digest)
+
+
+def cmd_certify(cfg: AnalysisConfig) -> dict:
+    """Produce and independently verify a certificate; write certificate.json.
+
+    Always synthesizes when P is omitted, never reading an earlier file.  A
+    certificate that fails verification is still written, so its residuals
+    can be inspected, and then reported as a synthesis failure.
+    """
+    try:
+        _, payload = _resolve_certificate(cfg, reuse=False)
+    except _FailedCertificate as exc:
+        payload, failure = exc.payload, exc
+    else:
+        failure = None
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "certificate.json", payload)
-    if not passed:
+    if failure is not None:
         raise SynthesisError(f"{failure}; residuals in {cfg.out_dir / 'certificate.json'}")
     return payload
 
@@ -309,10 +382,10 @@ class AnalysisState:
 
 def _rate_profile(cfg: AnalysisConfig, ubar) -> tuple[np.ndarray, ContractionProfile]:
     """The certificate's P and the rate decision at one budget or a (G, m) grid."""
-    P, rate, rate_linear = _resolve_certificate(cfg)
+    P, certificate = _resolve_certificate(cfg)
     noise = noise_energy(P, cfg.system.W)
     r_lin = linear_region_scaling(P, cfg.gain.K, ubar, cfg.vbar)
-    return P, select_rate(rate, rate_linear, noise, r_lin)
+    return P, select_rate(certificate["lambda"], certificate["lambda_L"], noise, r_lin)
 
 
 def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:

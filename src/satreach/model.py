@@ -160,17 +160,6 @@ def error_step(e, v, w, sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:
     return sys.A @ e + sys.B @ (saturate(u, sys.ubar) - v) + w
 
 
-def nominal_step(z, v, sys: SystemSpec) -> np.ndarray:
-    """One step of the saturation-free nominal recursion z+ = A z + B v."""
-    z = _as_float_array(z, "z", 1)
-    v = _as_float_array(v, "v", 1)
-    if z.shape != (sys.n,):
-        raise ValueError(f"z must have length {sys.n}")
-    if v.shape != (sys.m,):
-        raise ValueError(f"v must have length {sys.m}")
-    return sys.A @ z + sys.B @ v
-
-
 def vertex_matrices(sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:
     """Enumerate the saturation-hull vertices A + sum_{i in J} B_i K_i.
 

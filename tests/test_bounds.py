@@ -1,6 +1,7 @@
 """Region-of-linearity scaling, rate selection, and bound sequences."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import grid_effective_rate_oracle
 
 import satreach as sr
 from satreach import NotApplicableError, PreconditionError
-from satreach.bounds import linear_region_budget
+from satreach.bounds import _BALANCE_ROUNDING, linear_region_budget
 
 REF_R_LIN = 485.29192773090068
 REF_RATE = 0.98010206886129503
@@ -169,13 +170,18 @@ def test_effective_rate_near_a_double_root_is_bounded(rate, rate_linear, noise, 
         elapsed.append(time.perf_counter() - start)
     assert rate_linear <= mu <= rate
 
-    slope = r_lin / (rate - rate_linear)
-
-    def balance(x):
-        return (x - rate_linear) * slope - noise / (1.0 - x)
-
-    # The computed balance changes sign between mu and the float below it.
-    assert balance(mu) >= 0.0 > balance(np.nextafter(mu, 0.0))
+    # mu is on the certified side in exact arithmetic on the same float
+    # inputs, and the float below it does not clear the balance's rounding
+    # bound, so the search stopped at the first float that does.
+    exact = (
+        (Fraction(mu) - Fraction(rate_linear)) * Fraction(r_lin) * (1 - Fraction(mu))
+        - Fraction(noise) * (Fraction(rate) - Fraction(rate_linear))
+    )
+    assert exact >= 0
+    below = np.nextafter(mu, 0.0)
+    share = (below - rate_linear) * (r_lin / (rate - rate_linear))
+    tail = noise / (1.0 - below)
+    assert share - tail <= _BALANCE_ROUNDING * (share + tail)
     assert min(elapsed) < 0.01
 
 

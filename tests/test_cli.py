@@ -440,3 +440,182 @@ def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
     with pytest.raises(TypeError):
         _write_json(out / "analysis.json", {"a": list(range(10_000)), "b": object()})
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+# Reuse of certificate.json: the demo plant with P left to synthesis.
+
+SWEEP = {"ubar_min": 4.0, "ubar_max": 30.0, "count": 20}
+
+
+def synthesized_config(out_dir: Path) -> dict:
+    cfg = base_config(out_dir, sweep=SWEEP)
+    cfg["rates"] = {}
+    return cfg
+
+
+@pytest.fixture
+def synthesis_calls(monkeypatch):
+    """Count the CLI's calls of synthesize_contraction."""
+    calls = []
+    real = sr.cli.synthesize_contraction
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sr.cli, "synthesize_contraction", counting)
+    return calls
+
+
+def artifacts(out: Path) -> dict:
+    """Every artifact but the certificate, as bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "certificate.json"}
+
+
+def fresh_artifacts(tmp_path: Path, cfg: dict, command: str = "analyze") -> dict:
+    """What `command` writes into an empty directory."""
+    out = tmp_path / f"fresh-{command}"
+    path = write_config(tmp_path, cfg, f"fresh-{command}.json")
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    return artifacts(out)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+def test_reuse_writes_the_same_bytes_as_synthesis(tmp_path, synthesis_calls, command):
+    out = tmp_path / "out"
+    cfg = synthesized_config(out)
+    expected = fresh_artifacts(tmp_path, cfg, command)
+    assert len(synthesis_calls) == 1
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+    assert main([command, "--config", str(path)]) == EXIT_OK
+    assert len(synthesis_calls) == 2
+    assert artifacts(out) == expected
+
+
+def test_certificate_carries_the_synthesis_digest(tmp_path):
+    out = tmp_path / "out"
+    cfg = synthesized_config(out)
+    assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    payload = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
+    assert len(payload["config_sha256"]) == 64
+    # Written-out defaults hash like omitted ones.
+    cfg["rates"] = {"feas_tol": 1e-7, "bisect_tol": 1e-4, "trace_scale": 1.0}
+    again = load_config(write_config(tmp_path, cfg, "explicit.json"))
+    assert sr.cli._synthesis_digest(again) == payload["config_sha256"]
+    # A fixed P is never reused, so it carries no digest.
+    fixed = base_config(tmp_path / "fixed")
+    assert main(["certify", "--config", str(write_config(tmp_path, fixed, "fixed.json"))]) == EXIT_OK
+    payload = json.loads((tmp_path / "fixed" / "certificate.json").read_text(encoding="utf-8"))
+    assert payload["config_sha256"] is None
+
+
+def _drop(path: Path) -> None:
+    path.unlink()
+
+
+def _edit(**changes):
+    def edit(path: Path) -> None:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for key, change in changes.items():
+            payload[key] = change(payload[key])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    return edit
+
+
+def _truncate(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _drop,
+        _edit(**{"pass": lambda _: False}),
+        _edit(**{"lambda": lambda rate: rate - 1e-3}),
+        _edit(P=lambda _: "not a matrix"),
+        _edit(config_sha256=lambda digest: digest[::-1]),
+        _truncate,
+    ],
+    ids=["missing", "pass-false", "lambda-below-rate", "malformed-P", "other-digest", "truncated"],
+)
+def test_unusable_certificate_is_resynthesized(tmp_path, synthesis_calls, spoil):
+    out = tmp_path / "out"
+    cfg = synthesized_config(out)
+    expected = fresh_artifacts(tmp_path, cfg)
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+    spoil(out / "certificate.json")
+    del synthesis_calls[:]
+    assert main(["analyze", "--config", str(path)]) == EXIT_OK
+    assert len(synthesis_calls) == 1
+    assert artifacts(out) == expected
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gain", "K", [[-0.3, -0.8]]),
+        ("rates", "bisect_tol", 1e-3),
+        ("rates", "trace_scale", 2.0),
+    ],
+)
+def test_a_changed_synthesis_input_resynthesizes(tmp_path, synthesis_calls, section, key, value):
+    out = tmp_path / "out"
+    cfg = synthesized_config(out)
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+    cfg[section][key] = value
+    expected = fresh_artifacts(tmp_path, cfg)
+    path = write_config(tmp_path, cfg)
+    del synthesis_calls[:]
+    assert main(["analyze", "--config", str(path)]) == EXIT_OK
+    assert len(synthesis_calls) == 1
+    assert artifacts(out) == expected
+
+
+@pytest.mark.parametrize("key, value", [("W", [[2.0, 0.5], [0.5, 1.0]]), ("ubar", [12.0])])
+def test_noise_and_budget_changes_reuse_the_certificate(tmp_path, synthesis_calls, key, value):
+    out = tmp_path / "out"
+    cfg = synthesized_config(out)
+    path = write_config(tmp_path, cfg)
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+    cfg["system"][key] = value
+    expected = fresh_artifacts(tmp_path, cfg)
+    path = write_config(tmp_path, cfg)
+    del synthesis_calls[:]
+    assert main(["analyze", "--config", str(path)]) == EXIT_OK
+    assert synthesis_calls == []
+    assert artifacts(out) == expected
+
+
+def test_certify_always_synthesizes(tmp_path, synthesis_calls):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, synthesized_config(out))
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+    first = (out / "certificate.json").read_bytes()
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+    assert len(synthesis_calls) == 2
+    assert (out / "certificate.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+def test_every_command_rejects_a_certificate_that_fails_verification(
+    tmp_path, monkeypatch, capsys, command
+):
+    # The synthesizer claims a rate below what its P certifies exactly.
+    real = sr.cli.synthesize_contraction
+
+    def optimistic(*args, **kwargs):
+        P, _ = real(*args, **kwargs)
+        exact = sr.min_contraction_rate(P, sr.vertex_matrices(args[0], args[1]))
+        return P, exact - 10.0 * kwargs["feas_tol"]
+
+    monkeypatch.setattr(sr.cli, "synthesize_contraction", optimistic)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, synthesized_config(out))
+    assert main([command, "--config", str(path)]) == EXIT_SYNTHESIS
+    assert "certificate fails verification" in capsys.readouterr().err
+    assert not out.exists()

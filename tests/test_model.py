@@ -89,17 +89,6 @@ def test_error_step_checks_dimensions(ref_sys, ref_gain):
         sr.error_step([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], ref_sys, ref_gain)
 
 
-def test_nominal_step_reference_point(ref_sys):
-    out = sr.nominal_step([1.0, 0.0], [1.0], ref_sys)
-    assert np.allclose(out, [0.89, 1.10], rtol=0.0, atol=1e-15)
-
-
-def test_nominal_step_ignores_saturation(ref_sys):
-    # The nominal recursion is saturation-free by construction.
-    out = sr.nominal_step([0.0, 0.0], [50.0], ref_sys)
-    assert np.allclose(out, [0.0, 50.0], rtol=0.0, atol=0.0)
-
-
 def test_vertex_endpoints_single_input(ref_sys, ref_gain):
     verts = sr.vertex_matrices(ref_sys, ref_gain)
     assert len(verts) == 2

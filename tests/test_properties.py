@@ -4,6 +4,7 @@ rate selection with their scalar calls, and bitwise equality of the
 factored Stein solve with scipy's discrete Lyapunov solver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -72,6 +73,25 @@ def test_effective_rate_is_on_the_certified_side(rate, fraction, noise, stretch,
     else:
         slope = r_lin / (rate - rate_linear)
         assert (mu - rate_linear) * slope - noise / (1.0 - mu) >= 0.0
+
+
+@given(
+    rate_linear=st.floats(0.0, 0.99),
+    noise=st.floats(0.5, 1e3),
+    tie=st.floats(0.0, 1e-11),
+)
+def test_effective_rate_near_a_double_root_is_exactly_certified(rate_linear, noise, tie):
+    # rate = (1 + rate_linear) / 2 puts the double root of the balance at
+    # `rate`; r_lin within `tie` of the noise mass makes the two roots
+    # nearly coincide, where the computed balance is mostly rounding.
+    rate = 0.5 * (1.0 + rate_linear)
+    r_lin = noise / (1.0 - rate) * (1.0 + tie)
+    assume(not sr.select_rate(rate, rate_linear, noise, r_lin).fallback)
+    mu = sr.effective_rate(rate, rate_linear, noise, r_lin)
+    assert rate_linear <= mu <= rate
+    mu, rate, rate_linear = Fraction(mu), Fraction(rate), Fraction(rate_linear)
+    # The balance times (rate - rate_linear) (1 - mu) >= 0, in exact arithmetic.
+    assert (mu - rate_linear) * Fraction(r_lin) * (1 - mu) >= Fraction(noise) * (rate - rate_linear)
 
 
 @given(n=DIMS, m=DIMS, rows=st.integers(0, 6), seed=SEEDS)

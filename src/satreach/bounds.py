@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .certify import _shape_and_factor, check_rate, check_rates
 from .errors import NotApplicableError, PreconditionError
@@ -57,12 +56,14 @@ class ContractionProfile:
 
 
 def _feedback_quadratic(P, K) -> np.ndarray:
-    """Per-row K_i inv(P) K_i' after validating P and the shape of K."""
-    P = _shape_and_factor(P)[0]
+    """Per-row K_i inv(P) K_i' = |inv(L) K_i'|^2 for P = L L', after
+    validating P and the shape of K."""
+    L = _shape_and_factor(P)[1]
     K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[1] != P.shape[0]:
-        raise ValueError(f"K must have {P.shape[0]} columns, got shape {K.shape}")
-    return np.einsum("ij,ji->i", K, scipy.linalg.cho_solve(scipy.linalg.cho_factor(P), K.T))
+    if K.ndim != 2 or K.shape[1] != L.shape[0]:
+        raise ValueError(f"K must have {L.shape[0]} columns, got shape {K.shape}")
+    whitened = np.linalg.solve(L, K.T)
+    return np.einsum("ij,ij->j", whitened, whitened)
 
 
 def linear_region_scaling(P, K, ubar, vbar) -> float | np.ndarray:

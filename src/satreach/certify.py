@@ -11,12 +11,10 @@ solver itself.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CertificateError, SynthesisError
 from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
@@ -92,14 +90,29 @@ def check_rates(rate: float, rate_linear: float) -> None:
         )
 
 
+def check_synthesis_tolerances(feas_tol: float, bisect_tol: float, trace_scale: float) -> None:
+    """Synthesis needs feas_tol > 0, trace_scale > 0 and 0 < bisect_tol < 1 (or never ends)."""
+    if not feas_tol > 0.0:
+        raise ValueError(f"feas_tol must be positive, got {feas_tol}")
+    if not 0.0 < bisect_tol < 1.0:
+        raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
+    if not trace_scale > 0.0:
+        raise ValueError(f"trace_scale must be positive, got {trace_scale}")
+
+
 def _symmetric_shape(P) -> np.ndarray:
-    """Square, symmetric to relative tolerance 1e-9, and symmetrized."""
+    """Square, finite, symmetric to relative tolerance 1e-9, and symmetrized."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"P must be square, got shape {P.shape}")
-    if np.max(np.abs(P - P.T)) > 1e-9 * max(1.0, np.max(np.abs(P))):
+    # NaN and infinite entries, and sums that overflow, end up non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew, symmetric = np.abs(P - P.T), 0.5 * (P + P.T)
+    if not np.all(np.isfinite(symmetric)):
+        raise CertificateError("shape matrix must be finite")
+    if np.max(skew) > 1e-9 * max(1.0, np.max(np.abs(P))):
         raise CertificateError("shape matrix must be symmetric")
-    return 0.5 * (P + P.T)
+    return symmetric
 
 
 def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
@@ -111,12 +124,12 @@ def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
     """
     P = _symmetric_shape(P)
     try:
-        return P, scipy.linalg.cholesky(P, lower=True)
-    except scipy.linalg.LinAlgError:
+        return P, np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
         jittered = P + 1e-12 * np.eye(P.shape[0])
         try:
-            return jittered, scipy.linalg.cholesky(jittered, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            return jittered, np.linalg.cholesky(jittered)
+        except np.linalg.LinAlgError as exc:
             raise CertificateError("shape matrix is not positive definite") from exc
 
 
@@ -130,8 +143,7 @@ def _vertex_rates(P, vertices) -> np.ndarray:
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 3 or vertices.shape[1:] != P.shape:
         raise ValueError("vertex dimension does not match P")
-    inv_lt = scipy.linalg.solve_triangular(L, np.eye(P.shape[0]), lower=True).T
-    G = L.T @ vertices @ inv_lt
+    G = L.T @ vertices @ np.linalg.inv(L).T
     whitened = G.transpose(0, 2, 1) @ G
     return np.linalg.eigvalsh(0.5 * (whitened + whitened.transpose(0, 2, 1)))[:, -1]
 
@@ -154,51 +166,25 @@ def closed_loop_rate(P, sys: SystemSpec, gain: FeedbackGain) -> float:
     return float(_vertex_rates(P, (sys.A + sys.B @ gain.K)[None])[0])
 
 
-# scipy.linalg.solve_discrete_lyapunov switches from the direct Kronecker
-# solve to a bilinear transform at this order; the factored solve below
-# reproduces only the direct one.
-_DIRECT_MAX_ORDER = 9
+def _stein_factor(vertex: np.ndarray, rate: float) -> np.ndarray:
+    """Inverse of the Stein operator dP -> rate * dP - vertex' dP vertex.
 
-
-def _stein_factor(vertex: np.ndarray, rate: float):
-    """Solver of the Stein equation rate * dP - vertex' dP vertex = Q.
-
-    The returned callable maps Q / rate to dP.  Where scipy's discrete
-    Lyapunov solver runs its direct path on a general operator, the
-    operator I - kron(a, a), a = vertex' / sqrt(rate), is LU-factored here
-    once and each call is a back-substitution, bitwise equal to scipy's
-    solve.  Operators scipy's solve would treat as structured (symmetric or
-    triangular) and orders it solves by a bilinear transform go through
-    scipy itself.
+    In row-major vec form, with a = vertex' / sqrt(rate), the equation
+    rate * dP - vertex' dP vertex = Q reads (I - kron(a, a)) vec(dP) =
+    vec(Q) / rate; the returned n^2 x n^2 matrix is inv(I - kron(a, a)).
 
     Raises:
-        scipy.linalg.LinAlgError: if the operator is singular.
+        numpy.linalg.LinAlgError: if the operator is singular.
     """
     a = vertex.T / math.sqrt(rate)
-    n = a.shape[0]
-    if n <= _DIRECT_MAX_ORDER:
-        lhs = np.eye(n * n) - np.kron(a, a)
-        lower, upper = np.tril(lhs, -1), np.triu(lhs, 1)
-        if lower.any() and upper.any() and not np.array_equal(lower, upper.T):
-            lu, piv, info = scipy.linalg.lapack.dgetrf(lhs)
-            if info > 0:
-                raise scipy.linalg.LinAlgError("Stein operator is singular")
-
-            def solve(q: np.ndarray) -> np.ndarray:
-                x, info = scipy.linalg.lapack.dgetrs(lu, piv, q.ravel())
-                if info != 0:
-                    raise scipy.linalg.LinAlgError(f"dgetrs failed with info={info}")
-                return x.reshape(q.shape)
-
-            return solve
-    return functools.partial(scipy.linalg.solve_discrete_lyapunov, a)
+    return np.linalg.inv(np.eye(a.size) - np.kron(a, a))
 
 
-def _stein_correction(factor, rate: float, deficit: np.ndarray) -> np.ndarray:
+def _stein_correction(factor: np.ndarray, rate: float, deficit: np.ndarray) -> np.ndarray:
     # Unique solution of rate * dP - vertex' dP vertex = deficit, which
     # exists because rate exceeds the squared spectral radius of the vertex;
     # `factor` is the vertex's `_stein_factor` at this rate.
-    dP = factor(deficit / rate)
+    dP = (factor @ (deficit / rate).ravel()).reshape(deficit.shape)
     return 0.5 * (dP + dP.T)
 
 
@@ -222,8 +208,8 @@ def _feasible_shape(
     P = np.eye(n) if init is None else init.copy()
     best = np.inf
     stalled = 0
-    # Stein solvers of the vertices violated so far; they depend only on
-    # the vertex and the rate, so each is built once per call.
+    # Inverse Stein operators of the vertices violated so far; they depend
+    # only on the vertex and the rate, so each is built once per call.
     factors = {}
     scale = np.trace(P) / n
     for _ in range(max_iter):
@@ -282,13 +268,16 @@ def synthesize_contraction(
             checks apply.
 
     Returns:
-        (P, rate) with rate within bisect_tol of the smallest rate the
-        search can certify.
+        (P, rate) with rate = min_contraction_rate(P), within bisect_tol
+        (up to feas_tol slack) of the smallest rate the search can certify.
 
     Raises:
+        ValueError: unless the tolerances pass check_synthesis_tolerances.
         SynthesisError: when no certificate is found at rate
             1 - bisect_tol; carries that rate as `last_infeasible`.
     """
+    scale = 1.0 if trace_scale is None else float(trace_scale)
+    check_synthesis_tolerances(feas_tol, bisect_tol, scale)
     vertices = vertex_matrices(sys, gain)
     floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
     hi = 1.0 - bisect_tol
@@ -311,11 +300,9 @@ def synthesize_contraction(
             hi, shape = mid, candidate
         else:
             lo = mid
-    scale = 1.0 if trace_scale is None else float(trace_scale)
-    if scale <= 0.0:
-        raise ValueError("trace_scale must be positive")
+    # Every iterate is symmetrized, so the rescaled shape is exactly symmetric.
     shape = shape * (sys.n * scale / np.trace(shape))
-    return 0.5 * (shape + shape.T), hi
+    return shape, min_contraction_rate(shape, vertices)
 
 
 def _slack_floors(rate: float, P: np.ndarray, vertices: np.ndarray) -> np.ndarray:

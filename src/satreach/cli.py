@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -34,6 +35,7 @@ from .bounds import (
 from .certify import (
     ContractionCertificate,
     check_rates,
+    check_synthesis_tolerances,
     closed_loop_rate,
     min_contraction_rate,
     synthesize_contraction,
@@ -144,11 +146,20 @@ def _parse_sweep(raw: dict) -> np.ndarray | None:
     return values
 
 
+def _finite_number(text: str) -> float:
+    """JSON hook that rejects NaN, Infinity and literals overflowing a double."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path) -> AnalysisConfig:
     """Parse and validate a JSON config; all failures become ConfigError."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
@@ -187,9 +198,10 @@ def load_config(path) -> AnalysisConfig:
             emit=emit,
             sweep_ubar=_parse_sweep(raw),
         )
+        check_synthesis_tolerances(cfg.feas_tol, cfg.bisect_tol, cfg.trace_scale)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     if cfg.vbar.shape != (system.m,):
         raise ConfigError(f"vbar must have length {system.m}")

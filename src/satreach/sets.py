@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bounds import check_noise, expectation_bound_sequence
 from .certify import _shape_and_factor, check_rate
@@ -81,7 +80,7 @@ def boundary_polyline(ellipsoid: Ellipsoid, num_points: int) -> np.ndarray:
     L = _shape_and_factor(ellipsoid.P)[1]
     angles = 2.0 * np.pi * np.arange(num_points) / num_points
     circle = np.stack([np.cos(angles), np.sin(angles)])
-    pts = scipy.linalg.solve_triangular(L, circle, lower=True, trans="T")
+    pts = np.linalg.solve(L.T, circle)
     return (np.sqrt(ellipsoid.r) * pts).T
 
 

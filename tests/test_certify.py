@@ -1,6 +1,5 @@
 """Rate computation, shape-matrix synthesis, and certificate verification."""
 
-import functools
 import math
 import time
 
@@ -22,7 +21,7 @@ from satreach import (
 # Regression values for the benchmark plant, frozen at first computation.
 REF_RATE = 0.98010206886129503
 REF_RATE_LINEAR = 0.76852028012028373
-REF_SYNTH_RATE = 0.98017734375
+REF_SYNTH_RATE = 0.9801000000000001
 
 
 def test_min_rate_scalar_problem():
@@ -104,6 +103,27 @@ def test_min_rate_rejects_bad_shape(ref_sys, ref_gain):
         sr.min_contraction_rate([[1.0, 0.0], [0.0, -1.0]], verts)
 
 
+@pytest.mark.parametrize(
+    "P",
+    [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, np.inf]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+        # Finite, but the symmetrizing sum overflows.
+        [[1.0, 1e308], [1e308, 1.0]],
+    ],
+    ids=["nan", "inf", "off-diagonal-inf", "overflow"],
+)
+def test_non_finite_shape_is_rejected(ref_sys, ref_gain, P):
+    verts = sr.vertex_matrices(ref_sys, ref_gain)
+    with pytest.raises(CertificateError, match="finite"):
+        ContractionCertificate(P=P, rate=0.9, rate_linear=0.5)
+    with pytest.raises(CertificateError, match="finite"):
+        sr.Ellipsoid(P, 1.0)
+    with pytest.raises(CertificateError, match="finite"):
+        sr.min_contraction_rate(P, verts)
+
+
 def test_closed_loop_rate_reference(ref_sys, ref_gain, ref_shape):
     rate = sr.closed_loop_rate(ref_shape, ref_sys, ref_gain)
     assert rate == pytest.approx(REF_RATE_LINEAR, rel=1e-12)
@@ -151,6 +171,19 @@ def test_synthesize_respects_trace_scale(ref_sys, ref_gain):
     assert np.trace(P) == pytest.approx(10.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "tolerance",
+    [{"feas_tol": 0.0}, {"bisect_tol": -0.1}, {"bisect_tol": 1.0}, {"trace_scale": -1.0}],
+    ids=["feas_tol", "negative-bisect_tol", "unit-bisect_tol", "trace_scale"],
+)
+def test_synthesize_rejects_bad_tolerances_before_probing(ref_sys, ref_gain, monkeypatch, tolerance):
+    # A negative bisect_tol used to bisect forever, and a negative
+    # trace_scale failed only after the whole bisection.
+    monkeypatch.setattr(certify, "_feasible_shape", lambda *args: pytest.fail("probed"))
+    with pytest.raises(ValueError):
+        sr.synthesize_contraction(ref_sys, ref_gain, **tolerance)
+
+
 def test_synthesize_round_trip_random_problems():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -161,16 +194,24 @@ def test_synthesize_round_trip_random_problems():
         assert rate_linear + 1e-4 < rate < 1.0
         cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear)
         assert sr.verify_certificate(cert, sys_r, gain_r).passed
+        verts = sr.vertex_matrices(sys_r, gain_r)
+        assert rate == sr.min_contraction_rate(P, verts)
         # No shape matrix beats the worst squared vertex spectral radius,
         # and synthesis should land within a few bisection steps of it.
-        verts = sr.vertex_matrices(sys_r, gain_r)
         floor = max(np.abs(np.linalg.eigvals(M)).max() ** 2 for M in verts)
         assert floor - 1e-9 <= rate <= floor + 5e-4
 
 
-def _scipy_stein_factor(vertex, rate):
-    # The unfactored path: one scipy solve per correction.
-    return functools.partial(scipy.linalg.solve_discrete_lyapunov, vertex.T / math.sqrt(rate))
+def _unfactored(patch):
+    """Route each correction through one scipy solve, with no inverse
+    formed ahead: the "factor" is the scaled transposed vertex."""
+
+    def correction(a, rate, deficit):
+        dP = scipy.linalg.solve_discrete_lyapunov(a, deficit / rate)
+        return 0.5 * (dP + dP.T)
+
+    patch.setattr(certify, "_stein_factor", lambda vertex, rate: vertex.T / math.sqrt(rate))
+    patch.setattr(certify, "_stein_correction", correction)
 
 
 def _multi_input_plants():
@@ -181,11 +222,13 @@ def _multi_input_plants():
 def test_synthesis_matches_the_unfactored_scipy_solve(monkeypatch):
     plants = _multi_input_plants()
     factored = [sr.synthesize_contraction(*plant) for plant in plants]
-    monkeypatch.setattr(certify, "_stein_factor", _scipy_stein_factor)
+    _unfactored(monkeypatch)
     for plant, (P, rate) in zip(plants, factored):
         P_ref, rate_ref = sr.synthesize_contraction(*plant)
-        assert rate == rate_ref
-        assert np.array_equal(P, P_ref)
+        # The same bisection: the shipped rate is the exact rate of P, so it
+        # moves only with P's rounding, far below one bisection step.
+        assert rate == pytest.approx(rate_ref, rel=1e-9, abs=0.0)
+        assert np.allclose(P, P_ref, rtol=1e-9, atol=0.0)
 
 
 def _probe_log(monkeypatch):
@@ -221,7 +264,7 @@ def test_each_probe_factors_a_vertex_at_most_once(monkeypatch):
     plant = _multi_input_plants()[2]
     vertices = sr.vertex_matrices(*plant)
     with monkeypatch.context() as patch:
-        patch.setattr(certify, "_stein_factor", _scipy_stein_factor)
+        _unfactored(patch)
         reference = _probe_log(patch)
         sr.synthesize_contraction(*plant)
     log = _probe_log(monkeypatch)
@@ -229,17 +272,15 @@ def test_each_probe_factors_a_vertex_at_most_once(monkeypatch):
     assert len(log) == len(reference) > 1
     for probe, ref_probe in zip(log, reference):
         assert len(set(probe["vertices"])) == len(probe["vertices"]) <= len(vertices)
-        # General vertices take the LU-factored path, not scipy's solver.
-        assert not any(isinstance(f, functools.partial) for f in probe["factors"])
         # One solve per correction, as on the unfactored path.
         assert probe["solves"] == ref_probe["solves"]
     assert sum(p["solves"] for p in log) > sum(len(p["factors"]) for p in log)
 
 
 def test_singular_stein_operator_is_loud():
-    # Eigenvalues +-1 at rate one: I - kron(a, a) is exactly singular and
-    # neither symmetric nor triangular, so the LU path must refuse it.
-    with pytest.raises(scipy.linalg.LinAlgError):
+    # Eigenvalues +-1 at rate one: I - kron(a, a) is exactly singular, so
+    # forming its inverse must fail.
+    with pytest.raises(np.linalg.LinAlgError):
         certify._stein_factor(np.array([[0.0, 0.5], [2.0, 0.0]]), 1.0)
 
 

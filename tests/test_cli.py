@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +82,7 @@ def test_certify_synthesizes_when_shape_missing(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["certify", "--config", str(cfg_path)]) == EXIT_OK
     payload = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
-    assert payload["lambda"] == pytest.approx(0.98017734375, abs=1e-6)
+    assert payload["lambda"] == pytest.approx(0.9801000000000001, abs=1e-6)
     assert payload["pass"] is True
 
 
@@ -619,3 +622,39 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
     assert main([command, "--config", str(path)]) == EXIT_SYNTHESIS
     assert "certificate fails verification" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [
+        ("rates", "bisect_tol", "-0.1"),
+        ("rates", "bisect_tol", "1"),
+        ("rates", "bisect_tol", "Infinity"),
+        ("rates", "feas_tol", "-1"),
+        ("rates", "feas_tol", "NaN"),
+        ("rates", "trace_scale", "-1"),
+        ("rates", "trace_scale", "0"),
+        ("rates", "P", "[[NaN, 0], [0, 1]]"),
+        ("rates", "P", "[[1, 0], [0, -Infinity]]"),
+        ("rates", "P", "[[1e400, 0], [0, 1]]"),
+        ("prs", "vbar", "[NaN]"),
+        ("prs", "vbar", "[1" + "0" * 400 + "]"),
+    ],
+)
+def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, section, key, literal):
+    # A non-positive bisect_tol used to bisect forever; the others cost a
+    # whole synthesis, or none, before failing with another exit code.
+    cfg = synthesized_config(tmp_path / "out")
+    cfg[section][key] = "<literal>"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"<literal>"', literal), encoding="utf-8")
+    assert main(["certify", "--config", str(path)]) == EXIT_CONFIG
+    assert synthesis_calls == []
+
+
+def test_the_command_line_runs_without_scipy():
+    src = str(Path(sr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, satreach.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -1,7 +1,8 @@
 """Property tests: hull membership, the certified side of the effective
 rate, entry-wise equality of the broadcast linear-region scaling and
-rate selection with their scalar calls, and bitwise equality of the
-factored Stein solve with scipy's discrete Lyapunov solver."""
+rate selection with their scalar calls, and agreement of the inverted
+Stein operator with scipy's discrete Lyapunov solver to within the
+operator's condition number."""
 
 import math
 from fractions import Fraction
@@ -139,7 +140,8 @@ def test_broadcast_select_rate_matches_scalar_calls(rate, fraction, noise, stret
 
 
 # Structures for which scipy's solve picks its own solver (symmetric,
-# triangular, diagonal operators), besides the general case.
+# triangular, diagonal operators), besides the general case; n = 10 takes
+# its bilinear-transform solver.
 _VERTEX_SHAPES = {
     "general": lambda M: M,
     "symmetric": lambda M: M + M.T,
@@ -156,7 +158,7 @@ _VERTEX_SHAPES = {
     position=st.floats(1e-6, 1.0, exclude_max=True),
     seed=SEEDS,
 )
-def test_factored_stein_solve_equals_scipy(n, shape, radius, position, seed):
+def test_stein_solve_agrees_with_scipy(n, shape, radius, position, seed):
     rng = np.random.default_rng(seed)
     M = _VERTEX_SHAPES[shape](rng.normal(size=(n, n)))
     M *= radius / np.abs(np.linalg.eigvals(M)).max()
@@ -164,8 +166,12 @@ def test_factored_stein_solve_equals_scipy(n, shape, radius, position, seed):
     rate = floor + position * (1.0 - floor)
     assume(floor < rate < 1.0)
     factor = _stein_factor(M, rate)
+    a = M.T / math.sqrt(rate)
+    bound = 1e3 * np.finfo(float).eps * np.linalg.cond(np.eye(n * n) - np.kron(a, a))
     for _ in range(3):
         F = rng.normal(size=(n, n))
         deficit = F @ F.T
-        expected = scipy.linalg.solve_discrete_lyapunov(M.T / math.sqrt(rate), deficit / rate)
-        assert np.array_equal(_stein_correction(factor, rate, deficit), 0.5 * (expected + expected.T))
+        dP = _stein_correction(factor, rate, deficit)
+        expected = scipy.linalg.solve_discrete_lyapunov(a, deficit / rate)
+        expected = 0.5 * (expected + expected.T)
+        assert np.linalg.norm(dP - expected) <= bound * np.linalg.norm(dP)

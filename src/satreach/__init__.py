@@ -42,7 +42,6 @@ from .montecarlo import (
     EnsembleStats,
     SimulationConfig,
     noise_factor,
-    sample_noise,
     simulate_ensemble,
     trajectory_rng,
     violation_rate,
@@ -79,7 +78,6 @@ __all__ = [
     "noise_factor",
     "prs_sequence",
     "pub",
-    "sample_noise",
     "saturate",
     "select_rate",
     "simulate_ensemble",

@@ -205,6 +205,15 @@ def load_config(path) -> AnalysisConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
     if cfg.vbar.shape != (system.m,):
         raise ConfigError(f"vbar must have length {system.m}")
+    # The analysis tightens the rate for nominal inputs bounded by vbar, so
+    # the ensemble it is checked against must respect that bound.
+    policy = None if cfg.simulation is None else cfg.simulation.v_policy
+    if policy is not None:
+        shape = (system.m,) if policy.ndim == 1 else (cfg.simulation.horizon, system.m)
+        if policy.shape != shape:
+            raise ConfigError(f"v_policy must have shape {shape}, got {policy.shape}")
+        if np.any(np.abs(policy) > cfg.vbar):
+            raise ConfigError("|v_policy| exceeds prs.vbar in some component or step")
     return cfg
 
 

@@ -32,7 +32,7 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -132,11 +132,11 @@ def saturate(u, ubar) -> np.ndarray:
     ubar = _as_float_array(ubar, "ubar", 1)
     if u.ndim == 0 or u.shape[-1] != ubar.shape[0]:
         raise ValueError(f"u must end in a dimension of {ubar.shape[0]}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("u must be finite")
-    if np.any(ubar <= 0.0):
+    if (ubar <= 0.0).any():
         raise ValueError("saturation magnitudes must be strictly positive")
-    return np.clip(u, -ubar, ubar)
+    return np.minimum(np.maximum(u, -ubar), ubar)
 
 
 def error_step(e, v, w, sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:

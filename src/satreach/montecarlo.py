@@ -1,11 +1,19 @@
 """Monte Carlo validation of the expectation bounds and reachable sets.
 
 Trajectories of the saturated error recursion are simulated under
-zero-mean unit-variance noise shaped by a factor of W.  Every trajectory
-draws from its own counter-based stream keyed by (seed, trajectory index),
-and the ensemble is stepped in fixed-size blocks of trajectories whose
-matrix products are summed in a fixed order, so results are bitwise
-reproducible no matter how the trajectory set is split into blocks.
+zero-mean unit-variance noise shaped by a factor of W; the kernel's own
+draw is the only noise sampler.  Every trajectory draws from its own
+counter-based Philox stream keyed by (seed, trajectory index).  The keys
+of a block of trajectories are hashed in one vectorised pass, bitwise
+equal to SeedSequence(entropy=seed, spawn_key=(index,)), and one Philox
+generator is re-keyed to each trajectory at counter 0 instead of being
+rebuilt.  A spawn key holds an index in one 32-bit word, so an ensemble
+has at most 2**32 trajectories.  The nominal input must keep
+|v_i| <= ubar_i at every step; the command line further holds it within
+the analysis' vbar.  The ensemble is stepped in fixed-size blocks of
+trajectories whose matrix products are summed in a fixed order, so
+results are bitwise reproducible no matter how the trajectory set is
+split into blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +39,16 @@ _BLOCK_SIZE = 256
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
 
+# NumPy's SeedSequence hashing constants (Melissa O'Neill's seed_seq_fe):
+# pool words are hashed with the A constants and output words with the B
+# constants.  A spawn key index below 2**32 is one 32-bit word, so a
+# trajectory's entropy is [seed low word, seed high word, 0, 0, index].
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MAX_STREAMS = 2 ** 32
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -52,8 +70,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least one step")
-        if self.num_traj < 1:
-            raise ValueError("need at least one trajectory")
+        if not 1 <= self.num_traj <= _MAX_STREAMS:
+            raise ValueError(f"num_traj must lie in [1, {_MAX_STREAMS}]")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.noise_kind not in NOISE_KINDS:
@@ -123,24 +141,69 @@ def _standard_draw(kind: str, rng: np.random.Generator, shape) -> np.ndarray:
     raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
 
 
-def sample_noise(kind: str, W, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw zero-mean noise with covariance W from the given generator.
+class _Hash:
+    """One of SeedSequence's running hash constants and its multiplier."""
 
-    Returns a length-n vector, or a (size, n) block when size is given.
+    def __init__(self, init: int, mult: int):
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        """Hash uint32 words, then advance the constant (wrapping mod 2**32)."""
+        words = words ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        words = words * np.uint32(self.const)
+        return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return mixed ^ mixed >> 16
+
+
+def stream_keys(seed: int, indices) -> np.ndarray:
+    """Philox keys of the trajectories `indices`, as a (len, 2) uint64 array.
+
+    Row t equals SeedSequence(entropy=seed, spawn_key=(indices[t],))
+    .generate_state(2, np.uint64) bit for bit: the same 4-word pool, mix
+    rounds and output hash, run for every index at once in wrapping uint32
+    arithmetic.  The pool words that depend on the seed alone stay length 1
+    and broadcast against the indices.
     """
-    factor = noise_factor(W)
-    if size is None:
-        return factor @ _standard_draw(kind, rng, factor.shape[0])
-    if size < 1:
-        raise ValueError("size must be positive")
-    return _standard_draw(kind, rng, (size, factor.shape[0])) @ factor.T
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    indices = np.asarray(indices)
+    if indices.size and not 0 <= indices.min() <= indices.max() < _MAX_STREAMS:
+        raise ValueError(f"trajectory indices must lie in [0, {_MAX_STREAMS})")
+    spawn = indices.astype(np.uint32)
+    entropy = [np.array([word], dtype=np.uint32) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = [_mix(word, hashmix(spawn)) for word in pool]
+    output = _Hash(_INIT_B, _MULT_B)
+    words = [output(word).astype(np.uint64) for word in pool]
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=-1)
+
+
+def _keyed_state(key) -> dict:
+    """Philox state at counter 0 of the stream `key`, with an empty buffer."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one trajectory, independent of all others."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+    return np.random.Generator(np.random.Philox(key=stream_keys(seed, [index])[0]))
 
 
 def _nominal_inputs(cfg: SimulationConfig, sys: SystemSpec) -> np.ndarray:
@@ -227,12 +290,16 @@ def simulate_ensemble(
     # time so no (horizon, n, c) shock block is ever held.
     size = min(_BLOCK_SIZE, cfg.num_traj)
     draws = np.empty((steps, sys.n, size))
+    # One generator is re-keyed to each trajectory's stream in turn.
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
 
     for start in range(0, cfg.num_traj, size):
         rows = slice(start, min(start + size, cfg.num_traj))
         count = rows.stop - start
-        for t in range(count):
-            rng = trajectory_rng(cfg.seed, start + t)
+        keys = stream_keys(cfg.seed, np.arange(start, rows.stop)).tolist()
+        for t, key in enumerate(keys):
+            bitgen.state = _keyed_state(key)
             draws[:, :, t] = _standard_draw(cfg.noise_kind, rng, (steps, sys.n))
         e = np.zeros((sys.n, count))
         for k in range(steps):

@@ -427,6 +427,51 @@ def test_seed_override_beyond_64_bits_is_a_config_error(tmp_path):
     assert main(argv[:-1] + ["-1"]) == EXIT_CONFIG
 
 
+def _per_step(horizon: int, k: int, value: float) -> list:
+    policy = [[0.0]] * horizon
+    policy[k] = [value]
+    return policy
+
+
+@pytest.mark.parametrize(
+    "vbar, v_policy",
+    [
+        ([0.0], [9.5]),
+        ([0.4], _per_step(25, 7, -0.5)),
+        ([0.4], [[0.1, 0.1]] * 25),
+        ([0.4], [[0.1]] * 7),
+    ],
+)
+def test_nominal_inputs_beyond_vbar_or_misshapen_are_config_errors(tmp_path, capsys, vbar, v_policy):
+    # The ensemble is checked against a rate tightened for |v| <= vbar: with
+    # v = 9.5 and vbar = 0 that rate held only for v = 0, and it exited 0.
+    # A per-step policy of the wrong length exited 4 after the analysis.
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["prs"]["vbar"] = vbar
+    cfg["simulation"]["v_policy"] = v_policy
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert "v_policy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "vbar, v_policy", [([9.5], [9.5]), ([0.4], _per_step(25, 7, -0.4))]
+)
+def test_nominal_inputs_at_vbar_are_accepted(tmp_path, vbar, v_policy):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["prs"]["vbar"] = vbar
+    cfg["simulation"]["v_policy"] = v_policy
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    payload = json.loads((out / "simulation.json").read_text(encoding="utf-8"))
+    if vbar == [9.5]:
+        # r_L = 1.21 is too small to tighten, so the hull rate is kept.
+        assert payload["r_L"] == pytest.approx(1.21, abs=0.01)
+        assert payload["fallback"] is True
+        assert payload["lambda_hat"] == payload["lambda"]
+
+
 def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
     assert main(["analyze", "--config", str(write_config(tmp_path, base_config(tmp_path / "out")))]) == EXIT_OK
     out = tmp_path / "out"

@@ -5,6 +5,7 @@ import pytest
 
 import satreach as sr
 from satreach import Ellipsoid, PreconditionError, SimulationConfig
+from satreach.montecarlo import _standard_draw, stream_keys
 
 
 def test_noise_factor_identity_and_reconstruction():
@@ -28,22 +29,13 @@ def test_noise_factor_rejects_indefinite():
         sr.noise_factor(np.ones((2, 3)))
 
 
-def test_sample_noise_zero_covariance():
-    rng = np.random.default_rng(0)
-    assert np.array_equal(sr.sample_noise("gaussian", np.zeros((2, 2)), rng), [0.0, 0.0])
-
-
-def test_sample_noise_block_shape():
-    rng = np.random.default_rng(0)
-    block = sr.sample_noise("uniform", np.eye(3), rng, size=17)
-    assert block.shape == (17, 3)
-
-
 def test_sample_noise_moments_every_kind():
+    # The kernel's draws shaped by the noise factor, as it shapes them.
     W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    factor = sr.noise_factor(W)
     for kind in sr.montecarlo.NOISE_KINDS:
         rng = np.random.default_rng(99)
-        draws = sr.sample_noise(kind, W, rng, size=100_000)
+        draws = _standard_draw(kind, rng, (100_000, 2)) @ factor.T
         mean = draws.mean(axis=0)
         cov = np.cov(draws.T)
         assert np.max(np.abs(mean)) < 0.02, kind
@@ -53,7 +45,73 @@ def test_sample_noise_moments_every_kind():
 def test_sample_noise_rejects_unknown_kind():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sr.sample_noise("cauchy", np.eye(2), rng)
+        _standard_draw("cauchy", rng, 2)
+
+
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def _seed_sequence_rng(seed, index):
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    )
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_stream_keys_equal_seed_sequence(seed):
+    keys = stream_keys(seed, np.arange(4096))
+    expected = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        for i in range(4096)
+    ]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, expected)
+    last = np.random.SeedSequence(entropy=seed, spawn_key=(2**32 - 1,))
+    assert np.array_equal(stream_keys(seed, [2**32 - 1])[0], last.generate_state(2, np.uint64))
+
+
+def test_stream_keys_reject_what_one_spawn_word_cannot_hold():
+    with pytest.raises(ValueError):
+        stream_keys(0, [2**32])
+    with pytest.raises(ValueError):
+        stream_keys(0, [-1])
+    with pytest.raises(ValueError):
+        stream_keys(2**64, [0])
+
+
+def test_rekeyed_generator_draws_equal_fresh_streams():
+    # One Philox re-keyed between streams, each left mid-buffer (and, for
+    # the Rademacher draws, holding a spare 32-bit half) by an odd-sized
+    # draw, must give every stream's draws from its first one on.
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    for seed in (3, 2**64 - 1):
+        keys = stream_keys(seed, np.arange(12)).tolist()
+        for index, key in enumerate(keys):
+            kind = sr.montecarlo.NOISE_KINDS[index % 3]
+            shape = (7, 1 + index % 3)
+            bitgen.state = sr.montecarlo._keyed_state(key)
+            ours = _standard_draw(kind, rng, shape)
+            fresh = _standard_draw(kind, _seed_sequence_rng(seed, index), shape)
+            assert np.array_equal(ours, fresh), (seed, index, kind)
+            assert np.array_equal(
+                _standard_draw(kind, sr.trajectory_rng(seed, index), shape), fresh
+            )
+
+
+@pytest.mark.parametrize("kind", sr.montecarlo.NOISE_KINDS)
+def test_ensemble_draws_each_trajectory_from_its_seed_sequence_stream(kind):
+    # With A = 0, K = 0 and W = I the state after the last step is exactly
+    # that step's draw.  Five steps of three draws leave a Rademacher
+    # stream holding a spare 32-bit half, which the next trajectory must
+    # not inherit.
+    n, horizon, seed = 3, 5, 2**64 - 1
+    plant = sr.SystemSpec(A=np.zeros((n, n)), B=np.ones((n, 1)), W=np.eye(n), ubar=[1.0])
+    cfg = SimulationConfig(horizon=horizon, num_traj=6, seed=seed, noise_kind=kind)
+    stats = sr.simulate_ensemble(plant, sr.FeedbackGain(K=np.zeros((1, n))), cfg)
+    for index, final in enumerate(stats.final_states):
+        draws = _standard_draw(kind, _seed_sequence_rng(seed, index), (horizon, n))
+        assert np.array_equal(final, draws[-1]), index
 
 
 def test_trajectory_rng_is_stable_and_distinct():
@@ -69,6 +127,10 @@ def test_simulation_config_validation():
         SimulationConfig(horizon=0, num_traj=1, seed=0)
     with pytest.raises(ValueError):
         SimulationConfig(horizon=1, num_traj=0, seed=0)
+    # Past 2**32 trajectories a spawn key needs a second word.
+    with pytest.raises(ValueError):
+        SimulationConfig(horizon=1, num_traj=2**32 + 1, seed=0)
+    assert SimulationConfig(horizon=1, num_traj=2**32, seed=0).num_traj == 2**32
     with pytest.raises(ValueError):
         SimulationConfig(horizon=1, num_traj=1, seed=-1)
     with pytest.raises(ValueError):
@@ -81,7 +143,7 @@ def test_ensemble_matches_single_trajectory_replay(ref_sys, ref_gain):
     cfg = SimulationConfig(horizon=25, num_traj=1, seed=42)
     stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=np.eye(2))
     rng = sr.trajectory_rng(42, 0)
-    shocks = sr.sample_noise("gaussian", ref_sys.W, rng, size=25)
+    shocks = _standard_draw("gaussian", rng, (25, 2)) @ sr.noise_factor(ref_sys.W).T
     e = np.zeros(2)
     for k in range(25):
         e = sr.error_step(e, [0.0], shocks[k], ref_sys, ref_gain)

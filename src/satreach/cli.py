@@ -105,6 +105,33 @@ def _block(raw: dict, name: str) -> dict:
     return block
 
 
+def _numeric(value, key: str):
+    """`value` if it is a JSON number or a (nested) array of numbers.
+
+    Booleans, strings and null are rejected rather than coerced: `true`
+    would read as 1.0 and `"1e-7"` as the number it spells.
+    """
+    if isinstance(value, list):
+        for item in value:
+            _numeric(item, key)
+    elif type(value) not in (int, float):
+        raise ConfigError(f"'{key}' must be a number or an array of numbers, got {value!r}")
+    return value
+
+
+def _numeric_block(raw: dict, name: str) -> dict:
+    """A section whose every entry is a number or an array of numbers."""
+    return {key: _numeric(value, key) for key, value in _block(raw, name).items()}
+
+
+def _number(block: dict, key: str, default: float | None = None) -> float:
+    """A scalar number entry, required when there is no default."""
+    value = _numeric(block.get(key, default), key)
+    if isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a number, got an array")
+    return float(value)
+
+
 def _int(block: dict, key: str, default: int) -> int:
     """An integer entry; booleans and non-integral numbers are rejected."""
     value = block.get(key, default)
@@ -123,7 +150,7 @@ def _parse_simulation(raw: dict) -> SimulationConfig | None:
         num_traj=_int(block, "num_traj", DEFAULT_SIMULATION.num_traj),
         seed=_int(block, "seed", DEFAULT_SIMULATION.seed),
         noise_kind=str(block.get("noise_kind", DEFAULT_SIMULATION.noise_kind)),
-        v_policy=None if v_policy == "zero" else v_policy,
+        v_policy=None if v_policy in (None, "zero") else _numeric(v_policy, "v_policy"),
         workers=_int(block, "workers", DEFAULT_SIMULATION.workers),
     )
 
@@ -133,10 +160,10 @@ def _parse_sweep(raw: dict) -> np.ndarray | None:
         return None
     block = _block(raw, "sweep")
     if "ubar_values" in block:
-        values = np.asarray(block["ubar_values"], dtype=float)
+        values = np.asarray(_numeric(block["ubar_values"], "ubar_values"), dtype=float)
     else:
-        lo = float(block["ubar_min"])
-        hi = float(block["ubar_max"])
+        lo = _number(block, "ubar_min")
+        hi = _number(block, "ubar_max")
         count = _int(block, "count", 100)
         if count < 2 or hi <= lo:
             raise ConfigError("sweep needs ubar_min < ubar_max and count >= 2")
@@ -165,18 +192,18 @@ def load_config(path) -> AnalysisConfig:
         raise ConfigError("top-level config must be a JSON object")
     _reject_unknown(raw, CONFIG_KEYS, "the config")
     try:
-        system = SystemSpec(**_block(raw, "system"))
-        gain = FeedbackGain(**_block(raw, "gain"))
+        system = SystemSpec(**_numeric_block(raw, "system"))
+        gain = FeedbackGain(**_numeric_block(raw, "gain"))
         rates = _block(raw, "rates")
         fixed_shape = None
         if rates.get("P") is not None:
-            fixed_shape = np.asarray(rates["P"], dtype=float)
+            fixed_shape = np.asarray(_numeric(rates["P"], "P"), dtype=float)
         prs_block = _block(raw, "prs")
-        epsilon = float(prs_block.get("epsilon", 0.2))
+        epsilon = _number(prs_block, "epsilon", 0.2)
         check_epsilon(epsilon)
         k_max = _int(prs_block, "k_max", 100)
         check_k_max(k_max)
-        vbar = np.asarray(prs_block.get("vbar", np.zeros(system.m)), dtype=float)
+        vbar = np.asarray(_numeric(prs_block.get("vbar", [0.0] * system.m), "vbar"), dtype=float)
         output = _block(raw, "output")
         emit = tuple(output.get("emit", CSV_NAMES))
         for name in emit:
@@ -186,9 +213,9 @@ def load_config(path) -> AnalysisConfig:
             system=system,
             gain=gain,
             fixed_shape=fixed_shape,
-            feas_tol=float(rates.get("feas_tol", 1e-7)),
-            bisect_tol=float(rates.get("bisect_tol", 1e-4)),
-            trace_scale=1.0 if rates.get("trace_scale") is None else float(rates["trace_scale"]),
+            feas_tol=_number(rates, "feas_tol", 1e-7),
+            bisect_tol=_number(rates, "bisect_tol", 1e-4),
+            trace_scale=_number(rates, "trace_scale", 1.0),
             epsilon=epsilon,
             k_max=k_max,
             vbar=vbar,

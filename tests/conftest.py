@@ -2,8 +2,8 @@
 
 The oracles deliberately avoid the code paths used by the library:
 rates are cross-checked against generalized eigensolvers and dense
-feasibility grids, and the effective rate against a vectorized scan of
-the balance equation.
+feasibility grids, synthesis against a dense grid of planar shapes, and
+the effective rate against a vectorized scan of the balance equation.
 """
 
 import numpy as np
@@ -118,3 +118,29 @@ def hull_membership_check(sys, gain, e, v, w, rtol: float = 1e-9) -> None:
     actual = sr.error_step(e, v, w, sys, gain)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+def grid_best_planar_rate(vertices, points: int = 400) -> float:
+    """Smallest hull rate over planar shapes P = [[1 + a, b], [b, 1 - a]]
+    with (a, b) on a points x points grid of the unit disc.
+
+    Each vertex's rate is the larger root of the 2 x 2 pencil equation
+    det(M' P M - mu P) = 0, so the grid is searched in closed form.
+    """
+    a, b = np.meshgrid(np.linspace(-1.0, 1.0, points), np.linspace(-1.0, 1.0, points))
+    inside = a * a + b * b < 1.0
+    a, b = a[inside], b[inside]
+    P = ((1.0 + a, b), (b, 1.0 - a))
+    det_p = 1.0 - a * a - b * b
+    worst = np.zeros_like(a)
+    for M in vertices:
+        # Q = M' P M entry by entry, one value per grid point.
+        Q = [
+            [sum(M[k, i] * P[k][l] * M[l, j] for k in range(2) for l in range(2)) for j in range(2)]
+            for i in range(2)
+        ]
+        beta = Q[0][0] * P[1][1] + Q[1][1] * P[0][0] - 2.0 * Q[0][1] * P[0][1]
+        det_q = Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0]
+        root = (beta + np.sqrt(np.maximum(beta * beta - 4.0 * det_p * det_q, 0.0))) / (2.0 * det_p)
+        worst = np.maximum(worst, root)
+    return float(worst.min())

@@ -496,7 +496,7 @@ SWEEP = {"ubar_min": 4.0, "ubar_max": 30.0, "count": 20}
 
 
 def synthesized_config(out_dir: Path) -> dict:
-    cfg = base_config(out_dir, sweep=SWEEP)
+    cfg = base_config(out_dir, sweep=dict(SWEEP))
     cfg["rates"] = {}
     return cfg
 
@@ -684,11 +684,19 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("rates", "P", "[[1e400, 0], [0, 1]]"),
         ("prs", "vbar", "[NaN]"),
         ("prs", "vbar", "[1" + "0" * 400 + "]"),
+        ("rates", "feas_tol", "true"),
+        ("rates", "trace_scale", "true"),
+        ("prs", "epsilon", "true"),
+        ("rates", "feas_tol", '"1e-7"'),
+        ("system", "ubar", '["10"]'),
+        ("system", "ubar", "[true]"),
+        ("sweep", "ubar_values", "[true, 2]"),
     ],
 )
 def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, section, key, literal):
     # A non-positive bisect_tol used to bisect forever; the others cost a
     # whole synthesis, or none, before failing with another exit code.
+    # Booleans and numeric strings used to be coerced (true read as 1.0).
     cfg = synthesized_config(tmp_path / "out")
     cfg[section][key] = "<literal>"
     path = tmp_path / "config.json"

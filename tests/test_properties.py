@@ -1,16 +1,14 @@
 """Property tests: hull membership, the certified side of the effective
 rate, entry-wise equality of the broadcast linear-region scaling and
-rate selection with their scalar calls, agreement of the inverted
-Stein operator with scipy's discrete Lyapunov solver to within the
-operator's condition number, synthesized rates that bound the exact hull
-rate of their shape matrix, and block-size invariance of the ensemble."""
+rate selection with their scalar calls, synthesized rates that bound the
+exact hull rate of their shape matrix, and block-size invariance of the
+ensemble."""
 
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-import scipy.linalg
 from conftest import hull_membership_check, random_certifiable_problem
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ from hypothesis import strategies as st
 import satreach as sr
 from satreach import ContractionCertificate, Ellipsoid, FeedbackGain, SimulationConfig, SystemSpec
 from satreach.bounds import BRANCH_TOL
-from satreach.certify import _stein_correction, _stein_factor
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 4)
@@ -139,44 +136,6 @@ def test_broadcast_select_rate_matches_scalar_calls(rate, fraction, noise, stret
         else:
             assert _bits(profile.rate_effective[i]) == _bits(one.rate_effective)
         assert profile.condition_lhs == one.condition_lhs
-
-
-# Structures for which scipy's solve picks its own solver (symmetric,
-# triangular, diagonal operators), besides the general case; n = 10 takes
-# its bilinear-transform solver.
-_VERTEX_SHAPES = {
-    "general": lambda M: M,
-    "symmetric": lambda M: M + M.T,
-    "upper": np.triu,
-    "lower": np.tril,
-    "diagonal": lambda M: np.diag(np.diag(M)),
-}
-
-
-@given(
-    n=st.integers(1, 10),
-    shape=st.sampled_from(sorted(_VERTEX_SHAPES)),
-    radius=st.floats(0.0, 0.99),
-    position=st.floats(1e-6, 1.0, exclude_max=True),
-    seed=SEEDS,
-)
-def test_stein_solve_agrees_with_scipy(n, shape, radius, position, seed):
-    rng = np.random.default_rng(seed)
-    M = _VERTEX_SHAPES[shape](rng.normal(size=(n, n)))
-    M *= radius / np.abs(np.linalg.eigvals(M)).max()
-    floor = np.abs(np.linalg.eigvals(M)).max() ** 2
-    rate = floor + position * (1.0 - floor)
-    assume(floor < rate < 1.0)
-    factor = _stein_factor(M, rate)
-    a = M.T / math.sqrt(rate)
-    bound = 1e3 * np.finfo(float).eps * np.linalg.cond(np.eye(n * n) - np.kron(a, a))
-    for _ in range(3):
-        F = rng.normal(size=(n, n))
-        deficit = F @ F.T
-        dP = _stein_correction(factor, rate, deficit)
-        expected = scipy.linalg.solve_discrete_lyapunov(a, deficit / rate)
-        expected = 0.5 * (expected + expected.T)
-        assert np.linalg.norm(dP - expected) <= bound * np.linalg.norm(dP)
 
 
 @given(n=st.integers(2, 3), m=st.integers(1, 2), seed=SEEDS)

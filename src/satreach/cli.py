@@ -2,15 +2,16 @@
 
 Every command reads one JSON config, writes machine-readable artifacts
 into the output directory, and prints a JSON summary to stdout.  All CSV
-numbers are written with 17 significant digits so a reader recovers the
-in-memory doubles exactly; runs with identical configs are byte identical
-regardless of the worker count.
+numbers are written at `%.17g`, 17 significant digits, so a reader
+recovers the in-memory doubles exactly; runs with identical configs are
+byte identical regardless of the worker count.  A CSV is written in
+blocks of CSV_BLOCK_ROWS rows, each formatted by one `%` operation, with
+the same bytes as one `format(x, ".17g")` per cell through csv.writer.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ from .certify import (
 from .errors import ConfigError, PreconditionError, SynthesisError
 from .model import FeedbackGain, SystemSpec, vertex_matrices
 from .montecarlo import SimulationConfig, simulate_ensemble, wilson_upper
-from .sets import Ellipsoid, area, boundary_polyline, check_epsilon, pub
+from .sets import Ellipsoid, area, boundary_polyline, check_boundary_points, check_epsilon, pub
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +53,11 @@ EXIT_SYNTHESIS = 3
 EXIT_PRECONDITION = 4
 
 CSV_NAMES = ("data", "lell", "lbell", "states", "convergence")
+
+# Rows per `%` operation in _write_csv.  Formatting a 2e4-row artifact as
+# one string raises peak memory by megabytes; blocks of this size cost
+# about as little time and hold a few tens of kilobytes of text.
+CSV_BLOCK_ROWS = 512
 
 # Every key a config may hold, by section; anything else is rejected.
 CONFIG_KEYS = {
@@ -85,10 +91,6 @@ class AnalysisConfig:
     out_dir: Path
     emit: tuple[str, ...]
     sweep_ubar: np.ndarray | None
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _reject_unknown(block: dict, known, where: str) -> None:
@@ -205,10 +207,14 @@ def load_config(path) -> AnalysisConfig:
         check_k_max(k_max)
         vbar = np.asarray(_numeric(prs_block.get("vbar", [0.0] * system.m), "vbar"), dtype=float)
         output = _block(raw, "output")
-        emit = tuple(output.get("emit", CSV_NAMES))
+        emit = output.get("emit", list(CSV_NAMES))
+        if not (isinstance(emit, list) and all(isinstance(name, str) for name in emit)):
+            raise ConfigError(f"'emit' must be a JSON array of strings, got {emit!r}")
         for name in emit:
             if name not in CSV_NAMES:
                 raise ConfigError(f"unknown emit entry '{name}'")
+        boundary_points = _int(prs_block, "boundary_points", 256)
+        check_boundary_points(boundary_points)
         cfg = AnalysisConfig(
             system=system,
             gain=gain,
@@ -219,10 +225,10 @@ def load_config(path) -> AnalysisConfig:
             epsilon=epsilon,
             k_max=k_max,
             vbar=vbar,
-            boundary_points=_int(prs_block, "boundary_points", 256),
+            boundary_points=boundary_points,
             simulation=_parse_simulation(raw),
             out_dir=Path(output.get("directory", "out")),
-            emit=emit,
+            emit=tuple(emit),
             sweep_ubar=_parse_sweep(raw),
         )
         check_synthesis_tolerances(cfg.feas_tol, cfg.bisect_tol, cfg.trace_scale)
@@ -261,11 +267,22 @@ def _replacing(path: Path, newline: str):
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], tables) -> None:
+    """Write `header`, then the rows of each `(line, table)` in `tables`.
+
+    `line` is the %-template of one row, ending in a newline, and `table`
+    a 2-D float array with one column per `%` field.  Each block of
+    CSV_BLOCK_ROWS rows is formatted by a single `%` operation and written
+    before the next is formatted.  `%.17g` and `format(x, ".17g")` print
+    a double alike and no cell needs quoting, so the bytes equal those of
+    csv.writer over per-cell formatted strings.
+    """
     with _replacing(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        for line, table in tables:
+            for start in range(0, len(table), CSV_BLOCK_ROWS):
+                block = table[start : start + CSV_BLOCK_ROWS]
+                handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -455,14 +472,16 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
             expectation_bound_sequence(rate, profile.noise_energy, cfg.k_max)
             for rate in (profile.rate, profile.rate_linear, profile.rate_selected)
         ]
-        q_mean = () if stats is None else stats.q_mean
-        # Rows are generated while writing, so no artifact is held as text.
-        rows = (
-            [str(k), _fmt(float(q_mean[k])) if k < len(q_mean) else ""]
-            + [_fmt(float(bound[k])) for bound in bounds]
-            for k in range(cfg.k_max + 1)
-        )
-        _write_csv(cfg.out_dir / "data.csv", ["k", "e", "l", "ll", "lb"], rows)
+        q_mean = np.empty(0) if stats is None else stats.q_mean
+        # Steps the ensemble covers carry e; later ones leave it empty.
+        # The writer formats and writes the table in blocks of rows.
+        table = np.column_stack([np.arange(cfg.k_max + 1), *bounds])
+        filled = min(len(q_mean), cfg.k_max + 1)
+        tables = [
+            ("%d,%.17g,%.17g,%.17g,%.17g\n", np.insert(table[:filled], 1, q_mean[:filled], axis=1)),
+            ("%d,,%.17g,%.17g,%.17g\n", table[filled:]),
+        ]
+        _write_csv(cfg.out_dir / "data.csv", ["k", "e", "l", "ll", "lb"], tables)
     curves = {"lell": state.pub_rate, "lbell": state.pub_selected}
     planar = [*curves, "states"] if stats is not None else list(curves)
     wanted = [name for name in planar if name in cfg.emit]
@@ -475,8 +494,7 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
             pts = stats.final_states
         else:
             pts = boundary_polyline(curves[name], cfg.boundary_points)
-        rows = ([_fmt(float(x)), _fmt(float(y))] for x, y in pts)
-        _write_csv(cfg.out_dir / f"{name}.csv", ["x", "y"], rows)
+        _write_csv(cfg.out_dir / f"{name}.csv", ["x", "y"], [("%.17g,%.17g\n", pts)])
 
 
 def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:
@@ -561,8 +579,9 @@ def cmd_sweep(cfg: AnalysisConfig) -> dict:
     swept = np.column_stack([budgets[kept, 0], profile.r_lin[kept], profile.rate_effective[kept]])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "convergence" in cfg.emit:
-        rows = ([_fmt(r_lin), _fmt(profile.rate_linear), _fmt(mu)] for _, r_lin, mu in swept)
-        _write_csv(cfg.out_dir / "convergence.csv", ["rl", "ll", "lb"], rows)
+        # The constant ll column is part of the line template.
+        line = f"%.17g,{profile.rate_linear:.17g},%.17g\n"
+        _write_csv(cfg.out_dir / "convergence.csv", ["rl", "ll", "lb"], [(line, swept[:, 1:])])
     payload = {
         "lambda": float(profile.rate),
         "lambda_L": float(profile.rate_linear),

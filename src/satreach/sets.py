@@ -75,13 +75,18 @@ def boundary_polyline(ellipsoid: Ellipsoid, num_points: int) -> np.ndarray:
     """
     if ellipsoid.n != 2:
         raise ValueError("boundary sampling is defined for two dimensions only")
-    if num_points < 3:
-        raise ValueError("need at least three boundary points")
+    check_boundary_points(num_points)
     L = _shape_and_factor(ellipsoid.P)[1]
     angles = 2.0 * np.pi * np.arange(num_points) / num_points
     circle = np.stack([np.cos(angles), np.sin(angles)])
     pts = np.linalg.solve(L.T, circle)
     return (np.sqrt(ellipsoid.r) * pts).T
+
+
+def check_boundary_points(num_points: int) -> None:
+    """A boundary polyline has at least three points."""
+    if num_points < 3:
+        raise ValueError(f"need at least three boundary points, got {num_points}")
 
 
 def check_epsilon(epsilon: float) -> None:

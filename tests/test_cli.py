@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: configs, artifacts, exit codes, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import satreach as sr
 from satreach.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -242,6 +244,17 @@ def test_analyze_emit_filter(tmp_path):
     assert main(["analyze", "--config", str(write_config(tmp_path, cfg, "b.json"))]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("emit", ["data", ["data", 1], {"data": True}, None])
+def test_emit_must_be_an_array_of_strings(tmp_path, capsys, emit):
+    # A string used to be iterated as characters ("unknown emit entry 'd'").
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["output"]["emit"] = emit
+    assert main(["analyze", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert "'emit' must be a JSON array of strings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_fills_empirical_column(tmp_path):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, base_config(out))
@@ -306,8 +319,7 @@ def test_simulate_seed_override_changes_data(tmp_path):
     assert (out_a / "states.csv").read_bytes() != (out_b / "states.csv").read_bytes()
 
 
-def test_three_state_system_skips_planar_artifacts(tmp_path, capsys):
-    out = tmp_path / "out"
+def three_state_config(out: Path) -> dict:
     cfg = base_config(out)
     cfg["system"] = {
         "A": [[0.9, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
@@ -317,6 +329,23 @@ def test_three_state_system_skips_planar_artifacts(tmp_path, capsys):
     }
     cfg["gain"] = {"K": [[-0.5, 0.0, 0.0]]}
     cfg["rates"] = {"P": np.eye(3).tolist()}
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [base_config, three_state_config])
+def test_too_few_boundary_points_fail_before_any_artifact(tmp_path, capsys, make_config):
+    # analyze used to write data.csv and then exit 4 from the polyline.
+    out = tmp_path / "out"
+    cfg = make_config(out)
+    cfg["prs"]["boundary_points"] = 2
+    assert main(["analyze", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert "at least three boundary points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_three_state_system_skips_planar_artifacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = three_state_config(out)
     cfg["simulation"] = {"horizon": 10, "num_traj": 10, "seed": 0}
     cfg_path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
@@ -481,13 +510,66 @@ def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
         for k in range(10_000):
             if k == 5_000:
                 raise RuntimeError("interrupted")
-            yield [str(k), "1.0"]
+            yield "%d,%.17g\n", np.array([[k, 1.0]])
 
     with pytest.raises(RuntimeError, match="interrupted"):
         _write_csv(out / "data.csv", ["k", "e"], rows())
     with pytest.raises(TypeError):
         _write_json(out / "analysis.json", {"a": list(range(10_000)), "b": object()})
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def reference_csv(header: list[str], rows) -> bytes:
+    """What csv.writer writes for `rows` of already formatted cells."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def cells(values) -> list[str]:
+    return [format(float(x), ".17g") for x in values]
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -7.0, 2.0**53 + 2, 1.0 / 3.0, -2.5e-300]
+
+
+@pytest.mark.parametrize("num_rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_block_writer_matches_csv_writer(tmp_path, num_rows):
+    table = np.resize(np.array(EDGE_VALUES), 3 * num_rows).reshape(num_rows, 3)
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b", "c"], [("%.17g,%.17g,%.17g\n", table)])
+    assert path.read_bytes() == reference_csv(["a", "b", "c"], (cells(row) for row in table))
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("horizon, k_max", [(25, 40), (40, 25), (25, 0)])
+def test_simulated_data_csv_matches_csv_writer(tmp_path, monkeypatch, horizon, k_max):
+    ensembles = []
+    real = sr.cli.simulate_ensemble
+
+    def recording(*args, **kwargs):
+        ensembles.append(real(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(sr.cli, "simulate_ensemble", recording)
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["simulation"]["horizon"] = horizon
+    cfg["prs"]["k_max"] = k_max
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    payload = json.loads((out / "simulation.json").read_text(encoding="utf-8"))
+    bounds = [
+        sr.expectation_bound_sequence(payload[rate], payload["trace_PW"], k_max)
+        for rate in ("lambda", "lambda_L", "lambda_hat")
+    ]
+    q_mean = ensembles[0].q_mean
+    rows = (
+        [str(k), format(float(q_mean[k]), ".17g") if k <= horizon else ""] + cells(b[k] for b in bounds)
+        for k in range(k_max + 1)
+    )
+    assert (out / "data.csv").read_bytes() == reference_csv(["k", "e", "l", "ll", "lb"], rows)
 
 
 # Reuse of certificate.json: the demo plant with P left to synthesis.
@@ -691,6 +773,9 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("system", "ubar", '["10"]'),
         ("system", "ubar", "[true]"),
         ("sweep", "ubar_values", "[true, 2]"),
+        ("prs", "boundary_points", "2"),
+        ("prs", "boundary_points", "0"),
+        ("prs", "boundary_points", "-5"),
     ],
 )
 def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, section, key, literal):

@@ -34,7 +34,6 @@ from .errors import (
 from .model import (
     FeedbackGain,
     SystemSpec,
-    error_step,
     saturate,
     vertex_matrices,
 )
@@ -43,10 +42,8 @@ from .montecarlo import (
     SimulationConfig,
     noise_factor,
     simulate_ensemble,
-    trajectory_rng,
-    violation_rate,
 )
-from .sets import Ellipsoid, area, boundary_polyline, contains, prs_sequence, pub
+from .sets import Ellipsoid, area, boundary_polyline, prs_sequence, pub
 
 __version__ = "0.1.0"
 
@@ -68,9 +65,7 @@ __all__ = [
     "area",
     "boundary_polyline",
     "closed_loop_rate",
-    "contains",
     "effective_rate",
-    "error_step",
     "expectation_bound_sequence",
     "linear_region_scaling",
     "min_contraction_rate",
@@ -82,8 +77,6 @@ __all__ = [
     "select_rate",
     "simulate_ensemble",
     "synthesize_contraction",
-    "trajectory_rng",
     "verify_certificate",
     "vertex_matrices",
-    "violation_rate",
 ]

@@ -181,17 +181,18 @@ def _barrier(vertices, rate, P, t, weight) -> float:
 
 # The Newton step keeps the name of the Stein-lift correction it replaced,
 # because the benchmark counts its calls as `certify.stein_solves`.
-def _stein_correction(vertices: np.ndarray, rate: float, P: np.ndarray, t: float):
+def _stein_correction(vertices: np.ndarray, rate: float, P: np.ndarray, t: float, upper):
     """Gradient g of -sum_b log det S_b over (P, t), H^-1 g and H^-1 e_t.
 
-    P's coordinates are its upper triangle in the basis E_i = e_k e_l' +
-    e_l e_k', then t.  Block b maps E_i to its Stein image X_bi (rate E_i -
-    A_J' E_i A_J, E_i or -E_i) and t to -I, so H_ij = sum_b tr(S_b^-1 X_bi
-    S_b^-1 X_bj): sums of products G[k, r] G[l, s] of n x n matrices G made
-    from S_b^-1 and A_J, which one n^2 x n^2 Gram matrix adds up.
+    P's coordinates are its upper triangle, at the index pairs `upper` =
+    np.triu_indices(n), in the basis E_i = e_k e_l' + e_l e_k', then t.
+    Block b maps E_i to its Stein image X_bi (rate E_i - A_J' E_i A_J, E_i
+    or -E_i) and t to -I, so H_ij = sum_b tr(S_b^-1 X_bi S_b^-1 X_bj): sums
+    of products G[k, r] G[l, s] of n x n matrices G made from S_b^-1 and
+    A_J, which one n^2 x n^2 Gram matrix adds up.
     """
     V, n = vertices.shape[:2]
-    rows, cols = np.triu_indices(n)
+    rows, cols = upper
     inverses = np.linalg.inv(_slacks(vertices, rate, P, t))
     pushed = inverses[:V] @ vertices.transpose(0, 2, 1)
     # The adjoint block maps applied to S_b^-1 and to S_b^-2, summed over b.
@@ -224,7 +225,8 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
     if sigma > 0.0:
         return P
     t = 2.0 * sigma - feas_tol
-    g, Hg, He = _stein_correction(vertices, rate, P, t)
+    upper = np.triu_indices(n)
+    g, Hg, He = _stein_correction(vertices, rate, P, t, upper)
     # The weight whose centring step at the start is shortest (Boyd &
     # Vandenberghe, Convex Optimization, 2004, section 11.3.1).
     weight = max(Hg[-1] / He[-1], 1.0)
@@ -233,7 +235,7 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
         step = weight * He - Hg
         decrement = weight * step[-1] - g @ step
         dP = np.zeros((n, n))
-        dP[np.triu_indices(n)] = step[:-1]
+        dP[upper] = step[:-1]
         dP, dt = dP + dP.T, step[-1]
         size, trial = 1.0, math.inf
         while decrement > _CENTRED:
@@ -243,7 +245,7 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
             size *= 0.5
         if trial < value:
             P, t = P + size * dP, t + size * dt
-            g, Hg, He = _stein_correction(vertices, rate, P, t)
+            g, Hg, He = _stein_correction(vertices, rate, P, t, upper)
             continue
         # Centred, or as close as rounding lets the line search get.
         if t > 0.0:

@@ -12,6 +12,7 @@ the same bytes as one `format(x, ".17g")` per cell through csv.writer.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -624,6 +625,9 @@ _COMMANDS = {
 }
 
 
+# Built once per process, on first use: building it at import would slow
+# every cold start, which parses one command line.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satreach",

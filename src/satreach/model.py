@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
-
 # Noise covariances are symmetrized on ingestion; asymmetry beyond this
 # tolerance is rejected rather than silently averaged away.
 SYMMETRY_TOL = 1e-9
@@ -137,27 +135,6 @@ def saturate(u, ubar) -> np.ndarray:
     if (ubar <= 0.0).any():
         raise ValueError("saturation magnitudes must be strictly positive")
     return np.minimum(np.maximum(u, -ubar), ubar)
-
-
-def error_step(e, v, w, sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:
-    """One step of the error recursion e+ = A e + B (sat(K e + v) - v) + w.
-
-    The nominal input must respect the saturation budget componentwise
-    (|v_i| <= ubar_i); otherwise the split into nominal and error dynamics
-    is not well posed and a PreconditionError is raised.
-    """
-    _check_gain(sys, gain)
-    e = _as_float_array(e, "e", 1)
-    v = _as_float_array(v, "v", 1)
-    w = _as_float_array(w, "w", 1)
-    if e.shape != (sys.n,) or w.shape != (sys.n,):
-        raise ValueError(f"e and w must have length {sys.n}")
-    if v.shape != (sys.m,):
-        raise ValueError(f"v must have length {sys.m}")
-    if np.any(np.abs(v) > sys.ubar):
-        raise PreconditionError("nominal input exceeds the saturation budget")
-    u = gain.K @ e + v
-    return sys.A @ e + sys.B @ (saturate(u, sys.ubar) - v) + w
 
 
 def vertex_matrices(sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:

@@ -11,9 +11,11 @@ rebuilt.  A spawn key holds an index in one 32-bit word, so an ensemble
 has at most 2**32 trajectories.  The nominal input must keep
 |v_i| <= ubar_i at every step; the command line further holds it within
 the analysis' vbar.  The ensemble is stepped in fixed-size blocks of
-trajectories whose matrix products are summed in a fixed order, so
-results are bitwise reproducible no matter how the trajectory set is
-split into blocks.
+trajectories whose matrix products are summed in a fixed order, and the
+per-step sums behind the statistics take each block's trajectories in
+index order, so results are bitwise reproducible no matter how the
+trajectory set is split into blocks.  No block outlives its step loop:
+the ensemble holds O(block x horizon + num_traj x n) doubles.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .model import FeedbackGain, SystemSpec, saturate
+from .model import FeedbackGain, SystemSpec, _check_gain, saturate
 from .sets import Ellipsoid
 
 NOISE_KINDS = ("gaussian", "uniform", "rademacher_scaled")
@@ -90,23 +92,17 @@ class SimulationConfig:
 class EnsembleStats:
     """Per-step ensemble summaries of q_k = e_k' P e_k.
 
-    q_samples keeps the full (num_traj, horizon + 1) sample of the
-    quadratic form so violation rates against any ellipsoid sharing the
-    same shape matrix can be evaluated after the fact.  containment is the
-    per-step membership frequency for the ellipsoid supplied at simulation
-    time, or None when none was supplied.
+    q_mean and q_stderr are the sample mean of q_k and its standard error;
+    containment is the per-step membership frequency for the ellipsoid
+    supplied at simulation time, or None when none was supplied.
+    final_states holds e at the horizon, one row per trajectory.  The
+    samples of q_k are summed as they are made and not kept.
     """
 
-    shape_matrix: np.ndarray
     q_mean: np.ndarray
     q_stderr: np.ndarray
-    q_samples: np.ndarray
     final_states: np.ndarray
     containment: np.ndarray | None
-    horizon: int
-    num_traj: int
-    seed: int
-    noise_kind: str
 
 
 def noise_factor(W) -> np.ndarray:
@@ -201,11 +197,6 @@ def _keyed_state(key) -> dict:
     }
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one trajectory, independent of all others."""
-    return np.random.Generator(np.random.Philox(key=stream_keys(seed, [index])[0]))
-
-
 def _nominal_inputs(cfg: SimulationConfig, sys: SystemSpec) -> np.ndarray:
     policy = cfg.v_policy
     if policy is None:
@@ -267,8 +258,7 @@ def simulate_ensemble(
     trajectory's arithmetic runs in a fixed order, so the statistics are
     bitwise independent of the block size and of the worker count.
     """
-    if gain.K.shape != (sys.m, sys.n):
-        raise ValueError(f"gain must have shape {(sys.m, sys.n)}")
+    _check_gain(sys, gain)
     if shape_matrix is None:
         P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
     else:
@@ -281,26 +271,33 @@ def simulate_ensemble(
     Ac, Bc, Kc, Fc, Pc = (
         _columns(M) for M in (sys.A, sys.B, gain.K, noise_factor(sys.W), P)
     )
-    steps = cfg.horizon
-    qs = np.zeros((cfg.num_traj, steps + 1))
-    finals = np.empty((cfg.num_traj, sys.n))
+    steps, total = cfg.horizon, cfg.num_traj
+    finals = np.empty((total, sys.n))
     # The block is held transposed, one row per state and one column per
     # trajectory, so every product runs on contiguous rows.  One raw draw
     # buffer is reused by every block; the noise is shaped one step at a
     # time so no (horizon, n, c) shock block is ever held.
-    size = min(_BLOCK_SIZE, cfg.num_traj)
+    size = min(_BLOCK_SIZE, total)
     draws = np.empty((steps, sys.n, size))
+    # Rows 1.. hold the block's q_k (q_k^2) and row 0 their running sum
+    # over the earlier blocks, so one reduction down the rows adds the
+    # trajectories one at a time in index order, the order in which a
+    # mean over all the samples at once would add them.
+    sums = np.zeros((size + 1, steps + 1))
+    squares = np.zeros((size + 1, steps + 1))
+    inside = np.zeros(steps + 1, dtype=np.int64)
     # One generator is re-keyed to each trajectory's stream in turn.
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
 
-    for start in range(0, cfg.num_traj, size):
-        rows = slice(start, min(start + size, cfg.num_traj))
+    for start in range(0, total, size):
+        rows = slice(start, min(start + size, total))
         count = rows.stop - start
         keys = stream_keys(cfg.seed, np.arange(start, rows.stop)).tolist()
         for t, key in enumerate(keys):
             bitgen.state = _keyed_state(key)
             draws[:, :, t] = _standard_draw(cfg.noise_kind, rng, (steps, sys.n))
+        q = sums[1 : count + 1]
         e = np.zeros((sys.n, count))
         for k in range(steps):
             v = inputs[k][:, None]
@@ -310,42 +307,25 @@ def simulate_ensemble(
                 + _product(Bc, saturate(u.T, sys.ubar).T - v)
                 + _product(Fc, draws[k, :, :count])
             )
-            qs[rows, k + 1] = _quadratic(Pc, e)
+            q[:, k + 1] = _quadratic(Pc, e)
         finals[rows] = e.T
+        np.square(q, out=squares[1 : count + 1])
+        sums[0] = sums[: count + 1].sum(axis=0)
+        squares[0] = squares[: count + 1].sum(axis=0)
+        if ellipsoid is not None:
+            inside += np.count_nonzero(q <= ellipsoid.threshold, axis=0)
 
-    q_mean = qs.mean(axis=0)
-    if cfg.num_traj > 1:
-        q_stderr = qs.std(axis=0, ddof=1) / np.sqrt(cfg.num_traj)
-    else:
-        q_stderr = np.zeros(steps + 1)
-    containment = None
-    if ellipsoid is not None:
-        containment = (qs <= ellipsoid.threshold).mean(axis=0)
+    q_mean = sums[0] / total
+    q_stderr = np.zeros(steps + 1)
+    if total > 1:
+        spread = np.maximum(squares[0] - sums[0] * q_mean, 0.0)
+        q_stderr = np.sqrt(spread / (total - 1) / total)
     return EnsembleStats(
-        shape_matrix=P,
         q_mean=q_mean,
         q_stderr=q_stderr,
-        q_samples=qs,
         final_states=finals,
-        containment=containment,
-        horizon=steps,
-        num_traj=cfg.num_traj,
-        seed=cfg.seed,
-        noise_kind=cfg.noise_kind,
+        containment=None if ellipsoid is None else inside / total,
     )
-
-
-def violation_rate(stats: EnsembleStats, ellipsoid: Ellipsoid, k: int) -> float:
-    """Fraction of trajectories outside the ellipsoid at step k.
-
-    The ellipsoid must share the shape matrix the statistics were measured
-    against; membership then reduces to a threshold on the stored samples.
-    """
-    if not 0 <= k <= stats.horizon:
-        raise ValueError(f"step must lie in [0, {stats.horizon}], got {k}")
-    if not np.allclose(ellipsoid.P, stats.shape_matrix, rtol=1e-9, atol=1e-12):
-        raise ValueError("ellipsoid shape matrix does not match the statistics")
-    return float(np.mean(stats.q_samples[:, k] > ellipsoid.threshold))
 
 
 def wilson_upper(frequency: float, trials: int) -> float:

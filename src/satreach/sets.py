@@ -46,15 +46,6 @@ class Ellipsoid:
         return self.r + CONTAINS_TOL * max(1.0, self.r)
 
 
-def contains(ellipsoid: Ellipsoid, x) -> bool:
-    """Membership test against the ellipsoid's slackened threshold."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ellipsoid.n,):
-        raise ValueError(f"x must have length {ellipsoid.n}, got shape {x.shape}")
-    value = float(x @ ellipsoid.P @ x)
-    return value <= ellipsoid.threshold
-
-
 def area(ellipsoid: Ellipsoid) -> float:
     """Planar area pi * r / sqrt(det P); defined for two dimensions only."""
     if ellipsoid.n != 2:

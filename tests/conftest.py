@@ -2,15 +2,16 @@
 
 The oracles deliberately avoid the code paths used by the library:
 rates are cross-checked against generalized eigensolvers and dense
-feasibility grids, synthesis against a dense grid of planar shapes, and
-the effective rate against a vectorized scan of the balance equation.
+feasibility grids, synthesis against a dense grid of planar shapes, the
+effective rate against a vectorized scan of the balance equation, and the
+ensemble kernel against one plain matrix-vector step at a time.
 """
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from satreach import FeedbackGain, SystemSpec, vertex_matrices
+from satreach import FeedbackGain, PreconditionError, SystemSpec, saturate, vertex_matrices
 
 # Property tests replay the same examples on every run and carry no
 # per-example deadline, so tier-1 stays reproducible on machines whose
@@ -98,24 +99,39 @@ def grid_effective_rate_oracle(
     return float(mus[hits[0]])
 
 
+def error_step(e, v, w, sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:
+    """One step of the error recursion e+ = A e + B (sat(K e + v) - v) + w.
+
+    A nominal input beyond the saturation budget (|v_i| > ubar_i) makes
+    the split into nominal and error dynamics ill posed and raises a
+    PreconditionError, as the ensemble does.
+    """
+    e, v, w = (np.asarray(x, dtype=float) for x in (e, v, w))
+    if e.shape != (sys.n,) or w.shape != (sys.n,):
+        raise ValueError(f"e and w must have length {sys.n}")
+    if v.shape != (sys.m,):
+        raise ValueError(f"v must have length {sys.m}")
+    if np.any(np.abs(v) > sys.ubar):
+        raise PreconditionError("nominal input exceeds the saturation budget")
+    return sys.A @ e + sys.B @ (saturate(gain.K @ e + v, sys.ubar) - v) + w
+
+
 def hull_membership_check(sys, gain, e, v, w, rtol: float = 1e-9) -> None:
     """Assert the saturated step is a box-combination of the vertex maps.
 
     Writes sat(K e + v) - v as a per-row rescaling theta_i * (K e)_i with
     theta in [0, 1]^m, rebuilds the step from the rescaled vertex blend,
-    and compares against the library's own step.
+    and compares against the plain step.
     """
-    import satreach as sr
-
     u = gain.K @ e
-    phi = sr.saturate(u + v, sys.ubar) - v
+    phi = saturate(u + v, sys.ubar) - v
     theta = np.ones(sys.m)
     big = np.abs(u) > 1e-12
     theta[big] = phi[big] / u[big]
     assert np.all(theta >= -1e-12) and np.all(theta <= 1.0 + 1e-12)
     blended = sys.A + (sys.B * theta) @ gain.K
     expected = blended @ e + w
-    actual = sr.error_step(e, v, w, sys, gain)
+    actual = error_step(e, v, w, sys, gain)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(actual - expected)) <= rtol * scale
 

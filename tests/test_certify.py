@@ -230,7 +230,7 @@ def test_newton_system_matches_finite_differences_of_the_barrier():
         [[barrier(a + b) - barrier(a - b) - barrier(b - a) + barrier(-a - b) for b in step]
          for a in step]
     ) / (4 * h * h)
-    g, Hg, He = certify._stein_correction(vertices, rate, P0, t0)
+    g, Hg, He = certify._stein_correction(vertices, rate, P0, t0, (rows, cols))
     assert np.allclose(g, grad, rtol=1e-6, atol=1e-6)
     assert np.allclose(hess @ Hg, g, rtol=1e-4, atol=1e-4)
     assert np.allclose(hess @ He, np.eye(rows.size + 1)[-1], rtol=1e-4, atol=1e-4)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import hull_membership_check
+from conftest import error_step, hull_membership_check
 
 import satreach as sr
 from satreach import FeedbackGain, PreconditionError, SystemSpec
@@ -59,34 +59,34 @@ def test_saturate_stack_rejects_a_nan_row():
 def test_error_step_with_deep_saturation(ref_sys, ref_gain):
     # Far from the origin the feedback rails at -ubar and only the second
     # state feels it through B.
-    out = sr.error_step([100.0, 100.0], [0.0], [0.0, 0.0], ref_sys, ref_gain)
+    out = error_step([100.0, 100.0], [0.0], [0.0, 0.0], ref_sys, ref_gain)
     assert np.allclose(out, [99.0, 89.0], rtol=0.0, atol=1e-12)
 
 
 def test_error_step_linear_when_small(ref_sys, ref_gain):
     e = np.array([0.3, -0.2])
     closed = ref_sys.A + ref_sys.B @ ref_gain.K
-    out = sr.error_step(e, [0.0], [0.0, 0.0], ref_sys, ref_gain)
+    out = error_step(e, [0.0], [0.0, 0.0], ref_sys, ref_gain)
     assert np.allclose(out, closed @ e, rtol=1e-14, atol=0.0)
 
 
 def test_error_step_adds_noise_term(ref_sys, ref_gain):
     w = np.array([0.7, -1.1])
-    base = sr.error_step([1.0, 2.0], [0.0], [0.0, 0.0], ref_sys, ref_gain)
-    out = sr.error_step([1.0, 2.0], [0.0], w, ref_sys, ref_gain)
+    base = error_step([1.0, 2.0], [0.0], [0.0, 0.0], ref_sys, ref_gain)
+    out = error_step([1.0, 2.0], [0.0], w, ref_sys, ref_gain)
     assert np.allclose(out - base, w, rtol=0.0, atol=1e-15)
 
 
 def test_error_step_rejects_oversized_nominal_input(ref_sys, ref_gain):
     with pytest.raises(PreconditionError):
-        sr.error_step([0.0, 0.0], [10.5], [0.0, 0.0], ref_sys, ref_gain)
+        error_step([0.0, 0.0], [10.5], [0.0, 0.0], ref_sys, ref_gain)
 
 
 def test_error_step_checks_dimensions(ref_sys, ref_gain):
     with pytest.raises(ValueError):
-        sr.error_step([0.0, 0.0, 0.0], [0.0], [0.0, 0.0], ref_sys, ref_gain)
+        error_step([0.0, 0.0, 0.0], [0.0], [0.0, 0.0], ref_sys, ref_gain)
     with pytest.raises(ValueError):
-        sr.error_step([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], ref_sys, ref_gain)
+        error_step([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], ref_sys, ref_gain)
 
 
 def test_vertex_endpoints_single_input(ref_sys, ref_gain):

@@ -1,7 +1,10 @@
 """Determinism, distributional sanity, and containment statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import error_step
 
 import satreach as sr
 from satreach import Ellipsoid, PreconditionError, SimulationConfig
@@ -94,9 +97,6 @@ def test_rekeyed_generator_draws_equal_fresh_streams():
             ours = _standard_draw(kind, rng, shape)
             fresh = _standard_draw(kind, _seed_sequence_rng(seed, index), shape)
             assert np.array_equal(ours, fresh), (seed, index, kind)
-            assert np.array_equal(
-                _standard_draw(kind, sr.trajectory_rng(seed, index), shape), fresh
-            )
 
 
 @pytest.mark.parametrize("kind", sr.montecarlo.NOISE_KINDS)
@@ -112,14 +112,6 @@ def test_ensemble_draws_each_trajectory_from_its_seed_sequence_stream(kind):
     for index, final in enumerate(stats.final_states):
         draws = _standard_draw(kind, _seed_sequence_rng(seed, index), (horizon, n))
         assert np.array_equal(final, draws[-1]), index
-
-
-def test_trajectory_rng_is_stable_and_distinct():
-    a = sr.trajectory_rng(123, 7).standard_normal(8)
-    b = sr.trajectory_rng(123, 7).standard_normal(8)
-    c = sr.trajectory_rng(123, 8).standard_normal(8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_simulation_config_validation():
@@ -140,21 +132,21 @@ def test_simulation_config_validation():
 
 
 def test_ensemble_matches_single_trajectory_replay(ref_sys, ref_gain):
+    # With one trajectory the mean of q_k is that trajectory's q_k.
     cfg = SimulationConfig(horizon=25, num_traj=1, seed=42)
     stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=np.eye(2))
-    rng = sr.trajectory_rng(42, 0)
+    rng = _seed_sequence_rng(42, 0)
     shocks = _standard_draw("gaussian", rng, (25, 2)) @ sr.noise_factor(ref_sys.W).T
     e = np.zeros(2)
     for k in range(25):
-        e = sr.error_step(e, [0.0], shocks[k], ref_sys, ref_gain)
-        assert stats.q_samples[0, k + 1] == pytest.approx(e @ e, rel=1e-12)
+        e = error_step(e, [0.0], shocks[k], ref_sys, ref_gain)
+        assert stats.q_mean[k + 1] == pytest.approx(e @ e, rel=1e-12)
     assert np.allclose(stats.final_states[0], e, rtol=1e-12, atol=0.0)
 
 
 def test_ensemble_statistics_start_at_zero(ref_sys, ref_gain):
     cfg = SimulationConfig(horizon=10, num_traj=20, seed=1)
     stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg)
-    assert np.all(stats.q_samples[:, 0] == 0.0)
     assert stats.q_mean[0] == 0.0
     assert stats.q_stderr[0] == 0.0
 
@@ -168,7 +160,8 @@ def test_ensemble_zero_noise_stays_at_origin(ref_gain):
     )
     cfg = SimulationConfig(horizon=15, num_traj=5, seed=3)
     stats = sr.simulate_ensemble(quiet, ref_gain, cfg)
-    assert np.all(stats.q_samples == 0.0)
+    assert np.all(stats.q_mean == 0.0)
+    assert np.all(stats.q_stderr == 0.0)
     assert np.all(stats.final_states == 0.0)
 
 
@@ -184,7 +177,8 @@ def test_ensemble_bitwise_deterministic_across_workers(ref_sys, ref_gain):
     ]
     again = sr.simulate_ensemble(ref_sys, ref_gain, base)
     for stats in runs + [again]:
-        assert np.array_equal(stats.q_samples, runs[0].q_samples)
+        assert np.array_equal(stats.q_mean, runs[0].q_mean)
+        assert np.array_equal(stats.q_stderr, runs[0].q_stderr)
         assert np.array_equal(stats.final_states, runs[0].final_states)
 
 
@@ -195,7 +189,7 @@ def test_ensemble_seed_changes_results(ref_sys, ref_gain):
     b = sr.simulate_ensemble(
         ref_sys, ref_gain, SimulationConfig(horizon=10, num_traj=5, seed=1)
     )
-    assert not np.array_equal(a.q_samples, b.q_samples)
+    assert not np.array_equal(a.q_mean, b.q_mean)
 
 
 def test_ensemble_constant_nominal_input_matches_zero_policy(ref_sys, ref_gain):
@@ -207,7 +201,8 @@ def test_ensemble_constant_nominal_input_matches_zero_policy(ref_sys, ref_gain):
     )
     a = sr.simulate_ensemble(ref_sys, ref_gain, cfg_default)
     b = sr.simulate_ensemble(ref_sys, ref_gain, cfg_zero)
-    assert np.array_equal(a.q_samples, b.q_samples)
+    assert np.array_equal(a.q_mean, b.q_mean)
+    assert np.array_equal(a.final_states, b.final_states)
 
 
 def test_ensemble_rejects_oversized_nominal_input(ref_sys, ref_gain):
@@ -225,38 +220,52 @@ def test_ensemble_rejects_mismatched_ellipsoid_shape(ref_sys, ref_gain):
 
 def test_violation_rate_extremes(ref_sys, ref_gain, ref_shape):
     cfg = SimulationConfig(horizon=10, num_traj=50, seed=11)
-    stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=ref_shape)
-    huge = Ellipsoid(P=ref_shape, r=1e12)
-    tiny = Ellipsoid(P=ref_shape, r=0.0)
-    assert sr.violation_rate(stats, huge, 10) == 0.0
-    assert sr.violation_rate(stats, tiny, 10) == 1.0
-    assert sr.violation_rate(stats, tiny, 0) == 0.0
+    huge, tiny = (
+        sr.simulate_ensemble(ref_sys, ref_gain, cfg, ellipsoid=Ellipsoid(P=ref_shape, r=r))
+        for r in (1e12, 0.0)
+    )
+    assert np.all(huge.containment == 1.0)
+    assert tiny.containment[10] == 0.0
+    assert tiny.containment[0] == 1.0
 
 
 def test_violation_rate_matches_containment(ref_sys, ref_gain, ref_shape):
+    # Each trajectory's draws up to step k are a prefix of its stream, so
+    # the states at horizon k are the states at step k of a longer run.
     ell = Ellipsoid(P=ref_shape, r=100.0)
-    cfg = SimulationConfig(horizon=10, num_traj=50, seed=13)
     stats = sr.simulate_ensemble(
-        ref_sys, ref_gain, cfg, shape_matrix=ref_shape, ellipsoid=ell
+        ref_sys, ref_gain, SimulationConfig(horizon=10, num_traj=50, seed=13), ellipsoid=ell
     )
-    for k in (0, 3, 10):
-        assert sr.violation_rate(stats, ell, k) == pytest.approx(
-            1.0 - stats.containment[k], abs=1e-15
-        )
+    assert 0.0 < stats.containment.min() < 1.0
+    for k in (1, 3, 10):
+        cfg = SimulationConfig(horizon=k, num_traj=50, seed=13)
+        finals = sr.simulate_ensemble(ref_sys, ref_gain, cfg).final_states
+        outside = np.einsum("ti,ij,tj->t", finals, ref_shape, finals) > ell.threshold
+        assert outside.mean() == pytest.approx(1.0 - stats.containment[k], abs=1e-15)
 
 
-def test_violation_rate_validation(ref_sys, ref_gain, ref_shape):
-    cfg = SimulationConfig(horizon=5, num_traj=4, seed=0)
-    stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=ref_shape)
-    with pytest.raises(ValueError):
-        sr.violation_rate(stats, Ellipsoid(P=ref_shape, r=1.0), 6)
-    with pytest.raises(ValueError):
-        sr.violation_rate(stats, Ellipsoid(P=np.eye(2), r=1.0), 2)
+@pytest.mark.parametrize("horizon", [1, 7, 20])
+def test_streamed_statistics_equal_those_of_all_samples_at_once(ref_sys, ref_gain, ref_shape, horizon):
+    # q at the horizon, recomputed from the final states by the kernel's
+    # own quadratic form, is the sample the streamed sums took in; 600
+    # trajectories span three blocks.  The mean adds them one at a time in
+    # index order, as a mean down the rows of all samples does.
+    ell = Ellipsoid(P=ref_shape, r=30.0)
+    cfg = SimulationConfig(horizon=horizon, num_traj=600, seed=21)
+    stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, ellipsoid=ell)
+    q = sr.montecarlo._quadratic(sr.montecarlo._columns(ref_shape), stats.final_states.T)
+    total = 0.0
+    for value in q.tolist():
+        total += value
+    assert stats.q_mean[-1] == total / q.size
+    assert stats.containment[-1] == (q <= ell.threshold).mean()
+    assert stats.q_stderr[-1] == pytest.approx(q.std(ddof=1) / np.sqrt(q.size), rel=1e-12)
 
 
 def test_reachable_sets_hold_empirically(ref_sys, ref_gain, ref_shape):
     # Each per-step set must miss at most an epsilon fraction, up to
-    # three binomial standard errors.
+    # three binomial standard errors.  Step k is checked at horizon k:
+    # the draws of a shorter run are a prefix of a longer one's.
     epsilon = 0.2
     num_traj = 400
     horizon = 30
@@ -266,11 +275,11 @@ def test_reachable_sets_hold_empirically(ref_sys, ref_gain, ref_shape):
     r_lin = sr.linear_region_scaling(ref_shape, ref_gain.K, ref_sys.ubar, [0.0])
     profile = sr.select_rate(rate, rate_linear, noise, r_lin)
     sets = sr.prs_sequence(ref_shape, profile.rate_selected, noise, epsilon, horizon)
-    cfg = SimulationConfig(horizon=horizon, num_traj=num_traj, seed=2024)
-    stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=ref_shape)
     slack = 3.0 * np.sqrt(epsilon * (1.0 - epsilon) / num_traj)
     for k in range(horizon + 1):
-        assert sr.violation_rate(stats, sets[k], k) <= epsilon + slack
+        cfg = SimulationConfig(horizon=max(k, 1), num_traj=num_traj, seed=2024)
+        stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, ellipsoid=sets[k])
+        assert 1.0 - stats.containment[k] <= epsilon + slack
 
 
 def _block_runs(monkeypatch, sys_, gain, cfg, ellipsoid):
@@ -287,7 +296,7 @@ def _block_runs(monkeypatch, sys_, gain, cfg, ellipsoid):
 
 def _assert_bitwise_equal(runs):
     for stats in runs[1:]:
-        for name in ("q_samples", "final_states", "containment"):
+        for name in ("q_mean", "q_stderr", "final_states", "containment"):
             ours, theirs = getattr(stats, name), getattr(runs[0], name)
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name
 
@@ -331,6 +340,26 @@ def test_ensemble_bitwise_invariant_to_block_size_when_saturated(monkeypatch):
     runs = _block_runs(monkeypatch, plant, gain, cfg, Ellipsoid(P=np.eye(n), r=2.0))
     assert any(clipped)
     _assert_bitwise_equal(runs)
+
+
+def _traced_peak(sys_, gain, num_traj):
+    cfg = SimulationConfig(horizon=100, num_traj=num_traj, seed=0)
+    ellipsoid = Ellipsoid(P=np.eye(sys_.n), r=10.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sr.simulate_ensemble(sys_, gain, cfg, ellipsoid=ellipsoid)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_memory_grows_only_by_the_final_states(ref_sys, ref_gain):
+    # The statistics are summed block by block, so 3000 more trajectories
+    # may add only their final-state rows, not their q_k histories.
+    _traced_peak(ref_sys, ref_gain, 10)
+    small, large = (_traced_peak(ref_sys, ref_gain, count) for count in (1000, 4000))
+    assert large - small <= 3000 * ref_sys.n * 8 + 256 * 1024
 
 
 def test_wilson_upper_hand_computed():

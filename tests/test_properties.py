@@ -181,6 +181,6 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
         with mock.patch.object(sr.montecarlo, "_BLOCK_SIZE", size):
             runs.append(sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid))
     for stats in runs[1:]:
-        for name in ("q_samples", "final_states", "containment"):
+        for name in ("q_mean", "q_stderr", "final_states", "containment"):
             ours, theirs = getattr(stats, name), getattr(runs[0], name)
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name

@@ -87,14 +87,12 @@ def check_rates(rate: float, rate_linear: float) -> None:
         )
 
 
-def check_synthesis_tolerances(feas_tol: float, bisect_tol: float, trace_scale: float) -> None:
-    """Synthesis needs feas_tol > 0, trace_scale > 0 and 0 < bisect_tol < 1 (or never ends)."""
+def check_synthesis_tolerances(feas_tol: float, bisect_tol: float) -> None:
+    """Synthesis needs feas_tol > 0 and 0 < bisect_tol < 1 (or never ends)."""
     if not feas_tol > 0.0:
         raise ValueError(f"feas_tol must be positive, got {feas_tol}")
     if not 0.0 < bisect_tol < 1.0:
         raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
-    if not trace_scale > 0.0:
-        raise ValueError(f"trace_scale must be positive, got {trace_scale}")
 
 
 def _symmetric_shape(P) -> np.ndarray:
@@ -262,19 +260,15 @@ def synthesize_contraction(
     *,
     feas_tol: float = DEFAULT_FEAS_TOL,
     bisect_tol: float = DEFAULT_BISECT_TOL,
-    trace_scale: float = 1.0,
 ) -> tuple[np.ndarray, float]:
     """Bisect the contraction rate and return a certifying (P, rate) pair.
 
     The bracket runs from the worst vertex's squared spectral radius (no
     smaller rate is certifiable) to just under one.  Each probe is the
-    barrier's phase I, warm-started from the last shape found.
-
-    Args:
-        trace_scale: the returned P is rescaled so that
-            trace(P) = n * trace_scale.  The rescaling fixes the free scale
-            of the certificate cone and keeps the relative solver slack
-            equal to the absolute feas_tol slack downstream checks apply.
+    barrier's phase I, warm-started from the last shape found.  The
+    returned P is rescaled to trace(P) = n, which fixes the free scale of
+    the certificate cone and keeps the relative solver slack equal to the
+    absolute feas_tol slack downstream checks apply.
 
     Returns:
         (P, rate) with rate = min_contraction_rate(P), within bisect_tol
@@ -282,23 +276,17 @@ def synthesize_contraction(
 
     Raises:
         ValueError: unless the tolerances pass check_synthesis_tolerances.
-        SynthesisError: when no certificate is found at rate
-            1 - bisect_tol; carries that rate as `last_infeasible`.
+        SynthesisError: when no certificate is found at rate 1 - bisect_tol.
     """
-    check_synthesis_tolerances(feas_tol, bisect_tol, trace_scale)
+    check_synthesis_tolerances(feas_tol, bisect_tol)
     vertices = vertex_matrices(sys, gain)
     floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
     hi = 1.0 - bisect_tol
     if floor >= hi:
-        raise SynthesisError(
-            f"vertex spectral radius squared {floor:.6f} leaves no rate below one",
-            last_infeasible=hi,
-        )
+        raise SynthesisError(f"vertex spectral radius squared {floor:.6f} leaves no rate below one")
     shape = _feasible_shape(vertices, hi, feas_tol)
     if shape is None:
-        raise SynthesisError(
-            f"no common quadratic certificate at rate {hi:.6f}", last_infeasible=hi
-        )
+        raise SynthesisError(f"no common quadratic certificate at rate {hi:.6f}")
     lo = floor
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
@@ -308,7 +296,7 @@ def synthesize_contraction(
         else:
             lo = mid
     # Every iterate is symmetric, so the rescaled shape is exactly symmetric.
-    shape = shape * (sys.n * trace_scale / np.trace(shape))
+    shape = shape * (sys.n / np.trace(shape))
     return shape, min_contraction_rate(shape, vertices)
 
 

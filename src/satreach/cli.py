@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,7 +35,10 @@ from .bounds import (
     select_rate,
 )
 from .certify import (
+    DEFAULT_BISECT_TOL,
+    DEFAULT_FEAS_TOL,
     ContractionCertificate,
+    _shape_and_factor,
     check_rates,
     check_synthesis_tolerances,
     closed_loop_rate,
@@ -44,8 +47,8 @@ from .certify import (
     verify_certificate,
 )
 from .errors import ConfigError, PreconditionError, SynthesisError
-from .model import FeedbackGain, SystemSpec, vertex_matrices
-from .montecarlo import SimulationConfig, simulate_ensemble, wilson_upper
+from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
+from .montecarlo import SimulationConfig, _nominal_inputs, simulate_ensemble, wilson_upper
 from .sets import Ellipsoid, area, boundary_polyline, check_boundary_points, check_epsilon, pub
 
 EXIT_OK = 0
@@ -64,7 +67,7 @@ CSV_BLOCK_ROWS = 512
 CONFIG_KEYS = {
     "system": ("A", "B", "W", "ubar"),
     "gain": ("K",),
-    "rates": ("P", "feas_tol", "bisect_tol", "trace_scale"),
+    "rates": ("P", "feas_tol", "bisect_tol"),
     "prs": ("epsilon", "k_max", "vbar", "boundary_points"),
     "simulation": ("horizon", "num_traj", "seed", "noise_kind", "v_policy", "workers"),
     "output": ("directory", "emit"),
@@ -83,12 +86,11 @@ class AnalysisConfig:
     fixed_shape: np.ndarray | None
     feas_tol: float
     bisect_tol: float
-    trace_scale: float
     epsilon: float
     k_max: int
     vbar: np.ndarray
     boundary_points: int
-    simulation: SimulationConfig | None
+    simulation: SimulationConfig
     out_dir: Path
     emit: tuple[str, ...]
     sweep_ubar: np.ndarray | None
@@ -143,9 +145,9 @@ def _int(block: dict, key: str, default: int) -> int:
     return int(value)
 
 
-def _parse_simulation(raw: dict) -> SimulationConfig | None:
+def _parse_simulation(raw: dict) -> SimulationConfig:
     if raw.get("simulation") is None:
-        return None
+        return DEFAULT_SIMULATION
     block = _block(raw, "simulation")
     v_policy = block.get("v_policy")
     return SimulationConfig(
@@ -163,6 +165,8 @@ def _parse_sweep(raw: dict) -> np.ndarray | None:
         return None
     block = _block(raw, "sweep")
     if "ubar_values" in block:
+        if len(block) > 1:
+            raise ConfigError("sweep takes either ubar_values or ubar_min, ubar_max and count")
         values = np.asarray(_numeric(block["ubar_values"], "ubar_values"), dtype=float)
     else:
         lo = _number(block, "ubar_min")
@@ -184,6 +188,19 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _valid_shape(P, n: int) -> np.ndarray:
+    """P as an n x n float array, once it passes as a certificate shape.
+
+    Raises:
+        ValueError: P is not n x n, or not symmetric positive definite.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.shape != (n, n):
+        raise ValueError(f"P must have shape {(n, n)}, got {P.shape}")
+    _shape_and_factor(P)
+    return P
+
+
 def load_config(path) -> AnalysisConfig:
     """Parse and validate a JSON config; all failures become ConfigError."""
     try:
@@ -197,16 +214,19 @@ def load_config(path) -> AnalysisConfig:
     try:
         system = SystemSpec(**_numeric_block(raw, "system"))
         gain = FeedbackGain(**_numeric_block(raw, "gain"))
+        _check_gain(system, gain)
         rates = _block(raw, "rates")
         fixed_shape = None
         if rates.get("P") is not None:
-            fixed_shape = np.asarray(_numeric(rates["P"], "P"), dtype=float)
+            fixed_shape = _valid_shape(_numeric(rates["P"], "P"), system.n)
         prs_block = _block(raw, "prs")
         epsilon = _number(prs_block, "epsilon", 0.2)
         check_epsilon(epsilon)
         k_max = _int(prs_block, "k_max", 100)
         check_k_max(k_max)
         vbar = np.asarray(_numeric(prs_block.get("vbar", [0.0] * system.m), "vbar"), dtype=float)
+        if vbar.shape != (system.m,):
+            raise ConfigError(f"vbar must have length {system.m}")
         output = _block(raw, "output")
         emit = output.get("emit", list(CSV_NAMES))
         if not (isinstance(emit, list) and all(isinstance(name, str) for name in emit)):
@@ -220,9 +240,8 @@ def load_config(path) -> AnalysisConfig:
             system=system,
             gain=gain,
             fixed_shape=fixed_shape,
-            feas_tol=_number(rates, "feas_tol", 1e-7),
-            bisect_tol=_number(rates, "bisect_tol", 1e-4),
-            trace_scale=_number(rates, "trace_scale", 1.0),
+            feas_tol=_number(rates, "feas_tol", DEFAULT_FEAS_TOL),
+            bisect_tol=_number(rates, "bisect_tol", DEFAULT_BISECT_TOL),
             epsilon=epsilon,
             k_max=k_max,
             vbar=vbar,
@@ -232,22 +251,14 @@ def load_config(path) -> AnalysisConfig:
             emit=tuple(emit),
             sweep_ubar=_parse_sweep(raw),
         )
-        check_synthesis_tolerances(cfg.feas_tol, cfg.bisect_tol, cfg.trace_scale)
+        check_synthesis_tolerances(cfg.feas_tol, cfg.bisect_tol)
+        # The analysis tightens the rate for nominal inputs bounded by vbar,
+        # so the ensemble it is checked against must respect that bound.
+        _nominal_inputs(cfg.simulation.v_policy, cfg.simulation.horizon, vbar)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PreconditionError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    if cfg.vbar.shape != (system.m,):
-        raise ConfigError(f"vbar must have length {system.m}")
-    # The analysis tightens the rate for nominal inputs bounded by vbar, so
-    # the ensemble it is checked against must respect that bound.
-    policy = None if cfg.simulation is None else cfg.simulation.v_policy
-    if policy is not None:
-        shape = (system.m,) if policy.ndim == 1 else (cfg.simulation.horizon, system.m)
-        if policy.shape != shape:
-            raise ConfigError(f"v_policy must have shape {shape}, got {policy.shape}")
-        if np.any(np.abs(policy) > cfg.vbar):
-            raise ConfigError("|v_policy| exceeds prs.vbar in some component or step")
     return cfg
 
 
@@ -292,14 +303,6 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-class _FailedCertificate(SynthesisError):
-    """A certificate that fails verification; `payload` is its certificate.json."""
-
-    def __init__(self, message: str, payload: dict):
-        super().__init__(message)
-        self.payload = payload
-
-
 def _synthesis_digest(cfg: AnalysisConfig) -> str:
     """SHA-256 of canonical JSON over every config value synthesis reads.
 
@@ -313,17 +316,15 @@ def _synthesis_digest(cfg: AnalysisConfig) -> str:
         "K": cfg.gain.K.tolist(),
         "feas_tol": cfg.feas_tol,
         "bisect_tol": cfg.bisect_tol,
-        "trace_scale": cfg.trace_scale,
     }
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _stored_certificate(cfg: AnalysisConfig, digest: str) -> tuple[np.ndarray, float, float] | None:
-    """P and its rates from the output directory's certificate.json, or None.
+def _stored_certificate(cfg: AnalysisConfig, digest: str) -> tuple[np.ndarray, float] | None:
+    """P and its rate from the output directory's certificate.json, or None.
 
     Only a file that passed for a config with the same synthesis digest
-    counts; anything unreadable or malformed is None.  The linear rate is
-    recomputed from the stored P.
+    counts; anything unreadable or malformed is None.
     """
     try:
         stored = json.loads((cfg.out_dir / "certificate.json").read_text(encoding="utf-8"))
@@ -334,19 +335,39 @@ def _stored_certificate(cfg: AnalysisConfig, digest: str) -> tuple[np.ndarray, f
             and type(stored.get("lambda")) is float
         ):
             return None
-        P = np.asarray(stored["P"], dtype=float)
-        return P, stored["lambda"], closed_loop_rate(P, cfg.system, cfg.gain)
-    except (OSError, ValueError, TypeError, KeyError, RecursionError, np.linalg.LinAlgError):
+        return _valid_shape(stored["P"], cfg.system.n), stored["lambda"]
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
 
 
-def _verified(cfg: AnalysisConfig, P, rate: float, rate_linear: float, digest: str | None) -> dict:
-    """The certificate.json payload of P and its rates, after the exact check.
+def _certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray, dict, str | None]:
+    """P, its certificate.json payload, and why it fails the exact check.
+
+    A fixed P gets the smallest rate it certifies.  Otherwise, with `reuse`,
+    a certificate.json in the output directory that passed for the same
+    synthesis digest is checked again and kept if it still passes; failing
+    that, P is synthesized.  Reuse gives the same bits as synthesis, since
+    JSON floats round-trip and the linear rate is recomputed from P.  The
+    failure is None on a pass; otherwise the payload has `pass` false and
+    the residuals.
 
     Raises:
-        _FailedCertificate: the rates are unordered or verification fails;
-            it carries the payload with `pass` false and the residuals.
+        SynthesisError: a fixed P certifies no rate below one, or synthesis
+            finds no certificate.
     """
+    digest = stored = None
+    if cfg.fixed_shape is not None:
+        P = cfg.fixed_shape
+        rate = min_contraction_rate(P, vertex_matrices(cfg.system, cfg.gain))
+        if rate >= 1.0:
+            raise SynthesisError(f"fixed shape matrix certifies no rate below one (got {rate:.6f})")
+    else:
+        digest = _synthesis_digest(cfg)
+        stored = _stored_certificate(cfg, digest) if reuse else None
+        P, rate = stored or synthesize_contraction(
+            cfg.system, cfg.gain, feas_tol=cfg.feas_tol, bisect_tol=cfg.bisect_tol
+        )
+    rate_linear = closed_loop_rate(P, cfg.system, cfg.gain)
     failure = "certificate fails verification"
     try:
         check_rates(rate, rate_linear)
@@ -365,6 +386,8 @@ def _verified(cfg: AnalysisConfig, P, rate: float, rate_linear: float, digest: s
             "rate_gap": float(report.rate_gap),
         }
         passed = bool(report.passed)
+    if not passed and stored is not None:
+        return _certificate(cfg, reuse=False)
     payload = {
         "P": np.asarray(P).tolist(),
         "lambda": float(rate),
@@ -373,47 +396,7 @@ def _verified(cfg: AnalysisConfig, P, rate: float, rate_linear: float, digest: s
         "pass": passed,
         "config_sha256": digest,
     }
-    if not passed:
-        raise _FailedCertificate(failure, payload)
-    return payload
-
-
-def _resolve_certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray, dict]:
-    """P and its certificate.json payload, which has passed verification.
-
-    A fixed P gets the smallest rate it certifies.  Otherwise, with `reuse`,
-    a certificate.json in the output directory that passed for the same
-    synthesis digest is checked again and returned; failing that, P is
-    synthesized.  Reuse gives the same bits as synthesis, since JSON floats
-    round-trip and the linear rate is recomputed from P.
-
-    Raises:
-        SynthesisError: no certificate, or one that fails verification
-            (a _FailedCertificate, carrying its payload).
-    """
-    digest = None
-    if cfg.fixed_shape is not None:
-        P = cfg.fixed_shape
-        rate = min_contraction_rate(P, vertex_matrices(cfg.system, cfg.gain))
-        if rate >= 1.0:
-            raise SynthesisError(
-                f"fixed shape matrix certifies no rate below one (got {rate:.6f})",
-                last_infeasible=None,
-            )
-    else:
-        digest = _synthesis_digest(cfg)
-        stored = _stored_certificate(cfg, digest) if reuse else None
-        if stored is not None:
-            with suppress(_FailedCertificate):
-                return stored[0], _verified(cfg, *stored, digest)
-        P, rate = synthesize_contraction(
-            cfg.system,
-            cfg.gain,
-            feas_tol=cfg.feas_tol,
-            bisect_tol=cfg.bisect_tol,
-            trace_scale=cfg.trace_scale,
-        )
-    return P, _verified(cfg, P, rate, closed_loop_rate(P, cfg.system, cfg.gain), digest)
+    return P, payload, None if passed else failure
 
 
 def cmd_certify(cfg: AnalysisConfig) -> dict:
@@ -423,12 +406,7 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
     certificate that fails verification is still written, so its residuals
     can be inspected, and then reported as a synthesis failure.
     """
-    try:
-        _, payload = _resolve_certificate(cfg, reuse=False)
-    except _FailedCertificate as exc:
-        payload, failure = exc.payload, exc
-    else:
-        failure = None
+    _, payload, failure = _certificate(cfg, reuse=False)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "certificate.json", payload)
     if failure is not None:
@@ -448,7 +426,9 @@ class AnalysisState:
 
 def _rate_profile(cfg: AnalysisConfig, ubar) -> tuple[np.ndarray, ContractionProfile]:
     """The certificate's P and the rate decision at one budget or a (G, m) grid."""
-    P, certificate = _resolve_certificate(cfg)
+    P, certificate, failure = _certificate(cfg)
+    if failure is not None:
+        raise SynthesisError(failure)
     noise = noise_energy(P, cfg.system.W)
     r_lin = linear_region_scaling(P, cfg.gain.K, ubar, cfg.vbar)
     return P, select_rate(certificate["lambda"], certificate["lambda_L"], noise, r_lin)
@@ -540,15 +520,9 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
 
 def cmd_simulate(cfg: AnalysisConfig) -> dict:
     """Analysis plus a Monte Carlo ensemble; fills the empirical column."""
-    sim = cfg.simulation or DEFAULT_SIMULATION
+    sim = cfg.simulation
     state = _analysis_state(cfg)
-    stats = simulate_ensemble(
-        cfg.system,
-        cfg.gain,
-        sim,
-        shape_matrix=state.P,
-        ellipsoid=state.pub_selected,
-    )
+    stats = simulate_ensemble(cfg.system, cfg.gain, sim, ellipsoid=state.pub_selected)
     _emit(cfg, state, stats)
     violations = 1.0 - stats.containment
     payload = _analysis_payload(cfg, state)
@@ -651,7 +625,7 @@ def main(argv=None) -> int:
             cfg.out_dir = Path(args.out)
         if args.seed is not None:
             try:
-                cfg.simulation = replace(cfg.simulation or DEFAULT_SIMULATION, seed=args.seed)
+                cfg.simulation = replace(cfg.simulation, seed=args.seed)
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
         payload = _COMMANDS[args.command](cfg)

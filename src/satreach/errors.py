@@ -14,15 +14,7 @@ class CertificateError(SatreachError, ValueError):
 
 
 class SynthesisError(SatreachError):
-    """No common quadratic certificate could be found.
-
-    `last_infeasible` records the largest contraction rate at which the
-    feasibility subproblem was still declared infeasible.
-    """
-
-    def __init__(self, message: str, last_infeasible: float | None = None):
-        super().__init__(message)
-        self.last_infeasible = last_infeasible
+    """No common quadratic certificate could be found."""
 
 
 class NotApplicableError(SatreachError):

@@ -197,21 +197,23 @@ def _keyed_state(key) -> dict:
     }
 
 
-def _nominal_inputs(cfg: SimulationConfig, sys: SystemSpec) -> np.ndarray:
-    policy = cfg.v_policy
+def _nominal_inputs(policy: np.ndarray | None, horizon: int, bound: np.ndarray) -> np.ndarray:
+    """The (horizon, m) nominal inputs of a v_policy held within |v| <= bound.
+
+    Raises:
+        ValueError: the policy is neither a length-m vector nor (horizon, m),
+            where m = len(bound).
+        PreconditionError: |v_policy| exceeds the bound in some component or step.
+    """
+    m = len(bound)
     if policy is None:
-        return np.zeros((cfg.horizon, sys.m))
-    if policy.ndim == 1:
-        if policy.shape != (sys.m,):
-            raise ValueError(f"constant v_policy must have length {sys.m}")
-        table = np.tile(policy, (cfg.horizon, 1))
-    else:
-        if policy.shape != (cfg.horizon, sys.m):
-            raise ValueError(f"v_policy sequence must have shape {(cfg.horizon, sys.m)}")
-        table = policy
-    if np.any(np.abs(table) > sys.ubar):
-        raise PreconditionError("nominal input exceeds the saturation budget")
-    return table
+        return np.zeros((horizon, m))
+    shape = (m,) if policy.ndim == 1 else (horizon, m)
+    if policy.shape != shape:
+        raise ValueError(f"v_policy must have shape {shape}, got {policy.shape}")
+    if np.any(np.abs(policy) > bound):
+        raise PreconditionError(f"|v_policy| exceeds {bound.tolist()} in some component or step")
+    return np.broadcast_to(policy, (horizon, m))
 
 
 def _columns(M: np.ndarray) -> np.ndarray:
@@ -247,27 +249,21 @@ def simulate_ensemble(
     sys: SystemSpec,
     gain: FeedbackGain,
     cfg: SimulationConfig,
-    shape_matrix=None,
     ellipsoid: Ellipsoid | None = None,
 ) -> EnsembleStats:
     """Simulate the error recursion from e_0 = 0 across the ensemble.
 
-    The quadratic form is measured against `shape_matrix` when given, else
-    against the shape of `ellipsoid`, else against the identity.  The
-    trajectories are stepped in blocks of at most _BLOCK_SIZE, and every
-    trajectory's arithmetic runs in a fixed order, so the statistics are
-    bitwise independent of the block size and of the worker count.
+    The quadratic form is measured against the shape of `ellipsoid`, or
+    against the identity when none is given.  The trajectories are stepped
+    in blocks of at most _BLOCK_SIZE, and every trajectory's arithmetic
+    runs in a fixed order, so the statistics are bitwise independent of
+    the block size and of the worker count.
     """
     _check_gain(sys, gain)
-    if shape_matrix is None:
-        P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
-    else:
-        P = np.asarray(shape_matrix, dtype=float)
-        if P.shape != (sys.n, sys.n):
-            raise ValueError(f"shape matrix must be {sys.n}-by-{sys.n}")
-    if ellipsoid is not None and not np.allclose(ellipsoid.P, P, rtol=1e-9, atol=1e-12):
-        raise ValueError("ellipsoid must share the shape matrix used for q")
-    inputs = _nominal_inputs(cfg, sys)
+    P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
+    if P.shape != (sys.n, sys.n):
+        raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
+    inputs = _nominal_inputs(cfg.v_policy, cfg.horizon, sys.ubar)
     Ac, Bc, Kc, Fc, Pc = (
         _columns(M) for M in (sys.A, sys.B, gain.K, noise_factor(sys.W), P)
     )

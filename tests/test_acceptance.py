@@ -168,7 +168,6 @@ def test_acceptance_5_monte_carlo_validity():
         sys_ref,
         gain,
         SimulationConfig(horizon=horizon, num_traj=num_traj, seed=0),
-        shape_matrix=P,
         ellipsoid=ultimate,
     )
     elapsed = time.perf_counter() - start

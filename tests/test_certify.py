@@ -165,19 +165,21 @@ def test_synthesize_reference_system(ref_sys, ref_gain):
     assert sr.verify_certificate(cert, ref_sys, ref_gain).passed
 
 
-def test_synthesize_respects_trace_scale(ref_sys, ref_gain):
-    P, _ = sr.synthesize_contraction(ref_sys, ref_gain, trace_scale=5.0)
-    assert np.trace(P) == pytest.approx(10.0, rel=1e-12)
+def test_synthesize_respects_trace_scale():
+    # Synthesis fixes the free scale of the certificate cone at trace(P) = n.
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        P, _ = sr.synthesize_contraction(*random_certifiable_problem(rng, n=n))
+        assert np.trace(P) == pytest.approx(n, rel=1e-12)
 
 
 @pytest.mark.parametrize(
     "tolerance",
-    [{"feas_tol": 0.0}, {"bisect_tol": -0.1}, {"bisect_tol": 1.0}, {"trace_scale": -1.0}],
-    ids=["feas_tol", "negative-bisect_tol", "unit-bisect_tol", "trace_scale"],
+    [{"feas_tol": 0.0}, {"bisect_tol": -0.1}, {"bisect_tol": 1.0}],
+    ids=["feas_tol", "negative-bisect_tol", "unit-bisect_tol"],
 )
 def test_synthesize_rejects_bad_tolerances_before_probing(ref_sys, ref_gain, monkeypatch, tolerance):
-    # A negative bisect_tol used to bisect forever, and a negative
-    # trace_scale failed only after the whole bisection.
+    # A negative bisect_tol used to bisect forever.
     monkeypatch.setattr(certify, "_feasible_shape", lambda *args: pytest.fail("probed"))
     with pytest.raises(ValueError):
         sr.synthesize_contraction(ref_sys, ref_gain, **tolerance)

@@ -396,6 +396,16 @@ def test_sweep_requires_its_config_block(tmp_path):
     assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key, value", [("ubar_min", 4.0), ("ubar_max", 30.0), ("count", 5)])
+def test_sweep_rejects_a_range_beside_explicit_values(tmp_path, capsys, key, value):
+    # The range used to be dropped without a word, and the sweep exited 0.
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"ubar_values": [10.0], key: value})
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert "ubar_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_merges_available_artifacts(tmp_path):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, base_config(out))
@@ -447,6 +457,15 @@ def test_config_rejects_unknown_top_level_keys(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["simulations"] = {"horizon": 5}
     assert main(["analyze", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+
+
+def test_retired_trace_scale_is_an_unknown_key(tmp_path, capsys):
+    # Synthesis always scales P to trace n; the key that set another trace is gone.
+    cfg = base_config(tmp_path / "out")
+    cfg["rates"]["trace_scale"] = 1.0
+    assert main(["certify", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert "unknown keys ['trace_scale']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_beyond_64_bits_is_a_config_error(tmp_path):
@@ -630,7 +649,7 @@ def test_certificate_carries_the_synthesis_digest(tmp_path):
     payload = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
     assert len(payload["config_sha256"]) == 64
     # Written-out defaults hash like omitted ones.
-    cfg["rates"] = {"feas_tol": 1e-7, "bisect_tol": 1e-4, "trace_scale": 1.0}
+    cfg["rates"] = {"feas_tol": 1e-7, "bisect_tol": 1e-4}
     again = load_config(write_config(tmp_path, cfg, "explicit.json"))
     assert sr.cli._synthesis_digest(again) == payload["config_sha256"]
     # A fixed P is never reused, so it carries no digest.
@@ -689,7 +708,6 @@ def test_unusable_certificate_is_resynthesized(tmp_path, synthesis_calls, spoil)
     [
         ("gain", "K", [[-0.3, -0.8]]),
         ("rates", "bisect_tol", 1e-3),
-        ("rates", "trace_scale", 2.0),
     ],
 )
 def test_a_changed_synthesis_input_resynthesizes(tmp_path, synthesis_calls, section, key, value):
@@ -764,6 +782,10 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("rates", "P", "[[NaN, 0], [0, 1]]"),
         ("rates", "P", "[[1, 0], [0, -Infinity]]"),
         ("rates", "P", "[[1e400, 0], [0, 1]]"),
+        ("rates", "P", "[[1.0]]"),
+        ("rates", "P", "[[1, 0.5], [0, 1]]"),
+        ("rates", "P", "[[1, 2], [2, 1]]"),
+        ("gain", "K", "[[1, 2, 3]]"),
         ("prs", "vbar", "[NaN]"),
         ("prs", "vbar", "[1" + "0" * 400 + "]"),
         ("rates", "feas_tol", "true"),
@@ -782,12 +804,15 @@ def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, sect
     # A non-positive bisect_tol used to bisect forever; the others cost a
     # whole synthesis, or none, before failing with another exit code.
     # Booleans and numeric strings used to be coerced (true read as 1.0).
+    # A P or K of the wrong shape, or an asymmetric or indefinite P, exited
+    # 4 once the work had started.  trace_scale is no longer a key at all.
     cfg = synthesized_config(tmp_path / "out")
     cfg[section][key] = "<literal>"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg).replace('"<literal>"', literal), encoding="utf-8")
     assert main(["certify", "--config", str(path)]) == EXIT_CONFIG
     assert synthesis_calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_command_line_runs_without_scipy():

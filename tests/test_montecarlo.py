@@ -134,7 +134,7 @@ def test_simulation_config_validation():
 def test_ensemble_matches_single_trajectory_replay(ref_sys, ref_gain):
     # With one trajectory the mean of q_k is that trajectory's q_k.
     cfg = SimulationConfig(horizon=25, num_traj=1, seed=42)
-    stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=np.eye(2))
+    stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg)
     rng = _seed_sequence_rng(42, 0)
     shocks = _standard_draw("gaussian", rng, (25, 2)) @ sr.noise_factor(ref_sys.W).T
     e = np.zeros(2)
@@ -212,10 +212,11 @@ def test_ensemble_rejects_oversized_nominal_input(ref_sys, ref_gain):
 
 
 def test_ensemble_rejects_mismatched_ellipsoid_shape(ref_sys, ref_gain):
+    # A 1 x 1 shape used to broadcast against the planar state unnoticed.
     cfg = SimulationConfig(horizon=5, num_traj=2, seed=0)
-    ell = Ellipsoid(P=np.diag([1.0, 2.0]), r=10.0)
-    with pytest.raises(ValueError):
-        sr.simulate_ensemble(ref_sys, ref_gain, cfg, shape_matrix=np.eye(2), ellipsoid=ell)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="ellipsoid must be 2-dimensional"):
+            sr.simulate_ensemble(ref_sys, ref_gain, cfg, ellipsoid=Ellipsoid(P=np.eye(n), r=10.0))
 
 
 def test_violation_rate_extremes(ref_sys, ref_gain, ref_shape):
@@ -286,11 +287,7 @@ def _block_runs(monkeypatch, sys_, gain, cfg, ellipsoid):
     runs = []
     for size in (1, 7, cfg.num_traj):
         monkeypatch.setattr(sr.montecarlo, "_BLOCK_SIZE", size)
-        runs.append(
-            sr.simulate_ensemble(
-                sys_, gain, cfg, shape_matrix=ellipsoid.P, ellipsoid=ellipsoid
-            )
-        )
+        runs.append(sr.simulate_ensemble(sys_, gain, cfg, ellipsoid=ellipsoid))
     return runs
 
 

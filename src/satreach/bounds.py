@@ -35,6 +35,12 @@ def check_k_max(k_max: int) -> None:
         raise ValueError("k_max must be nonnegative")
 
 
+def check_budgets(ubar, vbar) -> None:
+    """The nominal budget lies within the saturation level: 0 <= vbar <= ubar."""
+    if np.any(vbar < 0.0) or np.any(vbar > ubar):
+        raise PreconditionError("need 0 <= vbar <= ubar componentwise")
+
+
 @dataclass(frozen=True)
 class ContractionProfile:
     """Every rate relevant to one analysis, plus the branch evidence.
@@ -86,8 +92,7 @@ def linear_region_scaling(P, K, ubar, vbar) -> float | np.ndarray:
     vbar = np.asarray(vbar, dtype=float)
     if ubar.shape[-1:] != quad.shape or vbar.shape[-1:] != quad.shape:
         raise ValueError(f"ubar and vbar must have length {quad.size}")
-    if np.any(vbar < 0.0) or np.any(vbar > ubar):
-        raise PreconditionError("need 0 <= vbar <= ubar componentwise")
+    check_budgets(ubar, vbar)
     margins = (ubar - vbar) ** 2
     ratios = np.full(margins.shape, np.inf)
     active = quad > 0.0

@@ -113,19 +113,14 @@ def _symmetric_shape(P) -> np.ndarray:
 def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
     """Validated matrix and its lower Cholesky factor.
 
-    A nominally positive definite matrix that fails to factor is perturbed
-    by 1e-12 * I exactly once and the perturbed matrix is kept; a second
-    failure is surfaced as a CertificateError rather than masked.
+    A matrix that fails to factor is a CertificateError; it is never
+    perturbed into one that does.
     """
     P = _symmetric_shape(P)
     try:
         return P, np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        jittered = P + 1e-12 * np.eye(P.shape[0])
-        try:
-            return jittered, np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError as exc:
-            raise CertificateError("shape matrix is not positive definite") from exc
+    except np.linalg.LinAlgError as exc:
+        raise CertificateError("shape matrix is not positive definite") from exc
 
 
 def _vertex_rates(P, vertices) -> np.ndarray:

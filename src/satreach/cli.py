@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     ContractionProfile,
+    check_budgets,
     check_k_max,
     expectation_bound_sequence,
     linear_region_budget,
@@ -177,6 +178,8 @@ def _parse_sweep(raw: dict) -> np.ndarray | None:
         values = np.linspace(lo, hi, count)
     if values.ndim != 1 or values.size == 0 or np.any(values <= 0.0):
         raise ConfigError("sweep bounds must be a nonempty list of positive numbers")
+    if np.any(np.diff(values) <= 0.0):
+        raise ConfigError("sweep bounds must be strictly increasing")
     return values
 
 
@@ -227,6 +230,7 @@ def load_config(path) -> AnalysisConfig:
         vbar = np.asarray(_numeric(prs_block.get("vbar", [0.0] * system.m), "vbar"), dtype=float)
         if vbar.shape != (system.m,):
             raise ConfigError(f"vbar must have length {system.m}")
+        check_budgets(system.ubar, vbar)
         output = _block(raw, "output")
         emit = output.get("emit", list(CSV_NAMES))
         if not (isinstance(emit, list) and all(isinstance(name, str) for name in emit)):

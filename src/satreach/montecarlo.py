@@ -2,20 +2,19 @@
 
 Trajectories of the saturated error recursion are simulated under
 zero-mean unit-variance noise shaped by a factor of W; the kernel's own
-draw is the only noise sampler.  Every trajectory draws from its own
-counter-based Philox stream keyed by (seed, trajectory index).  The keys
-of a block of trajectories are hashed in one vectorised pass, bitwise
-equal to SeedSequence(entropy=seed, spawn_key=(index,)), and one Philox
-generator is re-keyed to each trajectory at counter 0 instead of being
-rebuilt.  A spawn key holds an index in one 32-bit word, so an ensemble
-has at most 2**32 trajectories.  The nominal input must keep
-|v_i| <= ubar_i at every step; the command line further holds it within
-the analysis' vbar.  The ensemble is stepped in fixed-size blocks of
-trajectories whose matrix products are summed in a fixed order, and the
-per-step sums behind the statistics take each block's trajectories in
-index order, so results are bitwise reproducible no matter how the
-trajectory set is split into blocks.  No block outlives its step loop:
-the ensemble holds O(block x horizon + num_traj x n) doubles.
+draw is the only noise sampler.  Trajectory i of an ensemble seeded
+`seed` draws from the counter-based Philox stream whose two 64-bit key
+words are [seed, i]; Philox gives every distinct key its own stream.  One
+Philox generator is re-keyed to each trajectory at counter 0 instead of
+being rebuilt.  The supported ensemble size is at most 2**32
+trajectories.  The nominal input must keep |v_i| <= ubar_i at every
+step; the command line further holds it within the analysis' vbar.  The
+ensemble is stepped in fixed-size blocks of trajectories whose matrix
+products are summed in a fixed order, and the per-step sums behind the
+statistics take each block's trajectories in index order, so results
+are bitwise reproducible no matter how the trajectory set is split into
+blocks.  No block outlives its step loop: the ensemble holds
+O(block x horizon + num_traj x n) doubles.
 """
 
 from __future__ import annotations
@@ -41,14 +40,6 @@ _BLOCK_SIZE = 256
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
 
-# NumPy's SeedSequence hashing constants (Melissa O'Neill's seed_seq_fe):
-# pool words are hashed with the A constants and output words with the B
-# constants.  A spawn key index below 2**32 is one 32-bit word, so a
-# trajectory's entropy is [seed low word, seed high word, 0, 0, index].
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 _MAX_STREAMS = 2 ** 32
 
 
@@ -135,54 +126,6 @@ def _standard_draw(kind: str, rng: np.random.Generator, shape) -> np.ndarray:
     if kind == "rademacher_scaled":
         return rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0
     raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
-
-
-class _Hash:
-    """One of SeedSequence's running hash constants and its multiplier."""
-
-    def __init__(self, init: int, mult: int):
-        self.const = init
-        self.mult = mult
-
-    def __call__(self, words: np.ndarray) -> np.ndarray:
-        """Hash uint32 words, then advance the constant (wrapping mod 2**32)."""
-        words = words ^ np.uint32(self.const)
-        self.const = self.const * self.mult & _MASK32
-        words = words * np.uint32(self.const)
-        return words ^ words >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return mixed ^ mixed >> 16
-
-
-def stream_keys(seed: int, indices) -> np.ndarray:
-    """Philox keys of the trajectories `indices`, as a (len, 2) uint64 array.
-
-    Row t equals SeedSequence(entropy=seed, spawn_key=(indices[t],))
-    .generate_state(2, np.uint64) bit for bit: the same 4-word pool, mix
-    rounds and output hash, run for every index at once in wrapping uint32
-    arithmetic.  The pool words that depend on the seed alone stay length 1
-    and broadcast against the indices.
-    """
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    indices = np.asarray(indices)
-    if indices.size and not 0 <= indices.min() <= indices.max() < _MAX_STREAMS:
-        raise ValueError(f"trajectory indices must lie in [0, {_MAX_STREAMS})")
-    spawn = indices.astype(np.uint32)
-    entropy = [np.array([word], dtype=np.uint32) for word in (seed & _MASK32, seed >> 32, 0, 0)]
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy]
-    for src in range(len(pool)):
-        for dst in range(len(pool)):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    pool = [_mix(word, hashmix(spawn)) for word in pool]
-    output = _Hash(_INIT_B, _MULT_B)
-    words = [output(word).astype(np.uint64) for word in pool]
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=-1)
 
 
 def _keyed_state(key) -> dict:
@@ -289,9 +232,8 @@ def simulate_ensemble(
     for start in range(0, total, size):
         rows = slice(start, min(start + size, total))
         count = rows.stop - start
-        keys = stream_keys(cfg.seed, np.arange(start, rows.stop)).tolist()
-        for t, key in enumerate(keys):
-            bitgen.state = _keyed_state(key)
+        for t in range(count):
+            bitgen.state = _keyed_state([cfg.seed, start + t])
             draws[:, :, t] = _standard_draw(cfg.noise_kind, rng, (steps, sys.n))
         q = sums[1 : count + 1]
         e = np.zeros((sys.n, count))

@@ -140,11 +140,16 @@ def test_unordered_rates_are_a_synthesis_failure_for_every_command(tmp_path, cap
     assert written == (["certificate.json"] if command == "certify" else [])
 
 
-def test_precondition_failure_exit_code(tmp_path):
+def test_precondition_failure_exit_code(tmp_path, capsys):
+    # A vbar above ubar is now a config error; 21 inputs still load but
+    # exceed the vertex enumeration limit once the analysis starts.
     cfg = base_config(tmp_path / "out")
-    cfg["prs"]["vbar"] = [11.0]
+    cfg["system"]["B"] = [[0.0] * 21, [0.01] * 21]
+    cfg["system"]["ubar"] = [10.0] * 21
+    cfg["gain"]["K"] = [[-0.282, -0.8415]] * 21
     cfg_path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", str(cfg_path)]) == EXIT_PRECONDITION
+    assert "refusing to enumerate" in capsys.readouterr().err
 
 
 def test_analyze_reference_report(tmp_path):
@@ -403,6 +408,17 @@ def test_sweep_rejects_a_range_beside_explicit_values(tmp_path, capsys, key, val
     cfg = base_config(out, sweep={"ubar_values": [10.0], key: value})
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
     assert "ubar_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [[30.0, 10.0], [10.0, 10.0]])
+def test_sweep_rejects_values_that_do_not_increase(tmp_path, capsys, values):
+    # The summary reads the first and last admissible rows: [30, 10] used
+    # to report first_admissible_ubar 30 and the r_L at ubar 10 as largest.
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"ubar_values": values})
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert "strictly increasing" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -785,9 +801,13 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("rates", "P", "[[1.0]]"),
         ("rates", "P", "[[1, 0.5], [0, 1]]"),
         ("rates", "P", "[[1, 2], [2, 1]]"),
+        ("rates", "P", "[[1, 0], [0, 0]]"),
+        ("rates", "P", "[[1, 0], [0, -1e-13]]"),
         ("gain", "K", "[[1, 2, 3]]"),
         ("prs", "vbar", "[NaN]"),
         ("prs", "vbar", "[1" + "0" * 400 + "]"),
+        ("prs", "vbar", "[12.0]"),
+        ("prs", "vbar", "[-1.0]"),
         ("rates", "feas_tol", "true"),
         ("rates", "trace_scale", "true"),
         ("prs", "epsilon", "true"),
@@ -805,7 +825,10 @@ def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, sect
     # whole synthesis, or none, before failing with another exit code.
     # Booleans and numeric strings used to be coerced (true read as 1.0).
     # A P or K of the wrong shape, or an asymmetric or indefinite P, exited
-    # 4 once the work had started.  trace_scale is no longer a key at all.
+    # 4 once the work had started, and a singular or barely indefinite P
+    # was perturbed by 1e-12 I and exited 3.  A vbar outside [0, ubar]
+    # exited 4 only after the certificate was resolved.  trace_scale is no
+    # longer a key.
     cfg = synthesized_config(tmp_path / "out")
     cfg[section][key] = "<literal>"
     path = tmp_path / "config.json"

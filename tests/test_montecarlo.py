@@ -8,7 +8,7 @@ from conftest import error_step
 
 import satreach as sr
 from satreach import Ellipsoid, PreconditionError, SimulationConfig
-from satreach.montecarlo import _standard_draw, stream_keys
+from satreach.montecarlo import _standard_draw
 
 
 def test_noise_factor_identity_and_reconstruction():
@@ -51,35 +51,10 @@ def test_sample_noise_rejects_unknown_kind():
         _standard_draw("cauchy", rng, 2)
 
 
-KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
-
-
-def _seed_sequence_rng(seed, index):
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
-
-
-@pytest.mark.parametrize("seed", KEY_SEEDS)
-def test_stream_keys_equal_seed_sequence(seed):
-    keys = stream_keys(seed, np.arange(4096))
-    expected = [
-        np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
-        for i in range(4096)
-    ]
-    assert keys.dtype == np.uint64
-    assert np.array_equal(keys, expected)
-    last = np.random.SeedSequence(entropy=seed, spawn_key=(2**32 - 1,))
-    assert np.array_equal(stream_keys(seed, [2**32 - 1])[0], last.generate_state(2, np.uint64))
-
-
-def test_stream_keys_reject_what_one_spawn_word_cannot_hold():
-    with pytest.raises(ValueError):
-        stream_keys(0, [2**32])
-    with pytest.raises(ValueError):
-        stream_keys(0, [-1])
-    with pytest.raises(ValueError):
-        stream_keys(2**64, [0])
+def _keyed_rng(seed, index):
+    # A list key holding 2**64 - 1 would be cast through float; a uint64
+    # array keeps every word exact.
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def test_rekeyed_generator_draws_equal_fresh_streams():
@@ -89,18 +64,17 @@ def test_rekeyed_generator_draws_equal_fresh_streams():
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     for seed in (3, 2**64 - 1):
-        keys = stream_keys(seed, np.arange(12)).tolist()
-        for index, key in enumerate(keys):
+        for index in range(12):
             kind = sr.montecarlo.NOISE_KINDS[index % 3]
             shape = (7, 1 + index % 3)
-            bitgen.state = sr.montecarlo._keyed_state(key)
+            bitgen.state = sr.montecarlo._keyed_state([seed, index])
             ours = _standard_draw(kind, rng, shape)
-            fresh = _standard_draw(kind, _seed_sequence_rng(seed, index), shape)
+            fresh = _standard_draw(kind, _keyed_rng(seed, index), shape)
             assert np.array_equal(ours, fresh), (seed, index, kind)
 
 
 @pytest.mark.parametrize("kind", sr.montecarlo.NOISE_KINDS)
-def test_ensemble_draws_each_trajectory_from_its_seed_sequence_stream(kind):
+def test_ensemble_draws_each_trajectory_from_its_keyed_stream(kind):
     # With A = 0, K = 0 and W = I the state after the last step is exactly
     # that step's draw.  Five steps of three draws leave a Rademacher
     # stream holding a spare 32-bit half, which the next trajectory must
@@ -110,7 +84,7 @@ def test_ensemble_draws_each_trajectory_from_its_seed_sequence_stream(kind):
     cfg = SimulationConfig(horizon=horizon, num_traj=6, seed=seed, noise_kind=kind)
     stats = sr.simulate_ensemble(plant, sr.FeedbackGain(K=np.zeros((1, n))), cfg)
     for index, final in enumerate(stats.final_states):
-        draws = _standard_draw(kind, _seed_sequence_rng(seed, index), (horizon, n))
+        draws = _standard_draw(kind, _keyed_rng(seed, index), (horizon, n))
         assert np.array_equal(final, draws[-1]), index
 
 
@@ -119,7 +93,7 @@ def test_simulation_config_validation():
         SimulationConfig(horizon=0, num_traj=1, seed=0)
     with pytest.raises(ValueError):
         SimulationConfig(horizon=1, num_traj=0, seed=0)
-    # Past 2**32 trajectories a spawn key needs a second word.
+    # 2**32 trajectories is the supported ensemble size.
     with pytest.raises(ValueError):
         SimulationConfig(horizon=1, num_traj=2**32 + 1, seed=0)
     assert SimulationConfig(horizon=1, num_traj=2**32, seed=0).num_traj == 2**32
@@ -135,7 +109,7 @@ def test_ensemble_matches_single_trajectory_replay(ref_sys, ref_gain):
     # With one trajectory the mean of q_k is that trajectory's q_k.
     cfg = SimulationConfig(horizon=25, num_traj=1, seed=42)
     stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg)
-    rng = _seed_sequence_rng(42, 0)
+    rng = _keyed_rng(42, 0)
     shocks = _standard_draw("gaussian", rng, (25, 2)) @ sr.noise_factor(ref_sys.W).T
     e = np.zeros(2)
     for k in range(25):

@@ -2,11 +2,12 @@
 
 A shape matrix P certifies contraction rate lam when every hull vertex
 satisfies A_J' P A_J <= lam P.  This module evaluates the smallest such
-rate for a given P, searches for a (P, lam) pair by bisection over lam,
-and independently re-verifies any certificate after the fact.  Each
-bisection probe is phase I of a log-det barrier method over the vertex
-inequalities, in dense NumPy linear algebra: it returns a shape only when
-the inequalities hold with positive margin, and declares a rate
+rate for a given P, searches for a (P, lam) pair, and independently
+re-verifies any certificate after the fact.  The search probes lam just
+above the spectral floor no shape can beat, and bisects over lam only when
+that probe fails.  Each probe is phase I of a log-det barrier method over
+the vertex inequalities, in dense NumPy linear algebra: it returns a shape
+only when the inequalities hold with positive margin, and declares a rate
 infeasible only by a duality-gap bound.
 """
 
@@ -197,9 +198,16 @@ def _stein_correction(vertices: np.ndarray, rate: float, P: np.ndarray, t: float
     coef = np.concatenate([np.full(V, rate * rate), np.full(V, -2.0 * rate), np.ones(V + 2)])
     T = ((flat * coef[:, None]).T @ flat).reshape(n, n, n, n)
     K = T[rows[:, None], rows, cols[:, None], cols] + T[rows[:, None], cols, cols[:, None], rows]
-    H = np.block([[K + K.T, h[:, None]], [h[None], np.sum(inverses * inverses)]])
-    g = np.append(grad, np.trace(inverses, axis1=1, axis2=2).sum())
-    return g, *np.linalg.solve(H, np.column_stack([g, np.eye(len(g))[-1]])).T
+    # H and the right-hand side [g, e_t] fill preallocated arrays.
+    d = len(rows)
+    H = np.empty((d + 1, d + 1))
+    np.add(K, K.T, out=H[:d, :d])
+    H[:d, d] = H[d, :d] = h
+    H[d, d] = np.sum(inverses * inverses)
+    rhs = np.zeros((2, d + 1))
+    rhs[0, :d] = grad
+    rhs[:, d] = np.trace(inverses, axis1=1, axis2=2).sum(), 1.0
+    return rhs[0], *np.linalg.solve(H, rhs.T).T
 
 
 def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.ndarray | None:
@@ -211,6 +219,10 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
     start or a centred point has t > 0.  Centred at weight w, t + N / w
     bounds the optimal t, N = n (2^m + 2); None means that this bound is
     negative or the gap N / w is below feas_tol.
+
+    synthesize_contraction calls it cold at floor + bisect_tol, and only
+    if that fails, cold at 1 - bisect_tol and then warm-started (`init`,
+    the last shape found) at each bisection midpoint.
     """
     n = vertices.shape[1]
     P = 0.5 * np.eye(n) if init is None else init.copy()
@@ -223,8 +235,10 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
     # The weight whose centring step at the start is shortest (Boyd &
     # Vandenberghe, Convex Optimization, 2004, section 11.3.1).
     weight = max(Hg[-1] / He[-1], 1.0)
+    # The barrier value at the current iterate: an accepted step carries
+    # its trial value forward, so it is recomputed only when weight grows.
+    value = _barrier(vertices, rate, P, t, weight)
     while True:
-        value = _barrier(vertices, rate, P, t, weight)
         step = weight * He - Hg
         decrement = weight * step[-1] - g @ step
         dP = np.zeros((n, n))
@@ -237,7 +251,7 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
                 break
             size *= 0.5
         if trial < value:
-            P, t = P + size * dP, t + size * dt
+            P, t, value = P + size * dP, t + size * dt, trial
             g, Hg, He = _stein_correction(vertices, rate, P, t, upper)
             continue
         # Centred, or as close as rounding lets the line search get.
@@ -247,6 +261,7 @@ def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.nda
         if t + gap < 0.0 or gap < feas_tol:
             return None
         weight *= _WEIGHT_GROWTH
+        value = _barrier(vertices, rate, P, t, weight)
 
 
 def synthesize_contraction(
@@ -256,14 +271,19 @@ def synthesize_contraction(
     feas_tol: float = DEFAULT_FEAS_TOL,
     bisect_tol: float = DEFAULT_BISECT_TOL,
 ) -> tuple[np.ndarray, float]:
-    """Bisect the contraction rate and return a certifying (P, rate) pair.
+    """Probe the rate just above its floor, bisect if that fails, and
+    return a certifying (P, rate) pair.
 
-    The bracket runs from the worst vertex's squared spectral radius (no
-    smaller rate is certifiable) to just under one.  Each probe is the
-    barrier's phase I, warm-started from the last shape found.  The
-    returned P is rescaled to trace(P) = n, which fixes the free scale of
-    the certificate cone and keeps the relative solver slack equal to the
-    absolute feas_tol slack downstream checks apply.
+    No shape certifies a rate below the worst vertex's squared spectral
+    radius, the floor.  The first probe is at floor + bisect_tol (at most
+    1 - bisect_tol): when it finds a shape, the bracket is already within
+    bisect_tol and no bisection runs.  When it fails, the rate is bisected
+    between that probe and 1 - bisect_tol, probed cold first; every later
+    probe is warm-started from the last shape found.  Each probe is the
+    barrier's phase I.  The returned P is rescaled to trace(P) = n, which
+    fixes the free scale of the certificate cone and keeps the relative
+    solver slack equal to the absolute feas_tol slack downstream checks
+    apply.
 
     Returns:
         (P, rate) with rate = min_contraction_rate(P), within bisect_tol
@@ -279,17 +299,19 @@ def synthesize_contraction(
     hi = 1.0 - bisect_tol
     if floor >= hi:
         raise SynthesisError(f"vertex spectral radius squared {floor:.6f} leaves no rate below one")
-    shape = _feasible_shape(vertices, hi, feas_tol)
+    lo = min(floor + bisect_tol, hi)
+    shape = _feasible_shape(vertices, lo, feas_tol)
     if shape is None:
-        raise SynthesisError(f"no common quadratic certificate at rate {hi:.6f}")
-    lo = floor
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        candidate = _feasible_shape(vertices, mid, feas_tol, init=shape)
-        if candidate is not None:
-            hi, shape = mid, candidate
-        else:
-            lo = mid
+        shape = _feasible_shape(vertices, hi, feas_tol) if lo < hi else None
+        if shape is None:
+            raise SynthesisError(f"no common quadratic certificate at rate {hi:.6f}")
+        while hi - lo > bisect_tol:
+            mid = 0.5 * (lo + hi)
+            candidate = _feasible_shape(vertices, mid, feas_tol, init=shape)
+            if candidate is not None:
+                hi, shape = mid, candidate
+            else:
+                lo = mid
     # Every iterate is symmetric, so the rescaled shape is exactly symmetric.
     shape = shape * (sys.n / np.trace(shape))
     return shape, min_contraction_rate(shape, vertices)

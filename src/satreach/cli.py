@@ -585,7 +585,7 @@ def cmd_report(cfg: AnalysisConfig) -> dict:
         if path.exists():
             try:
                 merged[name] = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot merge {path}: {exc}") from exc
         else:
             merged[name] = None
@@ -627,6 +627,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg.out_dir = Path(args.out)
+        if cfg.out_dir.exists() and not cfg.out_dir.is_dir():
+            raise ConfigError(f"output directory {cfg.out_dir} exists and is not a directory")
         if args.seed is not None:
             try:
                 cfg.simulation = replace(cfg.simulation, seed=args.seed)
@@ -643,6 +645,9 @@ def main(argv=None) -> int:
         return EXIT_SYNTHESIS
     except (PreconditionError, ValueError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

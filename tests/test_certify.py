@@ -185,10 +185,30 @@ def test_synthesize_rejects_bad_tolerances_before_probing(ref_sys, ref_gain, mon
         sr.synthesize_contraction(ref_sys, ref_gain, **tolerance)
 
 
-def test_synthesize_round_trip_random_problems():
+@pytest.fixture
+def probes(monkeypatch):
+    """Count synthesis's barrier probes (calls of certify._feasible_shape)."""
+    calls = []
+    real = certify._feasible_shape
+
+    def counting(vertices, rate, *args, **kwargs):
+        calls.append(rate)
+        return real(vertices, rate, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "_feasible_shape", counting)
+    return calls
+
+
+def _floor(sys_r, gain_r) -> float:
+    """The worst vertex's squared spectral radius, below every certifiable rate."""
+    return float(np.abs(np.linalg.eigvals(sr.vertex_matrices(sys_r, gain_r))).max()) ** 2
+
+
+def test_synthesize_round_trip_random_problems(probes):
     rng = np.random.default_rng(11)
     for _ in range(50):
         sys_r, gain_r = random_certifiable_problem(rng, n=int(rng.integers(2, 4)))
+        del probes[:]
         P, rate = sr.synthesize_contraction(sys_r, gain_r)
         rate_linear = sr.closed_loop_rate(P, sys_r, gain_r)
         assert 0.0 <= rate_linear
@@ -197,10 +217,53 @@ def test_synthesize_round_trip_random_problems():
         assert sr.verify_certificate(cert, sys_r, gain_r).passed
         verts = sr.vertex_matrices(sys_r, gain_r)
         assert rate == sr.min_contraction_rate(P, verts)
-        # No shape matrix beats the worst squared vertex spectral radius,
-        # and synthesis should land within a few bisection steps of it.
-        floor = max(np.abs(np.linalg.eigvals(M)).max() ** 2 for M in verts)
-        assert floor - 1e-9 <= rate <= floor + 5e-4
+        # No shape matrix beats the worst squared vertex spectral radius.
+        # When the first probe, at floor + bisect_tol, finds a shape, that is
+        # the only probe and the rate is within bisect_tol of the floor;
+        # otherwise bisection lands within a few steps of it.
+        floor = _floor(sys_r, gain_r)
+        if len(probes) == 1:
+            assert floor - 1e-9 <= rate <= floor + certify.DEFAULT_BISECT_TOL
+        else:
+            assert floor - 1e-9 <= rate <= floor + 5e-4
+
+
+def _floor_above_optimum(scale: float = 1.0):
+    """A plant whose best quadratic rate is at least twice its floor.
+
+    Every hull vertex has squared spectral radius at most scale^2 / 4 and
+    the linear loop is deadbeat, but the product of the two partly
+    saturated vertices has spectral radius scale^2 / 2, so no common
+    quadratic certificate has a rate below scale^2 / 2.
+    """
+    A = scale * np.array([[0.5, -0.5], [1.0, -0.5]])
+    B = [[0.0, 0.5], [-1.0, 1.0]]
+    K = scale * np.array([[0.0, 0.5], [-1.0, 1.0]])
+    return SystemSpec(A=A, B=B, W=np.eye(2), ubar=[1.0, 1.0]), FeedbackGain(K=K)
+
+
+def test_synthesis_bisects_when_the_floor_probe_fails(probes):
+    sys_r, gain_r = _floor_above_optimum()
+    floor, tol = _floor(sys_r, gain_r), certify.DEFAULT_BISECT_TOL
+    assert floor == pytest.approx(0.25, abs=1e-12)
+    P, rate = sr.synthesize_contraction(sys_r, gain_r)
+    # The floor probe, then 1 - bisect_tol cold, then the bisection.
+    assert probes[:2] == [floor + tol, 1.0 - tol] and len(probes) > 2
+    assert 0.5 - 1e-9 <= rate <= grid_best_planar_rate(sr.vertex_matrices(sys_r, gain_r)) + tol
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain_r))
+    assert sr.verify_certificate(cert, sys_r, gain_r).passed
+
+
+def test_synthesis_probes_once_when_the_floor_is_within_bisect_tol_of_one(probes):
+    # Scaled so that the floor lies in [1 - 2 bisect_tol, 1 - bisect_tol):
+    # the floor probe would be at or past 1 - bisect_tol, so that rate is
+    # probed once, and no shape certifies it.
+    sys_r, gain_r = _floor_above_optimum(2.0 * np.sqrt(0.99985))
+    tol = certify.DEFAULT_BISECT_TOL
+    assert 1.0 - 2.0 * tol <= _floor(sys_r, gain_r) < 1.0 - tol
+    with pytest.raises(SynthesisError, match="no common quadratic certificate"):
+        sr.synthesize_contraction(sys_r, gain_r)
+    assert probes == [1.0 - tol]
 
 
 @pytest.mark.parametrize("m, seed", [(1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (2, 7), (2, 11)])

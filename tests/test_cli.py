@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -435,12 +436,67 @@ def test_report_merges_available_artifacts(tmp_path):
     assert merged["sweep"] is None
 
 
+@pytest.mark.parametrize("spoil", ["truncated", "directory"])
+def test_report_refuses_an_artifact_it_cannot_read(tmp_path, capsys, spoil):
+    # An artifact that is not a readable JSON file is named as such, not
+    # reported as a write failure.
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, base_config(out))
+    if spoil == "truncated":
+        assert main(["analyze", "--config", str(cfg_path)]) == EXIT_OK
+        (out / "analysis.json").write_text('{"lambda": ', encoding="utf-8")
+    else:
+        (out / "analysis.json").mkdir(parents=True)
+    assert main(["report", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot merge {out / 'analysis.json'}")
+    assert not (out / "report.json").exists()
+
+
 def test_out_flag_overrides_directory(tmp_path):
     override = tmp_path / "elsewhere"
     cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert main(["analyze", "--config", str(cfg_path), "--out", str(override)]) == EXIT_OK
     assert (override / "analysis.json").exists()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "analyze", "report"])
+@pytest.mark.parametrize("via", ["--out", "output.directory"])
+def test_an_output_path_that_is_a_file_is_a_config_error(
+    tmp_path, capsys, synthesis_calls, command, via
+):
+    # analyze used to run the whole analysis, then fail in mkdir with a
+    # FileExistsError traceback and exit 1.
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    cfg = synthesized_config(taken if via == "output.directory" else tmp_path / "out")
+    argv = [command, "--config", str(write_config(tmp_path, cfg))]
+    assert main(argv + (["--out", str(taken)] if via == "--out" else [])) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not a directory" in err and "Traceback" not in err
+    assert synthesis_calls == []
+    assert taken.read_bytes() == b"not a directory\n"
+
+
+def _under_a_file(tmp_path: Path) -> Path:
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    return tmp_path / "file" / "out"
+
+
+def _directory_in_the_way(tmp_path: Path) -> Path:
+    (tmp_path / "out" / "analysis.json").mkdir(parents=True)
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize(
+    "blocked", [_under_a_file, _directory_in_the_way], ids=["under-a-file", "directory-in-the-way"]
+)
+def test_write_errors_exit_4_with_one_line(tmp_path, capsys, blocked):
+    out = blocked(tmp_path)
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "unused"))
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
 
 
 def test_demo_config_loads():
@@ -753,6 +809,29 @@ def test_noise_and_budget_changes_reuse_the_certificate(tmp_path, synthesis_call
     assert main(["analyze", "--config", str(path)]) == EXIT_OK
     assert synthesis_calls == []
     assert artifacts(out) == expected
+
+
+def test_a_certificate_from_another_version_is_resynthesized(tmp_path, synthesis_calls):
+    # The version enters the digest, so a certificate.json written by a
+    # release whose synthesis differs is never reused.
+    out = tmp_path / "out"
+    cfg = synthesized_config(out)
+    expected = fresh_artifacts(tmp_path, cfg)
+    path = write_config(tmp_path, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sr.cli, "__version__", "0.1.0")
+        assert main(["certify", "--config", str(path)]) == EXIT_OK
+    stale = json.loads((out / "certificate.json").read_text(encoding="utf-8"))["config_sha256"]
+    assert stale != sr.cli._synthesis_digest(load_config(path))
+    del synthesis_calls[:]
+    assert main(["analyze", "--config", str(path)]) == EXIT_OK
+    assert len(synthesis_calls) == 1
+    assert artifacts(out) == expected
+
+
+def test_package_and_project_versions_agree():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"] == sr.__version__
 
 
 def test_certify_always_synthesizes(tmp_path, synthesis_calls):

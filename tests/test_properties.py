@@ -1,7 +1,8 @@
 """Property tests: hull membership, the certified side of the effective
 rate, entry-wise equality of the broadcast linear-region scaling and
 rate selection with their scalar calls, synthesized rates that bound the
-exact hull rate of their shape matrix, and block-size invariance of the
+exact hull rate of their shape matrix and stop within bisect_tol of the
+spectral floor when its probe succeeds, and block-size invariance of the
 ensemble."""
 
 import math
@@ -138,13 +139,22 @@ def test_broadcast_select_rate_matches_scalar_calls(rate, fraction, noise, stret
         assert profile.condition_lhs == one.condition_lhs
 
 
-@given(n=st.integers(2, 3), m=st.integers(1, 2), seed=SEEDS)
+@given(n=st.integers(2, 4), m=st.integers(1, 3), seed=SEEDS)
 def test_synthesized_rate_bounds_the_exact_hull_rate(n, m, seed):
+    # No shape beats the floor; a first probe at floor + bisect_tol that
+    # finds a shape is the only probe, and then the rate is that close.
     sys_r, gain = random_certifiable_problem(np.random.default_rng(seed), n, m)
-    P, rate = sr.synthesize_contraction(sys_r, gain)
-    assert sr.min_contraction_rate(P, sr.vertex_matrices(sys_r, gain)) <= rate
+    vertices = sr.vertex_matrices(sys_r, gain)
+    real = sr.certify._feasible_shape
+    with mock.patch.object(sr.certify, "_feasible_shape", side_effect=real) as probe:
+        P, rate = sr.synthesize_contraction(sys_r, gain)
+    assert sr.min_contraction_rate(P, vertices) <= rate
     cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain))
     assert sr.verify_certificate(cert, sys_r, gain).passed
+    floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
+    assert rate >= floor - 1e-9
+    if probe.call_count == 1:
+        assert rate <= floor + sr.certify.DEFAULT_BISECT_TOL
 
 
 # Seeds across the whole 64-bit range; 2**32 - 1 and 2**32, where the seed

@@ -45,7 +45,7 @@ from .montecarlo import (
 )
 from .sets import Ellipsoid, area, boundary_polyline, prs_sequence, pub
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CertificateError",

@@ -164,40 +164,68 @@ def _slacks(vertices: np.ndarray, rate: float, P: np.ndarray, t: float = 0.0) ->
     return np.concatenate([0.5 * (stein + stein.transpose(0, 2, 1)), [P, eye - P]]) - t * eye
 
 
-def _barrier(vertices, rate, P, t, weight) -> float:
-    """-weight * t - sum_b log det S_b, or inf where a block is not positive definite."""
+def _log_det(S) -> float:
+    """sum_b log det S_b, or -inf where a block is not positive definite."""
     try:
-        L = np.linalg.cholesky(_slacks(vertices, rate, P, t))
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        return math.inf
-    return -weight * t - 2.0 * float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum())
+        return -math.inf
+    return 2.0 * float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum())
+
+
+class _Probe:
+    """What the Newton steps of one probe share: the vertex stack and its
+    contiguous transpose at a fixed rate, P's coordinates (its upper
+    triangle), and the Gram weights and flat gather indices of the Hessian.
+    """
+
+    def __init__(self, vertices: np.ndarray, rate: float):
+        V, n = vertices.shape[:2]
+        self.vertices, self.rate, self.eye = vertices, rate, np.eye(n)
+        self.transposed = np.ascontiguousarray(vertices.transpose(0, 2, 1))
+        self.upper = rows, cols = np.triu_indices(n)
+        self.coef = np.concatenate(
+            [np.full(V, rate * rate), np.full(V, -2.0 * rate), np.ones(V + 2)]
+        )[:, None]
+        # The P block of H is K + K' with K_ij = T[r_i, r_j, c_i, c_j] +
+        # T[r_i, c_j, c_i, r_j], T the n^2 x n^2 Gram matrix read as an
+        # n x n x n x n array; these are the flat indices of both terms.
+        r, c = rows[:, None], cols[:, None]
+        self.gather = np.stack(
+            [((r * n + rows) * n + c) * n + cols, ((r * n + cols) * n + c) * n + rows]
+        )
+
+    def direction(self, dP: np.ndarray, dt: float) -> np.ndarray:
+        """D with _slacks(P + s dP, t + s dt) = _slacks(P, t) + s D (slacks are affine)."""
+        stein = self.rate * dP - self.transposed @ dP @ self.vertices
+        return np.concatenate([0.5 * (stein + stein.transpose(0, 2, 1)), [dP, -dP]]) - dt * self.eye
 
 
 # The Newton step keeps the name of the Stein-lift correction it replaced,
 # because the benchmark counts its calls as `certify.stein_solves`.
-def _stein_correction(vertices: np.ndarray, rate: float, P: np.ndarray, t: float, upper):
+def _stein_correction(S: np.ndarray, probe: _Probe):
     """Gradient g of -sum_b log det S_b over (P, t), H^-1 g and H^-1 e_t.
 
-    P's coordinates are its upper triangle, at the index pairs `upper` =
-    np.triu_indices(n), in the basis E_i = e_k e_l' + e_l e_k', then t.
-    Block b maps E_i to its Stein image X_bi (rate E_i - A_J' E_i A_J, E_i
-    or -E_i) and t to -I, so H_ij = sum_b tr(S_b^-1 X_bi S_b^-1 X_bj): sums
-    of products G[k, r] G[l, s] of n x n matrices G made from S_b^-1 and
-    A_J, which one n^2 x n^2 Gram matrix adds up.
+    S is the slack stack _slacks(vertices, rate, P, t) of the probe's
+    vertices and rate.  P's coordinates are its upper triangle, at the
+    index pairs np.triu_indices(n), in the basis E_i = e_k e_l' + e_l e_k',
+    then t.  Block b maps E_i to its Stein image X_bi (rate E_i - A_J' E_i
+    A_J, E_i or -E_i) and t to -I, so H_ij = sum_b tr(S_b^-1 X_bi S_b^-1
+    X_bj): sums of products G[k, r] G[l, s] of n x n matrices G made from
+    S_b^-1 and A_J, which one n^2 x n^2 Gram matrix adds up.
     """
+    vertices, transposed, rate = probe.vertices, probe.transposed, probe.rate
     V, n = vertices.shape[:2]
-    rows, cols = upper
-    inverses = np.linalg.inv(_slacks(vertices, rate, P, t))
-    pushed = inverses[:V] @ vertices.transpose(0, 2, 1)
+    rows, cols = probe.upper
+    inverses = np.linalg.inv(S)
+    pushed = inverses[:V] @ transposed
     # The adjoint block maps applied to S_b^-1 and to S_b^-2, summed over b.
     Y = np.stack([inverses, inverses @ inverses])
-    adjoint = rate * Y[:, :V].sum(1) - (vertices @ Y[:, :V] @ vertices.transpose(0, 2, 1)).sum(1)
+    adjoint = rate * Y[:, :V].sum(1) - (vertices @ Y[:, :V] @ transposed).sum(1)
     grad, h = -2.0 * (adjoint + Y[:, V] - Y[:, V + 1])[:, rows, cols]
     grams = np.concatenate([inverses[:V], pushed, vertices @ pushed, inverses[V:]])
     flat = grams.reshape(len(grams), n * n)
-    coef = np.concatenate([np.full(V, rate * rate), np.full(V, -2.0 * rate), np.ones(V + 2)])
-    T = ((flat * coef[:, None]).T @ flat).reshape(n, n, n, n)
-    K = T[rows[:, None], rows, cols[:, None], cols] + T[rows[:, None], cols, cols[:, None], rows]
+    K = ((flat * probe.coef).T @ flat).ravel()[probe.gather].sum(0)
     # H and the right-hand side [g, e_t] fill preallocated arrays.
     d = len(rows)
     H = np.empty((d + 1, d + 1))
@@ -210,58 +238,83 @@ def _stein_correction(vertices: np.ndarray, rate: float, P: np.ndarray, t: float
     return rhs[0], *np.linalg.solve(H, rhs.T).T
 
 
-def _feasible_shape(vertices, rate: float, feas_tol: float, init=None) -> np.ndarray | None:
+def _feasible_shape(
+    vertices, rate: float, feas_tol: float, init=None, last=None
+) -> np.ndarray | None:
     """Phase I of a log-det barrier method (Boyd, El Ghaoui, Feron &
     Balakrishnan, LMIs in System and Control Theory, 1994, section 5.3).
 
     Maximises t subject to rate * P - A_J' P A_J >= t I for every vertex J,
-    P >= t I and I - P >= t I from P = init or I / 2; returns P once the
-    start or a centred point has t > 0.  Centred at weight w, t + N / w
-    bounds the optimal t, N = n (2^m + 2); None means that this bound is
-    negative or the gap N / w is below feas_tol.
+    P >= t I and I - P >= t I from P = init or I / 2.  Returns P as soon as
+    the start or an accepted Newton iterate has t > 0: the barrier is
+    finite there, so every block is at least t I.  (The slack stack S moves
+    as S + s D along each step, so the blocks are re-checked from P before
+    it is returned.)  Centred at weight w, t + N / w bounds the optimal t,
+    N = n (2^m + 2); None means that this bound is negative or the gap
+    N / w is below feas_tol, and then the last iterate is appended to
+    `last` when a list is given.
 
-    synthesize_contraction calls it cold at floor + bisect_tol, and only
-    if that fails, cold at 1 - bisect_tol and then warm-started (`init`,
-    the last shape found) at each bisection midpoint.
+    synthesize_contraction calls it cold at floor + bisect_tol.  Only if
+    that fails, it calls it cold at 1 - bisect_tol when the failed probe's
+    last iterate gives no upper end, and warm-started (`init`, the last
+    shape found) at each bisection midpoint.
     """
     n = vertices.shape[1]
     P = 0.5 * np.eye(n) if init is None else init.copy()
-    sigma = float(np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0].min())
+    S = _slacks(vertices, rate, P)
+    sigma = float(np.linalg.eigvalsh(S)[:, 0].min())
     if sigma > 0.0:
         return P
     t = 2.0 * sigma - feas_tol
-    upper = np.triu_indices(n)
-    g, Hg, He = _stein_correction(vertices, rate, P, t, upper)
+    S -= t * np.eye(n)
+    probe = _Probe(vertices, rate)
+    g, Hg, He = _stein_correction(S, probe)
     # The weight whose centring step at the start is shortest (Boyd &
     # Vandenberghe, Convex Optimization, 2004, section 11.3.1).
     weight = max(Hg[-1] / He[-1], 1.0)
     # The barrier value at the current iterate: an accepted step carries
     # its trial value forward, so it is recomputed only when weight grows.
-    value = _barrier(vertices, rate, P, t, weight)
+    value = -weight * t - _log_det(S)
     while True:
         step = weight * He - Hg
         decrement = weight * step[-1] - g @ step
-        dP = np.zeros((n, n))
-        dP[upper] = step[:-1]
-        dP, dt = dP + dP.T, step[-1]
-        size, trial = 1.0, math.inf
-        while decrement > _CENTRED:
-            trial = _barrier(vertices, rate, P + size * dP, t + size * dt, weight)
-            if trial <= value - 0.25 * size * decrement:
-                break
-            size *= 0.5
-        if trial < value:
-            P, t, value = P + size * dP, t + size * dt, trial
-            g, Hg, He = _stein_correction(vertices, rate, P, t, upper)
-            continue
+        if decrement > _CENTRED:
+            dP = np.zeros((n, n))
+            dP[probe.upper] = step[:-1]
+            dP, dt = dP + dP.T, step[-1]
+            D = probe.direction(dP, dt)
+            size = 1.0
+            while True:
+                trial_S = S + size * D
+                trial = -weight * (t + size * dt) - _log_det(trial_S)
+                if trial <= value - 0.25 * size * decrement:
+                    break
+                size *= 0.5
+            if trial < value:
+                P, t, S, value = P + size * dP, t + size * dt, trial_S, trial
+                # S moved along D, so the blocks are checked on P itself.
+                if t > 0.0 and np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0].min() > 0.0:
+                    return P
+                g, Hg, He = _stein_correction(S, probe)
+                continue
         # Centred, or as close as rounding lets the line search get.
-        if t > 0.0:
-            return P
         gap = n * (len(vertices) + 2) / weight
         if t + gap < 0.0 or gap < feas_tol:
+            if last is not None:
+                last.append(P)
             return None
         weight *= _WEIGHT_GROWTH
-        value = _barrier(vertices, rate, P, t, weight)
+        value = -weight * t - _log_det(S)
+
+
+def _shippable_rate(P, vertices, feas_tol: float) -> float:
+    """min_contraction_rate of P, or inf unless P, rescaled to trace n as
+    synthesis ships it, keeps the margin feas_tol that verify_certificate
+    asks of its smallest eigenvalue."""
+    smallest = float(np.linalg.eigvalsh(P)[0])
+    if not smallest > 0.0 or smallest * len(P) < feas_tol * np.trace(P):
+        return math.inf
+    return min_contraction_rate(P, vertices)
 
 
 def synthesize_contraction(
@@ -277,13 +330,15 @@ def synthesize_contraction(
     No shape certifies a rate below the worst vertex's squared spectral
     radius, the floor.  The first probe is at floor + bisect_tol (at most
     1 - bisect_tol): when it finds a shape, the bracket is already within
-    bisect_tol and no bisection runs.  When it fails, the rate is bisected
-    between that probe and 1 - bisect_tol, probed cold first; every later
-    probe is warm-started from the last shape found.  Each probe is the
-    barrier's phase I.  The returned P is rescaled to trace(P) = n, which
-    fixes the free scale of the certificate cone and keeps the relative
-    solver slack equal to the absolute feas_tol slack downstream checks
-    apply.
+    bisect_tol and no bisection runs.  When it fails, its last iterate
+    becomes the upper end if it is a shape synthesis could ship and its
+    exact rate lies below 1 - bisect_tol; otherwise 1 - bisect_tol is
+    probed cold.  The rate is then bisected between the failed probe and
+    that upper end, each probe warm-started from the last shape found.
+    Each probe is the barrier's phase I.  The returned P is rescaled to
+    trace(P) = n, which fixes the free scale of the certificate cone and
+    keeps the relative solver slack equal to the absolute feas_tol slack
+    downstream checks apply.
 
     Returns:
         (P, rate) with rate = min_contraction_rate(P), within bisect_tol
@@ -300,9 +355,15 @@ def synthesize_contraction(
     if floor >= hi:
         raise SynthesisError(f"vertex spectral radius squared {floor:.6f} leaves no rate below one")
     lo = min(floor + bisect_tol, hi)
-    shape = _feasible_shape(vertices, lo, feas_tol)
+    kept = []
+    shape = _feasible_shape(vertices, lo, feas_tol, last=kept)
     if shape is None:
-        shape = _feasible_shape(vertices, hi, feas_tol) if lo < hi else None
+        if lo < hi:
+            bound = _shippable_rate(kept[0], vertices, feas_tol)
+            if bound < hi:
+                hi, shape = bound, kept[0]
+            else:
+                shape = _feasible_shape(vertices, hi, feas_tol)
         if shape is None:
             raise SynthesisError(f"no common quadratic certificate at rate {hi:.6f}")
         while hi - lo > bisect_tol:

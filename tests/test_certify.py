@@ -242,14 +242,64 @@ def _floor_above_optimum(scale: float = 1.0):
     return SystemSpec(A=A, B=B, W=np.eye(2), ubar=[1.0, 1.0]), FeedbackGain(K=K)
 
 
-def test_synthesis_bisects_when_the_floor_probe_fails(probes):
+@pytest.fixture
+def kept(probes, monkeypatch):
+    """The last iterate of each failed probe that synthesis keeps (through
+    `last`), after swapping in kept["replacement"] when that is set."""
+    record = {"iterates": [], "replacement": None}
+    counting = certify._feasible_shape
+
+    def keeping(*args, last=None, **kwargs):
+        shape = counting(*args, last=last, **kwargs)
+        if last:
+            if record["replacement"] is not None:
+                last[0] = record["replacement"]
+            record["iterates"].append(last[0])
+        return shape
+
+    monkeypatch.setattr(certify, "_feasible_shape", keeping)
+    return record
+
+
+def test_synthesis_bisects_when_the_floor_probe_fails(probes, kept):
     sys_r, gain_r = _floor_above_optimum()
+    vertices = sr.vertex_matrices(sys_r, gain_r)
     floor, tol = _floor(sys_r, gain_r), certify.DEFAULT_BISECT_TOL
     assert floor == pytest.approx(0.25, abs=1e-12)
     P, rate = sr.synthesize_contraction(sys_r, gain_r)
-    # The floor probe, then 1 - bisect_tol cold, then the bisection.
+    # The floor probe comes first and fails; its last iterate certifies a
+    # rate below 1 - bisect_tol, which becomes the upper end in place of a
+    # cold probe there, so every later probe lies inside that bracket.
+    assert probes[0] == floor + tol and len(kept["iterates"]) == 1
+    hi = sr.min_contraction_rate(kept["iterates"][0], vertices)
+    assert hi == pytest.approx(0.9728, abs=1e-4)
+    assert 1.0 - tol not in probes and len(probes) > 1
+    assert all(floor + tol < probe < hi for probe in probes[1:])
+    assert 0.5 - 1e-9 <= rate <= grid_best_planar_rate(vertices) + tol
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain_r))
+    assert sr.verify_certificate(cert, sys_r, gain_r).passed
+
+
+@pytest.mark.parametrize(
+    "replacement",
+    [np.diag([1.0, -1.0]), np.diag([1.0, 1e-9]), np.eye(2)],
+    ids=["indefinite", "below-feas_tol", "rate-above-one"],
+)
+def test_synthesis_probes_one_minus_bisect_tol_when_the_kept_iterate_is_unusable(
+    probes, kept, replacement
+):
+    # A kept iterate that is not positive definite, whose rescaled smallest
+    # eigenvalue misses feas_tol, or whose rate is not below 1 - bisect_tol
+    # gives no upper end: the bisection starts from a cold probe there.
+    sys_r, gain_r = _floor_above_optimum()
+    vertices = sr.vertex_matrices(sys_r, gain_r)
+    floor, tol = _floor(sys_r, gain_r), certify.DEFAULT_BISECT_TOL
+    assert certify._shippable_rate(replacement, vertices, certify.DEFAULT_FEAS_TOL) >= 1.0 - tol
+    kept["replacement"] = replacement
+    P, rate = sr.synthesize_contraction(sys_r, gain_r)
     assert probes[:2] == [floor + tol, 1.0 - tol] and len(probes) > 2
-    assert 0.5 - 1e-9 <= rate <= grid_best_planar_rate(sr.vertex_matrices(sys_r, gain_r)) + tol
+    assert all(floor + tol < probe < 1.0 - tol for probe in probes[2:])
+    assert 0.5 - 1e-9 <= rate <= grid_best_planar_rate(vertices) + tol
     cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain_r))
     assert sr.verify_certificate(cert, sys_r, gain_r).passed
 
@@ -287,7 +337,7 @@ def test_newton_system_matches_finite_differences_of_the_barrier():
     def barrier(x):
         dP = np.zeros((3, 3))
         dP[rows, cols] = x[:-1]
-        return certify._barrier(vertices, rate, P0 + dP + dP.T, t0 + x[-1], 0.0)
+        return -certify._log_det(certify._slacks(vertices, rate, P0 + dP + dP.T, t0 + x[-1]))
 
     step = h * np.eye(rows.size + 1)
     grad = np.array([barrier(e) - barrier(-e) for e in step]) / (2 * h)
@@ -295,7 +345,9 @@ def test_newton_system_matches_finite_differences_of_the_barrier():
         [[barrier(a + b) - barrier(a - b) - barrier(b - a) + barrier(-a - b) for b in step]
          for a in step]
     ) / (4 * h * h)
-    g, Hg, He = certify._stein_correction(vertices, rate, P0, t0, (rows, cols))
+    g, Hg, He = certify._stein_correction(
+        certify._slacks(vertices, rate, P0, t0), certify._Probe(vertices, rate)
+    )
     assert np.allclose(g, grad, rtol=1e-6, atol=1e-6)
     assert np.allclose(hess @ Hg, g, rtol=1e-4, atol=1e-4)
     assert np.allclose(hess @ He, np.eye(rows.size + 1)[-1], rtol=1e-4, atol=1e-4)

@@ -2,8 +2,9 @@
 rate, entry-wise equality of the broadcast linear-region scaling and
 rate selection with their scalar calls, synthesized rates that bound the
 exact hull rate of their shape matrix and stop within bisect_tol of the
-spectral floor when its probe succeeds, and block-size invariance of the
-ensemble."""
+spectral floor when its probe succeeds, probes that return only strictly
+certifying shapes, slacks that move affinely along a Newton step, and
+block-size invariance of the ensemble."""
 
 import math
 from fractions import Fraction
@@ -155,6 +156,45 @@ def test_synthesized_rate_bounds_the_exact_hull_rate(n, m, seed):
     assert rate >= floor - 1e-9
     if probe.call_count == 1:
         assert rate <= floor + sr.certify.DEFAULT_BISECT_TOL
+
+
+# A fraction of the way from the spectral floor to one.
+FRACTIONS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(n=st.integers(2, 4), m=st.integers(1, 3), seed=SEEDS, fraction=FRACTIONS)
+def test_a_probe_returns_only_shapes_that_certify_its_rate_strictly(n, m, seed, fraction):
+    # A probe returns at its first accepted iterate with t > 0, so whatever
+    # it returns must hold every slack block positive definite at t = 0.
+    vertices = sr.vertex_matrices(*random_certifiable_problem(np.random.default_rng(seed), n, m))
+    floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
+    rate = floor + fraction * (1.0 - floor)
+    assume(floor < rate < 1.0)
+    P = sr.certify._feasible_shape(vertices, rate, sr.certify.DEFAULT_FEAS_TOL)
+    if P is not None:
+        assert np.linalg.eigvalsh(sr.certify._slacks(vertices, rate, P))[:, 0].min() > 0.0
+
+
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    seed=SEEDS,
+    fraction=FRACTIONS,
+    size=st.floats(2.0**-40, 1.0),
+)
+def test_the_line_search_moves_the_slacks_along_one_direction(n, m, seed, fraction, size):
+    # Slacks are affine in (P, t): S + s D is the stack at P + s dP, t + s dt.
+    rng = np.random.default_rng(seed)
+    vertices = sr.vertex_matrices(*random_certifiable_problem(rng, n, m))
+    floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
+    rate = floor + fraction * (1.0 - floor)
+    F, G = rng.normal(size=(2, n, n))
+    P, dP = 0.5 * np.eye(n) + 0.1 * (F + F.T), G + G.T
+    t, dt = rng.normal(size=2)
+    S = sr.certify._slacks(vertices, rate, P, t)
+    D = sr.certify._Probe(vertices, rate).direction(dP, dt)
+    expected = sr.certify._slacks(vertices, rate, P + size * dP, t + size * dt)
+    assert np.abs(S + size * D - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # Seeds across the whole 64-bit range; 2**32 - 1 and 2**32, where the seed

@@ -40,7 +40,6 @@ from .model import (
 from .montecarlo import (
     EnsembleStats,
     SimulationConfig,
-    noise_factor,
     simulate_ensemble,
 )
 from .sets import Ellipsoid, area, boundary_polyline, prs_sequence, pub
@@ -70,7 +69,6 @@ __all__ = [
     "linear_region_scaling",
     "min_contraction_rate",
     "noise_energy",
-    "noise_factor",
     "prs_sequence",
     "pub",
     "saturate",

@@ -4,7 +4,7 @@ Every command reads one JSON config, writes machine-readable artifacts
 into the output directory, and prints a JSON summary to stdout.  All CSV
 numbers are written at `%.17g`, 17 significant digits, so a reader
 recovers the in-memory doubles exactly; runs with identical configs are
-byte identical regardless of the worker count.  A CSV is written in
+byte identical.  A CSV is written in
 blocks of CSV_BLOCK_ROWS rows, each formatted by one `%` operation, with
 the same bytes as one `format(x, ".17g")` per cell through csv.writer.
 """
@@ -40,7 +40,6 @@ from .certify import (
     DEFAULT_FEAS_TOL,
     ContractionCertificate,
     _shape_and_factor,
-    check_rates,
     check_synthesis_tolerances,
     closed_loop_rate,
     min_contraction_rate,
@@ -74,8 +73,6 @@ CONFIG_KEYS = {
     "output": ("directory", "emit"),
     "sweep": ("ubar_values", "ubar_min", "ubar_max", "count"),
 }
-
-DEFAULT_SIMULATION = SimulationConfig(horizon=100, num_traj=1000, seed=0)
 
 
 @dataclass
@@ -147,23 +144,21 @@ def _int(block: dict, key: str, default: int) -> int:
 
 
 def _parse_simulation(raw: dict) -> SimulationConfig:
-    if raw.get("simulation") is None:
-        return DEFAULT_SIMULATION
     block = _block(raw, "simulation")
+    # Older configs set a worker count; it is still checked, then dropped.
+    if _int(block, "workers", 1) < 1:
+        raise ConfigError("the simulation worker count must be positive")
     v_policy = block.get("v_policy")
     return SimulationConfig(
-        horizon=_int(block, "horizon", DEFAULT_SIMULATION.horizon),
-        num_traj=_int(block, "num_traj", DEFAULT_SIMULATION.num_traj),
-        seed=_int(block, "seed", DEFAULT_SIMULATION.seed),
-        noise_kind=str(block.get("noise_kind", DEFAULT_SIMULATION.noise_kind)),
+        horizon=_int(block, "horizon", SimulationConfig.horizon),
+        num_traj=_int(block, "num_traj", SimulationConfig.num_traj),
+        seed=_int(block, "seed", SimulationConfig.seed),
+        noise_kind=block.get("noise_kind", SimulationConfig.noise_kind),
         v_policy=None if v_policy in (None, "zero") else _numeric(v_policy, "v_policy"),
-        workers=_int(block, "workers", DEFAULT_SIMULATION.workers),
     )
 
 
-def _parse_sweep(raw: dict) -> np.ndarray | None:
-    if raw.get("sweep") is None:
-        return None
+def _parse_sweep(raw: dict) -> np.ndarray:
     block = _block(raw, "sweep")
     if "ubar_values" in block:
         if len(block) > 1:
@@ -253,7 +248,7 @@ def load_config(path) -> AnalysisConfig:
             simulation=_parse_simulation(raw),
             out_dir=Path(output.get("directory", "out")),
             emit=tuple(emit),
-            sweep_ubar=_parse_sweep(raw),
+            sweep_ubar=_parse_sweep(raw) if "sweep" in raw else None,
         )
         check_synthesis_tolerances(cfg.feas_tol, cfg.bisect_tol)
         # The analysis tightens the rate for nominal inputs bounded by vbar,
@@ -374,14 +369,13 @@ def _certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray
     rate_linear = closed_loop_rate(P, cfg.system, cfg.gain)
     failure = "certificate fails verification"
     try:
-        check_rates(rate, rate_linear)
+        cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear, feas_tol=cfg.feas_tol)
     except ValueError as exc:
         # Zero-gain corner: every vertex equals the closed loop, so the
         # rate gap degenerates and no vertex inequality is checked.
         residuals = {"vertices": [], "linear": None, "shape_min_eig": None, "rate_gap": 0.0}
         passed, failure = False, f"{failure}: certificate rates are unordered: {exc}"
     else:
-        cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear, feas_tol=cfg.feas_tol)
         report = verify_certificate(cert, cfg.system, cfg.gain)
         residuals = {
             "vertices": [float(r) for r in report.vertex_residuals],
@@ -536,7 +530,6 @@ def cmd_simulate(cfg: AnalysisConfig) -> dict:
             "horizon": int(sim.horizon),
             "num_traj": int(sim.num_traj),
             "noise_kind": sim.noise_kind,
-            "workers": int(sim.workers),
             "pub_violation_max": float(violations.max()),
             "pub_violation_final": float(violations[-1]),
             "pub_violation_wilson_upper": wilson_upper(float(violations.max()), sim.num_traj),

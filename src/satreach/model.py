@@ -35,6 +35,14 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _saturation_bounds(ubar) -> np.ndarray:
+    """ubar as a finite vector of strictly positive saturation magnitudes."""
+    ubar = _as_float_array(ubar, "ubar", 1)
+    if (ubar <= 0.0).any():
+        raise ValueError("saturation magnitudes must be strictly positive")
+    return ubar
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Plant data for a saturated linear system.
@@ -55,7 +63,7 @@ class SystemSpec:
         A = _as_float_array(self.A, "A", 2)
         B = _as_float_array(self.B, "B", 2)
         W = _as_float_array(self.W, "W", 2)
-        ubar = _as_float_array(self.ubar, "ubar", 1)
+        ubar = _saturation_bounds(self.ubar)
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got shape {A.shape}")
@@ -65,8 +73,6 @@ class SystemSpec:
             raise ValueError(f"W must have shape {(n, n)}, got {W.shape}")
         if ubar.shape != (B.shape[1],):
             raise ValueError(f"ubar must have length {B.shape[1]}, got {ubar.shape[0]}")
-        if np.any(ubar <= 0.0):
-            raise ValueError("saturation magnitudes must be strictly positive")
         if np.max(np.abs(W - W.T)) > SYMMETRY_TOL:
             raise ValueError("W must be symmetric")
         W = 0.5 * (W + W.T)
@@ -100,14 +106,6 @@ class FeedbackGain:
         K.setflags(write=False)
         object.__setattr__(self, "K", K)
 
-    @property
-    def m(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[1]
-
 
 def _check_gain(sys: SystemSpec, gain: FeedbackGain) -> None:
     if gain.K.shape != (sys.m, sys.n):
@@ -127,13 +125,11 @@ def saturate(u, ubar) -> np.ndarray:
         The clipped input, same shape as u.
     """
     u = np.asarray(u, dtype=float)
-    ubar = _as_float_array(ubar, "ubar", 1)
+    ubar = _saturation_bounds(ubar)
     if u.ndim == 0 or u.shape[-1] != ubar.shape[0]:
         raise ValueError(f"u must end in a dimension of {ubar.shape[0]}, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
-    if (ubar <= 0.0).any():
-        raise ValueError("saturation magnitudes must be strictly positive")
     return np.minimum(np.maximum(u, -ubar), ubar)
 
 

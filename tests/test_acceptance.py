@@ -254,11 +254,12 @@ def test_acceptance_7_deterministic_artifacts(tmp_path):
         cfg_path = tmp_path / f"{tag}.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
-        names = ("data.csv", "lell.csv", "lbell.csv", "states.csv")
+        names = ("simulation.json", "data.csv", "lell.csv", "lbell.csv", "states.csv")
         return {name: (out / name).read_bytes() for name in names}
 
     first = run("one", 1)
     second = run("two", 1)
     third = run("three", 4)
-    ok = first == second == third
-    _verdict(7, "CSV artifacts byte-identical across reruns and worker counts", ok)
+    # The retired worker count is accepted but not recorded.
+    ok = first == second == third and "workers" not in json.loads(first["simulation.json"])
+    _verdict(7, "artifacts byte-identical across reruns and worker counts", ok)

@@ -282,7 +282,9 @@ def test_simulate_fills_empirical_column(tmp_path):
 
 
 def test_simulate_byte_identical_across_runs_and_workers(tmp_path):
-    names = ("data.csv", "lell.csv", "lbell.csv", "states.csv")
+    # workers is accepted from older configs and dropped: simulation.json
+    # does not record it.
+    names = ("simulation.json", "data.csv", "lell.csv", "lbell.csv", "states.csv")
     blobs = {}
     for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
         out = tmp_path / tag
@@ -293,6 +295,7 @@ def test_simulate_byte_identical_across_runs_and_workers(tmp_path):
         blobs[tag] = {name: (out / name).read_bytes() for name in names}
     assert blobs["a"] == blobs["b"]
     assert blobs["a"] == blobs["c"]
+    assert "workers" not in json.loads(blobs["a"]["simulation.json"])
 
 
 def test_simulate_states_mostly_inside_selected_bound(tmp_path):
@@ -897,6 +900,12 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("prs", "boundary_points", "2"),
         ("prs", "boundary_points", "0"),
         ("prs", "boundary_points", "-5"),
+        ("simulation", "workers", "0"),
+        ("simulation", "workers", "true"),
+        ("simulation", "workers", "1.5"),
+        ("prs", None, "null"),
+        ("simulation", None, "null"),
+        ("sweep", None, "null"),
     ],
 )
 def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, section, key, literal):
@@ -907,9 +916,13 @@ def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, sect
     # 4 once the work had started, and a singular or barely indefinite P
     # was perturbed by 1e-12 I and exited 3.  A vbar outside [0, ubar]
     # exited 4 only after the certificate was resolved.  trace_scale is no
-    # longer a key.
+    # longer a key.  A null simulation or sweep section loaded as if it
+    # were absent; a null section is now an error, as prs's always was.
     cfg = synthesized_config(tmp_path / "out")
-    cfg[section][key] = "<literal>"
+    if key is None:
+        cfg[section] = "<literal>"
+    else:
+        cfg[section][key] = "<literal>"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg).replace('"<literal>"', literal), encoding="utf-8")
     assert main(["certify", "--config", str(path)]) == EXIT_CONFIG

@@ -168,6 +168,12 @@ def test_system_spec_validation():
         SystemSpec(A=0.5 * eye, B=eye, W=[[1.0, 0.5], [0.0, 1.0]], ubar=[1.0, 1.0])
     with pytest.raises(ValueError):
         SystemSpec(A=0.5 * eye, B=eye, W=-eye, ubar=[1.0, 1.0])
+    # W's one rule: the smallest eigenvalue may fall below zero by at most
+    # 1e-9, however large the others are.
+    with pytest.raises(ValueError):
+        SystemSpec(A=0.5 * eye, B=eye, W=np.diag([1e6, -5e-4]), ubar=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        SystemSpec(A=0.5 * eye, B=eye, W=np.ones((2, 3)), ubar=[1.0, 1.0])
     with pytest.raises(ValueError):
         SystemSpec(A=0.5 * eye, B=eye, W=eye, ubar=[1.0, 0.0])
     with pytest.raises(ValueError):

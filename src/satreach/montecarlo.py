@@ -6,15 +6,22 @@ draw is the only noise sampler.  Trajectory i of an ensemble seeded
 `seed` draws from the counter-based Philox stream whose two 64-bit key
 words are [seed, i]; Philox gives every distinct key its own stream.  One
 Philox generator is re-keyed to each trajectory at counter 0 instead of
-being rebuilt.  The supported ensemble size is at most 2**32
-trajectories.  The nominal input must keep |v_i| <= ubar_i at every
-step; the command line further holds it within the analysis' vbar.  The
-ensemble is stepped in fixed-size blocks of trajectories whose matrix
-products are summed in a fixed order, and the per-step sums behind the
-statistics take each block's trajectories in index order, so results
-are bitwise reproducible no matter how the trajectory set is split into
-blocks.  No block outlives its step loop: the ensemble holds
-O(block x horizon + num_traj x n) doubles.
+being rebuilt, and writes that trajectory's draws straight into its row
+of the block's draw buffer.  The supported ensemble size is at most 2**32
+trajectories.  The nominal input must be finite and keep |v_i| <= ubar_i
+at every step; the command line further holds it within the analysis'
+vbar.
+
+The ensemble is stepped in blocks of trajectories sized from one memory
+budget, _BLOCK_DOUBLES, that covers every array a block holds: its
+horizon x n draws, its rows of the per-step sums of q_k and q_k^2, and
+the work arrays of one step, all allocated once and written in place,
+clipping included.  Every matrix product adds its terms in a fixed order,
+and the per-step sums behind the statistics take each block's
+trajectories in index order, so results are bitwise reproducible no
+matter how the trajectory set is split into blocks.  No block outlives
+its step loop: the ensemble holds O(_BLOCK_DOUBLES + num_traj x n)
+doubles.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+# The kernel clips in place; saturate stays importable here because the
+# benchmark's tracer counts calls to montecarlo.saturate by name.
 from .model import FeedbackGain, SystemSpec, _check_gain, saturate
 from .sets import Ellipsoid
 
@@ -31,11 +40,18 @@ NOISE_KINDS = ("gaussian", "uniform", "rademacher_scaled")
 
 _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
 
-# Trajectories stepped together as one (n, c) array.  The block's raw draw
-# buffer holds horizon * n * c doubles: 1.2 MiB for 100 steps of n = 6.
-# Stepping all 1000 trajectories of the mc-demo benchmark as one block was
-# faster but raised its peak resident memory by 5 %.
-_BLOCK_SIZE = 256
+
+def _doubles_per_trajectory(n: int, m: int, horizon: int) -> int:
+    """Doubles a block holds per trajectory: its draws, its q_k and q_k^2
+    rows, and its column of the step's state and term arrays."""
+    return horizon * n + 2 * (horizon + 1) + n * (3 * n + 2 * m + 2)
+
+
+# Doubles a block of trajectories may hold, 1.9 MiB: a block of 256 for
+# 100 steps of n = 6, m = 3.  Stepping all 1000 trajectories of the
+# mc-demo benchmark as one block was faster but raised its peak resident
+# memory by 5 %.
+_BLOCK_DOUBLES = 256 * _doubles_per_trajectory(6, 3, 100)
 
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
@@ -102,13 +118,28 @@ def _noise_factor(W: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _standard_draw(kind: str, rng: np.random.Generator, shape) -> np.ndarray:
-    # Every kind has zero mean and identity covariance before shaping.
-    if kind == "gaussian":
-        return rng.standard_normal(shape)
+def _draw_block(kind: str, seed: int, start: int, rng: np.random.Generator, block: np.ndarray) -> None:
+    """Fill block[t], a (horizon, n) row, with trajectory start + t's draws.
+
+    Every kind has zero mean and identity covariance before shaping.  A
+    uniform draw is rng.uniform(-sqrt(3), sqrt(3)), computed as NumPy
+    computes it, low + (high - low) * rng.random().
+    """
+    bitgen = rng.bit_generator
+    for t, draws in enumerate(block):
+        bitgen.state = _keyed_state([seed, start + t])
+        if kind == "gaussian":
+            rng.standard_normal(out=draws)
+        elif kind == "uniform":
+            rng.random(out=draws)
+        else:
+            draws[...] = rng.integers(0, 2, draws.shape)
     if kind == "uniform":
-        return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, shape)
-    return rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0  # rademacher_scaled
+        block *= 2.0 * _UNIFORM_HALF_WIDTH
+        block -= _UNIFORM_HALF_WIDTH
+    elif kind == "rademacher_scaled":
+        block *= 2.0
+        block -= 1.0
 
 
 def _keyed_state(key) -> dict:
@@ -128,7 +159,7 @@ def _nominal_inputs(policy: np.ndarray | None, horizon: int, bound: np.ndarray) 
 
     Raises:
         ValueError: the policy is neither a length-m vector nor (horizon, m),
-            where m = len(bound).
+            where m = len(bound), or is not finite.
         PreconditionError: |v_policy| exceeds the bound in some component or step.
     """
     m = len(bound)
@@ -137,38 +168,36 @@ def _nominal_inputs(policy: np.ndarray | None, horizon: int, bound: np.ndarray) 
     shape = (m,) if policy.ndim == 1 else (horizon, m)
     if policy.shape != shape:
         raise ValueError(f"v_policy must have shape {shape}, got {policy.shape}")
+    if not np.isfinite(policy).all():
+        raise ValueError("v_policy must be finite")
     if np.any(np.abs(policy) > bound):
         raise PreconditionError(f"|v_policy| exceeds {bound.tolist()} in some component or step")
     return np.broadcast_to(policy, (horizon, m))
 
 
 def _columns(M: np.ndarray) -> np.ndarray:
-    """The columns of M as a (k, r, 1) stack, the operand of _product."""
+    """The columns of M as a (k, r, 1) stack: column j times the block's row
+    j of X is term j of M @ X."""
     return np.ascontiguousarray(M.T)[:, :, None]
 
 
-def _product(columns: np.ndarray, XT: np.ndarray) -> np.ndarray:
-    """M @ X for a block X held as (k, c), one column per trajectory.
+def _term_sum(terms: np.ndarray):
+    """A function that adds terms[1], terms[2], ... into terms[0], one
+    term at a time in that order, and returns terms[0].
 
-    Element (i, t) is sum_j M[i, j] X[j, t], added up j = 0, 1, ... one term
-    at a time whatever the block width c, so a trajectory's bits never
-    depend on the block it is stepped in.  BLAS products do not promise
-    that: their rows differ between batch sizes 1 and N.
+    The order is fixed whatever the block width, so a trajectory's bits
+    never depend on the block it is stepped in.  BLAS products do not
+    promise that, and neither does terms.sum(axis=0): NumPy reorders that
+    reduction for narrow blocks of n >= 8.
     """
-    terms = columns * XT[:, None, :]
-    out = terms[0]
-    for j in range(1, len(terms)):
-        out += terms[j]
-    return out
+    total, rest = terms[0], list(terms[1:])
 
+    def add():
+        for term in rest:
+            np.add(total, term, out=total)
+        return total
 
-def _quadratic(P_columns: np.ndarray, XT: np.ndarray) -> np.ndarray:
-    """x' P x for every column x of a (n, c) block, in the same fixed order."""
-    PX = _product(P_columns, XT)
-    q = PX[0] * XT[0]
-    for j in range(1, len(XT)):
-        q += PX[j] * XT[j]
-    return q
+    return add
 
 
 def simulate_ensemble(
@@ -181,26 +210,31 @@ def simulate_ensemble(
 
     The quadratic form is measured against the shape of `ellipsoid`, or
     against the identity when none is given.  The trajectories are stepped
-    in blocks of at most _BLOCK_SIZE, and every trajectory's arithmetic
-    runs in a fixed order, so the statistics are bitwise independent of
-    the block size.
+    in blocks of at most _BLOCK_DOUBLES doubles, and every trajectory's
+    arithmetic runs in a fixed order, so the statistics are bitwise
+    independent of the block size.
     """
     _check_gain(sys, gain)
     P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
     if P.shape != (sys.n, sys.n):
         raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
-    inputs = _nominal_inputs(cfg.v_policy, cfg.horizon, sys.ubar)
-    Ac, Bc, Kc, Fc, Pc = (
-        _columns(M) for M in (sys.A, sys.B, gain.K, _noise_factor(sys.W), P)
+    n, m, steps, total = sys.n, sys.m, cfg.horizon, cfg.num_traj
+    inputs = _nominal_inputs(cfg.v_policy, steps, sys.ubar)[:, :, None]
+    # One product with the stacked [A; K; P] gives A e, K e and P e of the
+    # same state, each summed in the order of its own product.
+    Mc, Bc, Fc = (
+        _columns(M) for M in (np.vstack([sys.A, gain.K, P]), sys.B, _noise_factor(sys.W))
     )
-    steps, total = cfg.horizon, cfg.num_traj
-    finals = np.empty((total, sys.n))
-    # The block is held transposed, one row per state and one column per
-    # trajectory, so every product runs on contiguous rows.  One raw draw
-    # buffer is reused by every block; the noise is shaped one step at a
-    # time so no (horizon, n, c) shock block is ever held.
-    size = min(_BLOCK_SIZE, total)
-    draws = np.empty((steps, sys.n, size))
+    upper = sys.ubar[:, None]
+    lower = -upper
+    size = min(total, max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, m, steps)))
+    finals = np.empty((total, n))
+    # The state is held transposed, one row per component and one column per
+    # trajectory, so every product runs on contiguous rows.  The draws are
+    # held one (horizon, n) row per trajectory, as the generator writes them.
+    draws = np.empty((size, steps, n))
+    state = np.empty((n, size))
+    work = tuple(np.empty(shape + (size,)) for shape in ((n, 2 * n + m), (m, n), (n, n), (n,)))
     # Rows 1.. hold the block's q_k (q_k^2) and row 0 their running sum
     # over the earlier blocks, so one reduction down the rows adds the
     # trajectories one at a time in index order, the order in which a
@@ -209,27 +243,39 @@ def simulate_ensemble(
     squares = np.zeros((size + 1, steps + 1))
     inside = np.zeros(steps + 1, dtype=np.int64)
     # One generator is re-keyed to each trajectory's stream in turn.
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
+    rng = np.random.Generator(np.random.Philox(key=0))
 
     for start in range(0, total, size):
-        rows = slice(start, min(start + size, total))
-        count = rows.stop - start
-        for t in range(count):
-            bitgen.state = _keyed_state([cfg.seed, start + t])
-            draws[:, :, t] = _standard_draw(cfg.noise_kind, rng, (steps, sys.n))
+        count = min(size, total - start)
+        block = draws[:count]
+        _draw_block(cfg.noise_kind, cfg.seed, start, rng, block)
+        e = state[:, :count]
+        e.fill(0.0)
+        m_terms, b_terms, f_terms, q_terms = (a[..., :count] for a in work)
+        sum_m, sum_b, sum_f, sum_q = (_term_sum(a) for a in (m_terms, b_terms, f_terms, q_terms))
+        Ae, u, Pe = m_terms[0, :n], m_terms[0, n : n + m], m_terms[0, n + m :]
+        e_rows, u_rows = e[:, None, :], u[:, None, :]
+        noise = block.transpose(1, 2, 0)[:, :, None, :]
         q = sums[1 : count + 1]
-        e = np.zeros((sys.n, count))
-        for k in range(steps):
-            v = inputs[k][:, None]
-            u = _product(Kc, e) + v
-            e = (
-                _product(Ac, e)
-                + _product(Bc, saturate(u.T, sys.ubar).T - v)
-                + _product(Fc, draws[k, :, :count])
-            )
-            q[:, k + 1] = _quadratic(Pc, e)
-        finals[rows] = e.T
+        q_steps = q.T
+        # Pass k takes q_k from e_k and, before the horizon, steps to e_k+1.
+        for k in range(steps + 1):
+            np.multiply(Mc, e_rows, out=m_terms)
+            sum_m()
+            np.multiply(Pe, e, out=q_terms)
+            q_steps[k] = sum_q()
+            if k == steps:
+                break
+            v = inputs[k]
+            u += v
+            np.maximum(u, lower, out=u)
+            np.minimum(u, upper, out=u)
+            u -= v
+            np.multiply(Bc, u_rows, out=b_terms)
+            np.add(Ae, sum_b(), out=e)
+            np.multiply(Fc, noise[k], out=f_terms)
+            e += sum_f()
+        finals[start : start + count] = e.T
         np.square(q, out=squares[1 : count + 1])
         sums[0] = sums[: count + 1].sum(axis=0)
         squares[0] = squares[: count + 1].sum(axis=0)

@@ -8,7 +8,7 @@ from conftest import error_step
 
 import satreach as sr
 from satreach import Ellipsoid, PreconditionError, SimulationConfig
-from satreach.montecarlo import _noise_factor, _standard_draw
+from satreach.montecarlo import _draw_block, _noise_factor
 
 
 def test_noise_factor_identity_and_reconstruction():
@@ -35,8 +35,9 @@ def test_sample_noise_moments_every_kind():
     W = np.array([[2.0, 0.5], [0.5, 1.0]])
     factor = _noise_factor(W)
     for kind in sr.montecarlo.NOISE_KINDS:
-        rng = np.random.default_rng(99)
-        draws = _standard_draw(kind, rng, (100_000, 2)) @ factor.T
+        block = np.empty((1, 100_000, 2))
+        _draw_block(kind, 99, 0, np.random.Generator(np.random.Philox(key=0)), block)
+        draws = block[0] @ factor.T
         mean = draws.mean(axis=0)
         cov = np.cov(draws.T)
         assert np.max(np.abs(mean)) < 0.02, kind
@@ -49,20 +50,28 @@ def _keyed_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+def _public_draws(kind, seed, index, shape):
+    # The Generator's public samplers on trajectory index's stream.
+    rng = _keyed_rng(seed, index)
+    if kind == "gaussian":
+        return rng.standard_normal(shape)
+    if kind == "uniform":
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)
+    return rng.integers(0, 2, shape) * 2.0 - 1.0
+
+
 def test_rekeyed_generator_draws_equal_fresh_streams():
     # One Philox re-keyed between streams, each left mid-buffer (and, for
     # the Rademacher draws, holding a spare 32-bit half) by an odd-sized
-    # draw, must give every stream's draws from its first one on.
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
+    # draw, must give every stream's public draws from its first one on.
+    rng = np.random.Generator(np.random.Philox(key=0))
     for seed in (3, 2**64 - 1):
         for index in range(12):
             kind = sr.montecarlo.NOISE_KINDS[index % 3]
             shape = (7, 1 + index % 3)
-            bitgen.state = sr.montecarlo._keyed_state([seed, index])
-            ours = _standard_draw(kind, rng, shape)
-            fresh = _standard_draw(kind, _keyed_rng(seed, index), shape)
-            assert np.array_equal(ours, fresh), (seed, index, kind)
+            block = np.empty((1,) + shape)
+            _draw_block(kind, seed, index, rng, block)
+            assert np.array_equal(block[0], _public_draws(kind, seed, index, shape)), (seed, index, kind)
 
 
 @pytest.mark.parametrize("kind", sr.montecarlo.NOISE_KINDS)
@@ -76,8 +85,7 @@ def test_ensemble_draws_each_trajectory_from_its_keyed_stream(kind):
     cfg = SimulationConfig(horizon=horizon, num_traj=6, seed=seed, noise_kind=kind)
     stats = sr.simulate_ensemble(plant, sr.FeedbackGain(K=np.zeros((1, n))), cfg)
     for index, final in enumerate(stats.final_states):
-        draws = _standard_draw(kind, _keyed_rng(seed, index), (horizon, n))
-        assert np.array_equal(final, draws[-1]), index
+        assert np.array_equal(final, _public_draws(kind, seed, index, (horizon, n))[-1]), index
 
 
 def test_simulation_config_validation(ref_sys, ref_gain):
@@ -99,17 +107,102 @@ def test_simulation_config_validation(ref_sys, ref_gain):
         sr.simulate_ensemble(ref_sys, ref_gain, cfg)
 
 
+def _dot(row, x):
+    # sum_j row[j] x[j], added j = 0, 1, ... in the kernel's documented order.
+    total = row[0] * x[0]
+    for a, b in zip(row[1:], x[1:]):
+        total += a * b
+    return total
+
+
+def _replay(sys_, gain, cfg, ellipsoid):
+    """The ensemble recomputed one trajectory at a time in Python floats.
+
+    Returns the final states, the mean of q_k, its containment frequency
+    and the number of inputs that were clipped.
+    """
+    shape = np.eye(sys_.n) if ellipsoid is None else ellipsoid.P
+    threshold = np.inf if ellipsoid is None else ellipsoid.threshold
+    A, B, K, F, P = (M.tolist() for M in (sys_.A, sys_.B, gain.K, _noise_factor(sys_.W), shape))
+    ubar = sys_.ubar.tolist()
+    policy = np.zeros(sys_.m) if cfg.v_policy is None else cfg.v_policy
+    inputs = np.broadcast_to(policy, (cfg.horizon, sys_.m)).tolist()
+    sums = [0.0] * (cfg.horizon + 1)
+    inside = [cfg.num_traj] + [0] * cfg.horizon
+    finals, clipped = [], 0
+    for index in range(cfg.num_traj):
+        shocks = _public_draws(cfg.noise_kind, cfg.seed, index, (cfg.horizon, sys_.n)).tolist()
+        e = [0.0] * sys_.n
+        for k, (v, w) in enumerate(zip(inputs, shocks)):
+            u = [_dot(row, e) + vi for row, vi in zip(K, v)]
+            clipped += sum(abs(ui) > bound for ui, bound in zip(u, ubar))
+            phi = [min(max(ui, -bound), bound) - vi for ui, bound, vi in zip(u, ubar, v)]
+            e = [(_dot(a, e) + _dot(b, phi)) + _dot(f, w) for a, b, f in zip(A, B, F)]
+            q = _dot([_dot(row, e) for row in P], e)
+            sums[k + 1] += q
+            inside[k + 1] += q <= threshold
+        finals.append(e)
+    return np.array(finals), np.array(sums) / cfg.num_traj, np.array(inside) / cfg.num_traj, clipped
+
+
+def _force_block_size(monkeypatch, sys_, cfg, size):
+    # The memory budget that holds exactly `size` trajectories per block.
+    per_trajectory = sr.montecarlo._doubles_per_trajectory(sys_.n, sys_.m, cfg.horizon)
+    monkeypatch.setattr(sr.montecarlo, "_BLOCK_DOUBLES", size * per_trajectory)
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, ubar, policy, block",
+    [
+        ("gaussian", 2, 1, 10.0, "zero", 4),
+        ("uniform", 3, 2, 0.2, "per-step", 7),
+        ("rademacher_scaled", 3, 2, 0.2, "constant", 1),
+        ("gaussian", 8, 3, 0.3, "per-step", 2),
+        ("uniform", 9, 2, 0.3, "constant", 3),
+        ("rademacher_scaled", 12, 4, 5.0, "zero", 3),
+    ],
+)
+def test_ensemble_equals_pure_python_replay(monkeypatch, kind, n, m, ubar, policy, block):
+    # Every bit of the statistics follows from the keyed streams and the
+    # documented term order; the blocks are small enough that 10
+    # trajectories span several of them.
+    rng = np.random.default_rng(n + m)
+    A = 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+    B = rng.normal(size=(n, m))
+    factor = rng.normal(size=(n, n))
+    plant = sr.SystemSpec(A=A, B=B, W=factor @ factor.T / n, ubar=np.full(m, ubar))
+    gain = sr.FeedbackGain(K=-0.5 * np.linalg.pinv(B) @ A)
+    horizon = 12
+    v_policy = {
+        "zero": None,
+        "constant": rng.uniform(-0.5, 0.5, m) * ubar,
+        "per-step": rng.uniform(-0.5, 0.5, (horizon, m)) * ubar,
+    }[policy]
+    cfg = SimulationConfig(horizon=horizon, num_traj=10, seed=2**64 - 7, noise_kind=kind, v_policy=v_policy)
+    ell = Ellipsoid(P=np.eye(n) + 0.1, r=float(n))
+    _force_block_size(monkeypatch, plant, cfg, block)
+    stats = sr.simulate_ensemble(plant, gain, cfg, ellipsoid=ell)
+    finals, q_mean, containment, clipped = _replay(plant, gain, cfg, ell)
+    assert (clipped > 0) == (ubar < 1.0)
+    assert 0.0 < containment[1:].mean() < 1.0
+    assert np.array_equal(stats.final_states, finals)
+    assert np.array_equal(stats.q_mean, q_mean)
+    assert np.array_equal(stats.containment, containment)
+
+
 def test_ensemble_matches_single_trajectory_replay(ref_sys, ref_gain):
-    # With one trajectory the mean of q_k is that trajectory's q_k.
+    # With one trajectory the mean of q_k is that trajectory's q_k, to the bit.
     cfg = SimulationConfig(horizon=25, num_traj=1, seed=42)
     stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg)
-    rng = _keyed_rng(42, 0)
-    shocks = _standard_draw("gaussian", rng, (25, 2)) @ _noise_factor(ref_sys.W).T
+    finals, q_mean, _, _ = _replay(ref_sys, ref_gain, cfg, None)
+    assert np.array_equal(stats.q_mean, q_mean)
+    assert np.array_equal(stats.final_states, finals)
+    # A plain matrix-vector step agrees up to the order of its sums.
+    shocks = _public_draws("gaussian", 42, 0, (25, 2))
     e = np.zeros(2)
     for k in range(25):
         e = error_step(e, [0.0], shocks[k], ref_sys, ref_gain)
         assert stats.q_mean[k + 1] == pytest.approx(e @ e, rel=1e-12)
-    assert np.allclose(stats.final_states[0], e, rtol=1e-12, atol=0.0)
 
 
 def test_ensemble_statistics_start_at_zero(ref_sys, ref_gain):
@@ -162,6 +255,18 @@ def test_ensemble_rejects_oversized_nominal_input(ref_sys, ref_gain):
         sr.simulate_ensemble(ref_sys, ref_gain, cfg)
 
 
+@pytest.mark.parametrize("v_policy", [[np.nan], [np.inf], [[0.0]] * 4 + [[np.nan]]])
+def test_ensemble_rejects_a_non_finite_nominal_input(monkeypatch, ref_sys, ref_gain, v_policy):
+    # NaN passes |v| > ubar; it is refused before any trajectory is drawn.
+    def no_draws(*args):
+        raise AssertionError("drew before checking v_policy")
+
+    monkeypatch.setattr(sr.montecarlo, "_draw_block", no_draws)
+    cfg = SimulationConfig(horizon=5, num_traj=2, seed=0, v_policy=np.array(v_policy))
+    with pytest.raises(ValueError, match="v_policy must be finite"):
+        sr.simulate_ensemble(ref_sys, ref_gain, cfg)
+
+
 def test_ensemble_rejects_mismatched_ellipsoid_shape(ref_sys, ref_gain):
     # A 1 x 1 shape used to broadcast against the planar state unnoticed.
     cfg = SimulationConfig(horizon=5, num_traj=2, seed=0)
@@ -197,15 +302,19 @@ def test_violation_rate_matches_containment(ref_sys, ref_gain, ref_shape):
 
 
 @pytest.mark.parametrize("horizon", [1, 7, 20])
-def test_streamed_statistics_equal_those_of_all_samples_at_once(ref_sys, ref_gain, ref_shape, horizon):
-    # q at the horizon, recomputed from the final states by the kernel's
-    # own quadratic form, is the sample the streamed sums took in; 600
+def test_streamed_statistics_equal_those_of_all_samples_at_once(
+    monkeypatch, ref_sys, ref_gain, ref_shape, horizon
+):
+    # q at the horizon, recomputed from the final states in the kernel's
+    # term order, is the sample the streamed sums took in; 600
     # trajectories span three blocks.  The mean adds them one at a time in
     # index order, as a mean down the rows of all samples does.
     ell = Ellipsoid(P=ref_shape, r=30.0)
     cfg = SimulationConfig(horizon=horizon, num_traj=600, seed=21)
+    _force_block_size(monkeypatch, ref_sys, cfg, 256)
     stats = sr.simulate_ensemble(ref_sys, ref_gain, cfg, ellipsoid=ell)
-    q = sr.montecarlo._quadratic(sr.montecarlo._columns(ref_shape), stats.final_states.T)
+    shape = ref_shape.tolist()
+    q = np.array([_dot([_dot(row, x) for row in shape], x) for x in stats.final_states.tolist()])
     total = 0.0
     for value in q.tolist():
         total += value
@@ -238,7 +347,7 @@ def _block_runs(monkeypatch, sys_, gain, cfg, ellipsoid):
     # The last block size runs twice: a rerun must give the same bits too.
     runs = []
     for size in (1, 7, cfg.num_traj, cfg.num_traj):
-        monkeypatch.setattr(sr.montecarlo, "_BLOCK_SIZE", size)
+        _force_block_size(monkeypatch, sys_, cfg, size)
         runs.append(sr.simulate_ensemble(sys_, gain, cfg, ellipsoid=ellipsoid))
     return runs
 
@@ -268,27 +377,26 @@ def test_ensemble_bitwise_invariant_to_block_size(monkeypatch, ref_gain, ref_sha
 
 
 def test_ensemble_bitwise_invariant_to_block_size_when_saturated(monkeypatch):
+    # From n = 8 on, NumPy sums the terms of a narrow block's products in
+    # another order than a wide block's unless the kernel fixes it.
     rng = np.random.default_rng(5)
-    n, m, horizon = 3, 2, 25
-    A = 0.8 * np.linalg.qr(rng.normal(size=(n, n)))[0]
-    B = rng.normal(size=(n, m))
-    K = -0.5 * np.linalg.pinv(B) @ A
-    ubar = np.array([0.2, 0.3])
-    plant = sr.SystemSpec(A=A, B=B, W=0.5 * np.eye(n) + 0.1, ubar=ubar)
-    gain = sr.FeedbackGain(K=K)
-    policy = rng.uniform(-0.5, 0.5, size=(horizon, m)) * ubar
-    cfg = SimulationConfig(horizon=horizon, num_traj=19, seed=3, v_policy=policy)
-    clipped = []
-    saturate = sr.montecarlo.saturate
-
-    def recording_saturate(u, bound):
-        clipped.append(bool(np.any(np.abs(u) > bound)))
-        return saturate(u, bound)
-
-    monkeypatch.setattr(sr.montecarlo, "saturate", recording_saturate)
-    runs = _block_runs(monkeypatch, plant, gain, cfg, Ellipsoid(P=np.eye(n), r=2.0))
-    assert any(clipped)
-    _assert_bitwise_equal(runs)
+    horizon = 25
+    for n, m, kind in ((3, 2, "gaussian"), (8, 3, "gaussian"), (9, 2, "uniform"), (12, 4, "rademacher_scaled")):
+        A = 0.8 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+        B = rng.normal(size=(n, m))
+        K = -0.5 * np.linalg.pinv(B) @ A
+        ubar = rng.uniform(0.2, 0.3, m)
+        plant = sr.SystemSpec(A=A, B=B, W=0.5 * np.eye(n) + 0.1, ubar=ubar)
+        gain = sr.FeedbackGain(K=K)
+        policy = rng.uniform(-0.5, 0.5, size=(horizon, m)) * ubar
+        cfg = SimulationConfig(horizon=horizon, num_traj=19, seed=3, noise_kind=kind, v_policy=policy)
+        ellipsoid = Ellipsoid(P=np.eye(n), r=2.0)
+        runs = _block_runs(monkeypatch, plant, gain, cfg, ellipsoid)
+        _assert_bitwise_equal(runs)
+        # The inputs were clipped: a budget no input reaches gives other states.
+        loose = sr.SystemSpec(A=A, B=B, W=plant.W, ubar=np.full(m, 1e6))
+        unclipped = sr.simulate_ensemble(loose, gain, cfg, ellipsoid=ellipsoid)
+        assert not np.array_equal(unclipped.final_states, runs[0].final_states), n
 
 
 def _traced_peak(sys_, gain, num_traj):

@@ -202,8 +202,10 @@ def test_the_line_search_moves_the_slacks_along_one_direction(n, m, seed, fracti
 STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
+# From n = 8 on, NumPy would sum a narrow block's product terms in
+# another order than a wide block's.
 @given(
-    n=DIMS,
+    n=st.one_of(DIMS, st.integers(8, 12)),
     m=st.integers(1, 3),
     plant_seed=SEEDS,
     seed=STREAM_SEEDS,
@@ -226,9 +228,10 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
     }[policy]
     cfg = SimulationConfig(horizon=horizon, num_traj=num_traj, seed=seed, noise_kind=kind, v_policy=v_policy)
     ellipsoid = Ellipsoid(P=np.eye(n), r=float(n))
+    per_trajectory = sr.montecarlo._doubles_per_trajectory(n, m, horizon)
     runs = []
     for size in (1, block, num_traj):
-        with mock.patch.object(sr.montecarlo, "_BLOCK_SIZE", size):
+        with mock.patch.object(sr.montecarlo, "_BLOCK_DOUBLES", size * per_trajectory):
             runs.append(sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid))
     for stats in runs[1:]:
         for name in ("q_mean", "q_stderr", "final_states", "containment"):

@@ -15,13 +15,15 @@ vbar.
 The ensemble is stepped in blocks of trajectories sized from one memory
 budget, _BLOCK_DOUBLES, that covers every array a block holds: its
 horizon x n draws, its rows of the per-step sums of q_k and q_k^2, and
-the work arrays of one step, all allocated once and written in place,
-clipping included.  Every matrix product adds its terms in a fixed order,
-and the per-step sums behind the statistics take each block's
-trajectories in index order, so results are bitwise reproducible no
-matter how the trajectory set is split into blocks.  No block outlives
-its step loop: the ensemble holds O(_BLOCK_DOUBLES + num_traj x n)
-doubles.
+the work arrays of one step, all allocated once and written in place.
+Each step clips the block's inputs with model.saturate, which refuses a
+non-finite input, so an ensemble whose state overflows raises instead of
+returning non-finite statistics.  Every matrix product adds its terms in
+a fixed order, and the per-step sums behind the statistics take each
+block's trajectories in index order, so results are bitwise reproducible
+no matter how the trajectory set is split into blocks.  No block
+outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES + num_traj x
+n) doubles.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-# The kernel clips in place; saturate stays importable here because the
-# benchmark's tracer counts calls to montecarlo.saturate by name.
 from .model import FeedbackGain, SystemSpec, _check_gain, saturate
 from .sets import Ellipsoid
 
@@ -181,23 +181,19 @@ def _columns(M: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(M.T)[:, :, None]
 
 
-def _term_sum(terms: np.ndarray):
-    """A function that adds terms[1], terms[2], ... into terms[0], one
-    term at a time in that order, and returns terms[0].
+def _term_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Add terms[1], terms[2], ... into terms[0], one term at a time in that
+    order, and return terms[0].
 
     The order is fixed whatever the block width, so a trajectory's bits
     never depend on the block it is stepped in.  BLAS products do not
-    promise that, and neither does terms.sum(axis=0): NumPy reorders that
-    reduction for narrow blocks of n >= 8.
+    promise that, and neither does a sum over the stacked terms: NumPy
+    reorders that reduction for narrow blocks of n >= 8.
     """
-    total, rest = terms[0], list(terms[1:])
-
-    def add():
-        for term in rest:
-            np.add(total, term, out=total)
-        return total
-
-    return add
+    total = terms[0]
+    for term in terms[1:]:
+        np.add(total, term, out=total)
+    return total
 
 
 def simulate_ensemble(
@@ -213,6 +209,11 @@ def simulate_ensemble(
     in blocks of at most _BLOCK_DOUBLES doubles, and every trajectory's
     arithmetic runs in a fixed order, so the statistics are bitwise
     independent of the block size.
+
+    Raises:
+        ValueError: on mismatched dimensions, a malformed or non-finite
+            v_policy, or a non-finite input u_k, as a diverging plant gives.
+        PreconditionError: |v_policy| exceeds ubar.
     """
     _check_gain(sys, gain)
     P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
@@ -225,8 +226,6 @@ def simulate_ensemble(
     Mc, Bc, Fc = (
         _columns(M) for M in (np.vstack([sys.A, gain.K, P]), sys.B, _noise_factor(sys.W))
     )
-    upper = sys.ubar[:, None]
-    lower = -upper
     size = min(total, max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, m, steps)))
     finals = np.empty((total, n))
     # The state is held transposed, one row per component and one column per
@@ -252,7 +251,7 @@ def simulate_ensemble(
         e = state[:, :count]
         e.fill(0.0)
         m_terms, b_terms, f_terms, q_terms = (a[..., :count] for a in work)
-        sum_m, sum_b, sum_f, sum_q = (_term_sum(a) for a in (m_terms, b_terms, f_terms, q_terms))
+        m_list, b_list, f_list, q_list = (list(a) for a in (m_terms, b_terms, f_terms, q_terms))
         Ae, u, Pe = m_terms[0, :n], m_terms[0, n : n + m], m_terms[0, n + m :]
         e_rows, u_rows = e[:, None, :], u[:, None, :]
         noise = block.transpose(1, 2, 0)[:, :, None, :]
@@ -261,20 +260,18 @@ def simulate_ensemble(
         # Pass k takes q_k from e_k and, before the horizon, steps to e_k+1.
         for k in range(steps + 1):
             np.multiply(Mc, e_rows, out=m_terms)
-            sum_m()
+            _term_sum(m_list)
             np.multiply(Pe, e, out=q_terms)
-            q_steps[k] = sum_q()
+            q_steps[k] = _term_sum(q_list)
             if k == steps:
                 break
             v = inputs[k]
             u += v
-            np.maximum(u, lower, out=u)
-            np.minimum(u, upper, out=u)
-            u -= v
+            np.subtract(saturate(u.T, sys.ubar).T, v, out=u)
             np.multiply(Bc, u_rows, out=b_terms)
-            np.add(Ae, sum_b(), out=e)
+            np.add(Ae, _term_sum(b_list), out=e)
             np.multiply(Fc, noise[k], out=f_terms)
-            e += sum_f()
+            e += _term_sum(f_list)
         finals[start : start + count] = e.T
         np.square(q, out=squares[1 : count + 1])
         sums[0] = sums[: count + 1].sum(axis=0)

@@ -267,6 +267,16 @@ def test_ensemble_rejects_a_non_finite_nominal_input(monkeypatch, ref_sys, ref_g
         sr.simulate_ensemble(ref_sys, ref_gain, cfg)
 
 
+def test_ensemble_rejects_a_non_finite_input():
+    # K e overflows at the first noisy state; the step refuses to clip an
+    # infinite input to ubar and go on.
+    plant = sr.SystemSpec(A=[[0.5]], B=[[1.0]], W=[[1e300]], ubar=[1.0])
+    gain = sr.FeedbackGain(K=[[-1e300]])
+    cfg = SimulationConfig(horizon=5, num_traj=3, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="u must be finite"):
+        sr.simulate_ensemble(plant, gain, cfg)
+
+
 def test_ensemble_rejects_mismatched_ellipsoid_shape(ref_sys, ref_gain):
     # A 1 x 1 shape used to broadcast against the planar state unnoticed.
     cfg = SimulationConfig(horizon=5, num_traj=2, seed=0)

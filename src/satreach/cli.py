@@ -4,9 +4,13 @@ Every command reads one JSON config, writes machine-readable artifacts
 into the output directory, and prints a JSON summary to stdout.  All CSV
 numbers are written at `%.17g`, 17 significant digits, so a reader
 recovers the in-memory doubles exactly; runs with identical configs are
-byte identical.  A CSV is written in
-blocks of CSV_BLOCK_ROWS rows, each formatted by one `%` operation, with
-the same bytes as one `format(x, ".17g")` per cell through csv.writer.
+byte identical.  A CSV is written in blocks of csvformat.BLOCK_CELLS
+cells, with the same bytes as one `format(x, ".17g")` per cell through
+csv.writer.  Tables of csvformat.KERNEL_MIN_CELLS cells or more are
+formatted by a NumPy kernel that computes each cell's 17 digits exactly;
+a smaller table, or a block the kernel's guard rejects (a non-finite,
+subnormal or huge cell, or a rounding too close to a tie to prove), is
+formatted by one `%` operation per block.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .certify import (
     synthesize_contraction,
     verify_certificate,
 )
+from .csvformat import table_blocks
 from .errors import ConfigError, PreconditionError, SynthesisError
 from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
 from .montecarlo import SimulationConfig, _nominal_inputs, simulate_ensemble, wilson_upper
@@ -57,11 +62,6 @@ EXIT_SYNTHESIS = 3
 EXIT_PRECONDITION = 4
 
 CSV_NAMES = ("data", "lell", "lbell", "states", "convergence")
-
-# Rows per `%` operation in _write_csv.  Formatting a 2e4-row artifact as
-# one string raises peak memory by megabytes; blocks of this size cost
-# about as little time and hold a few tens of kilobytes of text.
-CSV_BLOCK_ROWS = 512
 
 # Every key a config may hold, by section; anything else is rejected.
 CONFIG_KEYS = {
@@ -262,15 +262,15 @@ def load_config(path) -> AnalysisConfig:
 
 
 @contextmanager
-def _replacing(path: Path, newline: str):
-    """Text handle on a sibling temp file that replaces `path` on success.
+def _replacing(path: Path):
+    """Binary handle on a sibling temp file that replaces `path` on success.
 
     An exception while writing deletes the temp file and leaves any
     previous artifact at `path` as it was.
     """
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8", newline=newline) as handle:
+        with open(temp, "wb") as handle:
             yield handle
         os.replace(temp, path)
     except BaseException:
@@ -282,24 +282,22 @@ def _write_csv(path: Path, header: list[str], tables) -> None:
     """Write `header`, then the rows of each `(line, table)` in `tables`.
 
     `line` is the %-template of one row, ending in a newline, and `table`
-    a 2-D float array with one column per `%` field.  Each block of
-    CSV_BLOCK_ROWS rows is formatted by a single `%` operation and written
-    before the next is formatted.  `%.17g` and `format(x, ".17g")` print
-    a double alike and no cell needs quoting, so the bytes equal those of
-    csv.writer over per-cell formatted strings.
+    a 2-D float array with one column per `%` field.  Each block of rows
+    is formatted by csvformat.table_blocks and written before the next is
+    formatted.  `%.17g` and `format(x, ".17g")` print a double alike and
+    no cell needs quoting, so the bytes equal those of csv.writer over
+    per-cell formatted strings.
     """
-    with _replacing(path, newline="") as handle:
-        handle.write(",".join(header) + "\n")
+    with _replacing(path) as handle:
+        handle.write((",".join(header) + "\n").encode("ascii"))
         for line, table in tables:
-            for start in range(0, len(table), CSV_BLOCK_ROWS):
-                block = table[start : start + CSV_BLOCK_ROWS]
-                handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+            handle.writelines(table_blocks(line, table))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with _replacing(path, newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _replacing(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def _synthesis_digest(cfg: AnalysisConfig) -> str:

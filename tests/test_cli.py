@@ -3,18 +3,20 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import satreach as sr
+from satreach import csvformat
 from satreach.cli import (
-    CSV_BLOCK_ROWS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -606,8 +608,28 @@ def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
                 raise RuntimeError("interrupted")
             yield "%d,%.17g\n", np.array([[k, 1.0]])
 
+    def tables():
+        # Several kernel blocks reach the temp file before the raise.
+        table = np.column_stack([np.arange(10_000), np.linspace(0.1, 7.0, 10_000)])
+        yield "%d,%.17g\n", table
+        raise RuntimeError("interrupted")
+
+    real_format = csvformat._Kernel.format
+    blocks = []
+
+    def third_block_raises(kernel, block):
+        blocks.append(len(block))
+        if len(blocks) == 3:
+            raise RuntimeError("interrupted")
+        return real_format(kernel, block)
+
     with pytest.raises(RuntimeError, match="interrupted"):
         _write_csv(out / "data.csv", ["k", "e"], rows())
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _write_csv(out / "data.csv", ["k", "e"], tables())
+    with mock.patch.object(csvformat._Kernel, "format", third_block_raises):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _write_csv(out / "lell.csv", ["x", "y"], [("%.17g,%.17g\n", np.ones((10_000, 2)) / 3)])
     with pytest.raises(TypeError):
         _write_json(out / "analysis.json", {"a": list(range(10_000)), "b": object()})
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
@@ -627,15 +649,56 @@ def cells(values) -> list[str]:
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -7.0, 2.0**53 + 2, 1.0 / 3.0, -2.5e-300]
+# The edge values the kernel's guard passes, so large tables of them
+# are formatted by the kernel.
+KERNEL_VALUES = [x for x in EDGE_VALUES if x == 0.0 or 1e-280 <= abs(x) <= 1e280]
 
 
-@pytest.mark.parametrize("num_rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+# Three columns: tables on either side of the kernel's crossover, and
+# of one and two kernel blocks.
+BLOCK_ROWS = csvformat.BLOCK_CELLS // 3
+CROSSOVER_ROWS = -(-csvformat.KERNEL_MIN_CELLS // 3)
+
+
+@pytest.mark.parametrize(
+    "num_rows", [0, 1, CROSSOVER_ROWS - 1, CROSSOVER_ROWS, BLOCK_ROWS, BLOCK_ROWS + 1]
+)
 def test_block_writer_matches_csv_writer(tmp_path, num_rows):
-    table = np.resize(np.array(EDGE_VALUES), 3 * num_rows).reshape(num_rows, 3)
-    path = tmp_path / "t.csv"
-    _write_csv(path, ["a", "b", "c"], [("%.17g,%.17g,%.17g\n", table)])
-    assert path.read_bytes() == reference_csv(["a", "b", "c"], (cells(row) for row in table))
-    assert not list(tmp_path.glob(".*.tmp"))
+    for values in (EDGE_VALUES, KERNEL_VALUES):
+        table = np.resize(np.array(values), 3 * num_rows).reshape(num_rows, 3)
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["a", "b", "c"], [("%.17g,%.17g,%.17g\n", table)])
+        assert path.read_bytes() == reference_csv(["a", "b", "c"], (cells(row) for row in table))
+        assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_kernel_formats_every_cli_template(tmp_path, monkeypatch):
+    # Sweep-export sizes: bound sequences, boundary points and sweep rows
+    # of 2e4, with the ensemble filling e for 301 steps and 600 states.
+    cfg = base_config(tmp_path / "out", sweep={"ubar_min": 4.0, "ubar_max": 30.0, "count": 20_000})
+    cfg["prs"].update(k_max=20_000, boundary_points=20_000)
+    cfg["simulation"].update(horizon=300, num_traj=600)
+    path = write_config(tmp_path, cfg)
+
+    def run(out: Path) -> dict:
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+    with monkeypatch.context() as patched:
+        patched.setattr(csvformat, "KERNEL_MIN_CELLS", math.inf)
+        reference = run(tmp_path / "percent")
+
+    def no_fallback(line, block):
+        raise AssertionError(f"the kernel handed {len(block)} rows of {line!r} to %")
+
+    monkeypatch.setattr(csvformat, "percent_block", no_fallback)
+    written = run(tmp_path / "kernel")
+    assert sorted(written) == ["convergence.csv", "data.csv", "lbell.csv", "lell.csv", "states.csv"]
+    assert written == reference
+    header, rows = read_csv(tmp_path / "kernel" / "data.csv")
+    assert rows[300][1] != "" and rows[301][1] == ""
+    assert len(read_csv(tmp_path / "kernel" / "convergence.csv")[1]) > 10_000
 
 
 @pytest.mark.parametrize("horizon, k_max", [(25, 40), (40, 25), (25, 0)])

@@ -6,9 +6,12 @@ rate for a given P, searches for a (P, lam) pair, and independently
 re-verifies any certificate after the fact.  The search probes lam just
 above the spectral floor no shape can beat, and bisects over lam only when
 that probe fails.  Each probe is phase I of a log-det barrier method over
-the vertex inequalities, in dense NumPy linear algebra: it returns a shape
-only when the inequalities hold with positive margin, and declares a rate
-infeasible only by a duality-gap bound.
+the inequalities of an active set of vertices, in dense NumPy linear
+algebra, with N = n (|active| + 2) barrier rows: it returns a shape only
+when the inequalities of all 2^m vertices hold with positive margin,
+adding the vertices that fail to the active set until they do, and
+declares a rate infeasible only by a duality-gap bound, which holds for
+all vertices because it holds for a subset.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_BISECT_TOL = 1e-4
 
-# Barrier weight growth between centrings; the squared Newton decrement
-# that counts as centred (a tighter one costs about one quadratic step).
+# Barrier weight growth; the squared Newton decrement at which it grows,
+# and the one that counts as centred before a probe refutes a rate (a
+# tighter one costs about one quadratic step).
 _WEIGHT_GROWTH = 10.0
+_LONG_STEP = 0.25
 _CENTRED = 1e-8
 
 
@@ -239,20 +244,33 @@ def _stein_correction(S: np.ndarray, probe: _Probe):
 
 
 def _feasible_shape(
-    vertices, rate: float, feas_tol: float, init=None, last=None
+    vertices, rate: float, feas_tol: float, init=None, last=None, active=None
 ) -> np.ndarray | None:
     """Phase I of a log-det barrier method (Boyd, El Ghaoui, Feron &
-    Balakrishnan, LMIs in System and Control Theory, 1994, section 5.3).
+    Balakrishnan, LMIs in System and Control Theory, 1994, section 5.3),
+    run on the vertices in `active` (a cutting-set loop: Mutapcic & Boyd,
+    Optim. Methods Softw. 24(3), 2009).
 
-    Maximises t subject to rate * P - A_J' P A_J >= t I for every vertex J,
-    P >= t I and I - P >= t I from P = init or I / 2.  Returns P as soon as
-    the start or an accepted Newton iterate has t > 0: the barrier is
-    finite there, so every block is at least t I.  (The slack stack S moves
-    as S + s D along each step, so the blocks are re-checked from P before
-    it is returned.)  Centred at weight w, t + N / w bounds the optimal t,
-    N = n (2^m + 2); None means that this bound is negative or the gap
-    N / w is below feas_tol, and then the last iterate is appended to
-    `last` when a list is given.
+    Maximises t subject to rate * P - A_J' P A_J >= t I for every vertex J
+    in `active`, P >= t I and I - P >= t I from P = init or I / 2.  Returns
+    P as soon as the start or an accepted Newton iterate with t > 0 holds
+    every block of all 2^m vertices positive definite, checked from P
+    itself.  An iterate with t > 0 that fails that check adds every failing
+    vertex to `active`, lowers t below their slacks and goes on from P at
+    the same weight.  The vertex whose start slack is most negative joins
+    `active` first; synthesize_contraction passes one list through all of
+    its probes, and a full list makes this the all-vertex probe.
+
+    Centred at weight w, t + N / w bounds the optimal t over `active`,
+    N = n (|active| + 2), and so over all vertices too; None means that
+    this bound is negative or the gap N / w is below feas_tol, and then the
+    last iterate is appended to `last` when a list is given.  Before that
+    verdict, the vertices whose slack at P is at most t join `active` and
+    the probe goes on, so the last iterate lies in every vertex's barrier
+    domain.  The weight grows tenfold once the squared Newton decrement is
+    at most _LONG_STEP, or _CENTRED when that verdict could fire (long-step
+    barrier: Boyd & Vandenberghe, Convex Optimization, 2004, section 11.3).
+    Each line search starts at twice the last accepted step, at most 1.
 
     synthesize_contraction calls it cold at floor + bisect_tol.  Only if
     that fails, it calls it cold at 1 - bisect_tol when the failed probe's
@@ -261,50 +279,77 @@ def _feasible_shape(
     """
     n = vertices.shape[1]
     P = 0.5 * np.eye(n) if init is None else init.copy()
-    S = _slacks(vertices, rate, P)
-    sigma = float(np.linalg.eigvalsh(S)[:, 0].min())
-    if sigma > 0.0:
+    smallest = np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0]
+    if smallest.min() > 0.0:
         return P
-    t = 2.0 * sigma - feas_tol
-    S -= t * np.eye(n)
-    probe = _Probe(vertices, rate)
+    active = [] if active is None else active
+    worst = int(np.argmin(smallest[:-2]))
+    if worst not in active:
+        active.append(worst)
+    t = 2.0 * min(smallest[active].min(), smallest[-2:].min()) - feas_tol
+    probe = _Probe(vertices[active], rate)
+    S = _slacks(probe.vertices, rate, P, t)
     g, Hg, He = _stein_correction(S, probe)
     # The weight whose centring step at the start is shortest (Boyd &
     # Vandenberghe, Convex Optimization, 2004, section 11.3.1).
     weight = max(Hg[-1] / He[-1], 1.0)
-    # The barrier value at the current iterate: an accepted step carries
-    # its trial value forward, so it is recomputed only when weight grows.
-    value = -weight * t - _log_det(S)
+    # The barrier value at the current iterate and its log det term: an
+    # accepted step carries its trial's forward, so nothing is refactored
+    # when the weight grows.
+    log_det = _log_det(S)
+    value = -weight * t - log_det
+    # The last accepted step: each line search starts at twice it, at most 1.
+    size = 0.5
     while True:
         step = weight * He - Hg
         decrement = weight * step[-1] - g @ step
-        if decrement > _CENTRED:
+        gap = n * (len(active) + 2) / weight
+        verdict = t + gap < 0.0 or gap < feas_tol
+        accepted = False
+        if decrement > (_CENTRED if verdict else _LONG_STEP):
             dP = np.zeros((n, n))
             dP[probe.upper] = step[:-1]
             dP, dt = dP + dP.T, step[-1]
             D = probe.direction(dP, dt)
-            size = 1.0
+            size = min(1.0, 2.0 * size)
             while True:
                 trial_S = S + size * D
-                trial = -weight * (t + size * dt) - _log_det(trial_S)
+                trial_log_det = _log_det(trial_S)
+                trial = -weight * (t + size * dt) - trial_log_det
                 if trial <= value - 0.25 * size * decrement:
                     break
                 size *= 0.5
-            if trial < value:
-                P, t, S, value = P + size * dP, t + size * dt, trial_S, trial
-                # S moved along D, so the blocks are checked on P itself.
-                if t > 0.0 and np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0].min() > 0.0:
-                    return P
-                g, Hg, He = _stein_correction(S, probe)
-                continue
-        # Centred, or as close as rounding lets the line search get.
-        gap = n * (len(vertices) + 2) / weight
-        if t + gap < 0.0 or gap < feas_tol:
+            accepted = trial < value
+            if accepted:
+                P, t, S = P + size * dP, t + size * dt, trial_S
+                value, log_det = trial, trial_log_det
+        if accepted and t <= 0.0:
+            g, Hg, He = _stein_correction(S, probe)
+            continue
+        if not (accepted or verdict):
+            weight *= _WEIGHT_GROWTH
+            value = -weight * t - log_det
+            continue
+        # An accepted iterate with t > 0, or a verdict: either stands only
+        # if P holds every vertex's block (checked on P itself, since S
+        # moved along D), above 0 or above t respectively.
+        smallest = np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0]
+        if t > 0.0 and smallest.min() > 0.0:
+            return P
+        failing = np.flatnonzero(smallest[:-2] <= min(t, 0.0)).tolist()
+        failing = [J for J in failing if J not in active]
+        if failing:
+            active += failing
+            t = 2.0 * smallest[failing].min() - feas_tol
+            probe = _Probe(vertices[active], rate)
+            S = _slacks(probe.vertices, rate, P, t)
+            log_det = _log_det(S)
+            value = -weight * t - log_det
+        elif not accepted:
             if last is not None:
                 last.append(P)
             return None
-        weight *= _WEIGHT_GROWTH
-        value = -weight * t - _log_det(S)
+        g, Hg, He = _stein_correction(S, probe)
 
 
 def _shippable_rate(P, vertices, feas_tol: float) -> float:
@@ -335,7 +380,8 @@ def synthesize_contraction(
     exact rate lies below 1 - bisect_tol; otherwise 1 - bisect_tol is
     probed cold.  The rate is then bisected between the failed probe and
     that upper end, each probe warm-started from the last shape found.
-    Each probe is the barrier's phase I.  The returned P is rescaled to
+    Each probe is the barrier's phase I, and one active vertex set is
+    carried through all of them.  The returned P is rescaled to
     trace(P) = n, which fixes the free scale of the certificate cone and
     keeps the relative solver slack equal to the absolute feas_tol slack
     downstream checks apply.
@@ -355,20 +401,20 @@ def synthesize_contraction(
     if floor >= hi:
         raise SynthesisError(f"vertex spectral radius squared {floor:.6f} leaves no rate below one")
     lo = min(floor + bisect_tol, hi)
-    kept = []
-    shape = _feasible_shape(vertices, lo, feas_tol, last=kept)
+    kept, active = [], []
+    shape = _feasible_shape(vertices, lo, feas_tol, last=kept, active=active)
     if shape is None:
         if lo < hi:
             bound = _shippable_rate(kept[0], vertices, feas_tol)
             if bound < hi:
                 hi, shape = bound, kept[0]
             else:
-                shape = _feasible_shape(vertices, hi, feas_tol)
+                shape = _feasible_shape(vertices, hi, feas_tol, active=active)
         if shape is None:
             raise SynthesisError(f"no common quadratic certificate at rate {hi:.6f}")
         while hi - lo > bisect_tol:
             mid = 0.5 * (lo + hi)
-            candidate = _feasible_shape(vertices, mid, feas_tol, init=shape)
+            candidate = _feasible_shape(vertices, mid, feas_tol, init=shape, active=active)
             if candidate is not None:
                 hi, shape = mid, candidate
             else:

@@ -266,13 +266,17 @@ def test_synthesis_bisects_when_the_floor_probe_fails(probes, kept):
     vertices = sr.vertex_matrices(sys_r, gain_r)
     floor, tol = _floor(sys_r, gain_r), certify.DEFAULT_BISECT_TOL
     assert floor == pytest.approx(0.25, abs=1e-12)
+    # The floor probe's last iterate is an iterate over its active vertices
+    # only; on this plant it collapses towards P = 0 and its exact rate over
+    # all four is 1.158, so a shape found at rate 0.9 stands in for it.
+    # That shape's exact rate becomes the upper end in place of a cold probe
+    # at 1 - bisect_tol, so every later probe lies inside the bracket.
+    kept["replacement"] = certify._feasible_shape(vertices, 0.9, certify.DEFAULT_FEAS_TOL)
+    hi = certify._shippable_rate(kept["replacement"], vertices, certify.DEFAULT_FEAS_TOL)
+    assert 0.5 < hi < 0.9
+    del probes[:]
     P, rate = sr.synthesize_contraction(sys_r, gain_r)
-    # The floor probe comes first and fails; its last iterate certifies a
-    # rate below 1 - bisect_tol, which becomes the upper end in place of a
-    # cold probe there, so every later probe lies inside that bracket.
     assert probes[0] == floor + tol and len(kept["iterates"]) == 1
-    hi = sr.min_contraction_rate(kept["iterates"][0], vertices)
-    assert hi == pytest.approx(0.9728, abs=1e-4)
     assert 1.0 - tol not in probes and len(probes) > 1
     assert all(floor + tol < probe < hi for probe in probes[1:])
     assert 0.5 - 1e-9 <= rate <= grid_best_planar_rate(vertices) + tol
@@ -314,6 +318,18 @@ def test_synthesis_probes_once_when_the_floor_is_within_bisect_tol_of_one(probes
     with pytest.raises(SynthesisError, match="no common quadratic certificate"):
         sr.synthesize_contraction(sys_r, gain_r)
     assert probes == [1.0 - tol]
+
+
+def test_synthesis_reaches_the_floor_with_eight_inputs():
+    # The all-vertex floor probe refuted floor + bisect_tol = 0.862546 on
+    # this plant and shipped 0.862921, although a shape with exact rate
+    # 0.862543 exists.  (random_certifiable_problem draws the same plant as
+    # the benchmark's multi_input_plant from the same generator.)
+    sys_r, gain_r = random_certifiable_problem(np.random.default_rng(1), 6, 8)
+    P, rate = sr.synthesize_contraction(sys_r, gain_r)
+    assert rate <= _floor(sys_r, gain_r) + certify.DEFAULT_BISECT_TOL
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain_r))
+    assert sr.verify_certificate(cert, sys_r, gain_r).passed
 
 
 @pytest.mark.parametrize("m, seed", [(1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (2, 7), (2, 11)])

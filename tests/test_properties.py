@@ -2,7 +2,9 @@
 rate, entry-wise equality of the broadcast linear-region scaling and
 rate selection with their scalar calls, synthesized rates that bound the
 exact hull rate of their shape matrix and stop within bisect_tol of the
-spectral floor when its probe succeeds, probes that return only strictly
+spectral floor when its probe succeeds, active-vertex synthesis that
+ships the exact rate of its shape and matches the all-vertex probe within
+bisect_tol, probes that return only strictly
 certifying shapes, slacks that move affinely along a Newton step, and
 block-size invariance of the ensemble."""
 
@@ -12,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 from conftest import hull_membership_check, random_certifiable_problem
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import satreach as sr
@@ -156,6 +158,30 @@ def test_synthesized_rate_bounds_the_exact_hull_rate(n, m, seed):
     assert rate >= floor - 1e-9
     if probe.call_count == 1:
         assert rate <= floor + sr.certify.DEFAULT_BISECT_TOL
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 6), m=st.integers(1, 6), seed=SEEDS)
+def test_active_vertex_synthesis_is_exact_and_no_worse_than_the_all_vertex_probe(n, m, seed):
+    # Synthesis runs the barrier on the vertices that bind; what it ships is
+    # checked on all 2^m, and starting every probe with all of them active
+    # gives the all-vertex probe, which the subset must match within
+    # bisect_tol.
+    sys_r, gain = random_certifiable_problem(np.random.default_rng(seed), n, m)
+    vertices = sr.vertex_matrices(sys_r, gain)
+    P, rate = sr.synthesize_contraction(sys_r, gain)
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain))
+    assert sr.verify_certificate(cert, sys_r, gain).passed
+    assert rate == sr.min_contraction_rate(P, vertices)
+    real = sr.certify._feasible_shape
+
+    def all_vertices(vertices, *args, active, **kwargs):
+        active[:] = range(len(vertices))
+        return real(vertices, *args, active=active, **kwargs)
+
+    with mock.patch.object(sr.certify, "_feasible_shape", all_vertices):
+        _, full_rate = sr.synthesize_contraction(sys_r, gain)
+    assert rate <= full_rate + sr.certify.DEFAULT_BISECT_TOL
 
 
 # A fraction of the way from the spectral floor to one.

@@ -7,11 +7,12 @@ re-verifies any certificate after the fact.  The search probes lam just
 above the spectral floor no shape can beat, and bisects over lam only when
 that probe fails.  Each probe is phase I of a log-det barrier method over
 the inequalities of an active set of vertices, in dense NumPy linear
-algebra, with N = n (|active| + 2) barrier rows: it returns a shape only
+algebra, with N = n (|active| + 2) barrier rows.  Its Newton systems come
+from one stack of the slack blocks' derivatives.  It returns a shape only
 when the inequalities of all 2^m vertices hold with positive margin,
-adding the vertices that fail to the active set until they do, and
-declares a rate infeasible only by a duality-gap bound, which holds for
-all vertices because it holds for a subset.
+adding the worst failing vertex to the active set, one per check, until
+they do, and declares a rate infeasible only by a duality-gap bound,
+which holds for all vertices because it holds for a subset.
 """
 
 from __future__ import annotations
@@ -179,68 +180,56 @@ def _log_det(S) -> float:
 
 
 class _Probe:
-    """What the Newton steps of one probe share: the vertex stack and its
-    contiguous transpose at a fixed rate, P's coordinates (its upper
-    triangle), and the Gram weights and flat gather indices of the Hessian.
+    """What the Newton steps of one probe share: its vertex stack, P's
+    coordinates and the derivative stack X of the slack blocks.
+
+    The blocks b are the vertices, then P, then I - P.  The coordinates i
+    are P's upper triangle, at the index pairs np.triu_indices(n), in the
+    basis E_i = e_k e_l' + e_l e_k', then t.  X[i, b] = dS_b / dx_i is
+    rate E_i - A_J' E_i A_J for vertex J, E_i for P and -E_i for I - P, and
+    -I for t; the slacks are affine in (P, t), so X is fixed.
     """
 
     def __init__(self, vertices: np.ndarray, rate: float):
         V, n = vertices.shape[:2]
-        self.vertices, self.rate, self.eye = vertices, rate, np.eye(n)
-        self.transposed = np.ascontiguousarray(vertices.transpose(0, 2, 1))
+        self.vertices = vertices
         self.upper = rows, cols = np.triu_indices(n)
-        self.coef = np.concatenate(
-            [np.full(V, rate * rate), np.full(V, -2.0 * rate), np.ones(V + 2)]
-        )[:, None]
-        # The P block of H is K + K' with K_ij = T[r_i, r_j, c_i, c_j] +
-        # T[r_i, c_j, c_i, r_j], T the n^2 x n^2 Gram matrix read as an
-        # n x n x n x n array; these are the flat indices of both terms.
-        r, c = rows[:, None], cols[:, None]
-        self.gather = np.stack(
-            [((r * n + rows) * n + c) * n + cols, ((r * n + cols) * n + c) * n + rows]
-        )
+        d = len(rows)
+        basis = np.zeros((d, n, n))
+        basis[np.arange(d), rows, cols] = 1.0
+        basis += basis.transpose(0, 2, 1)
+        # A_J' E_i A_J = a_k a_l' + a_l a_k', a_k the k-th row of A_J.
+        row = vertices.transpose(1, 0, 2)
+        outer = row[rows, :, :, None] * row[cols, :, None, :]
+        self.stack = X = np.empty((d + 1, V + 2, n, n))
+        X[:d, :V] = rate * basis[:, None] - outer - outer.transpose(0, 1, 3, 2)
+        X[:d, V], X[:d, V + 1], X[d] = basis, -basis, -np.eye(n)
 
-    def direction(self, dP: np.ndarray, dt: float) -> np.ndarray:
-        """D with _slacks(P + s dP, t + s dt) = _slacks(P, t) + s D (slacks are affine)."""
-        stein = self.rate * dP - self.transposed @ dP @ self.vertices
-        return np.concatenate([0.5 * (stein + stein.transpose(0, 2, 1)), [dP, -dP]]) - dt * self.eye
+    def direction(self, step: np.ndarray) -> np.ndarray:
+        """D = sum_i step_i X[i], so _slacks(P + s dP, t + s dt) =
+        _slacks(P, t) + s D for the step's (dP, dt)."""
+        d = len(step)
+        return (step @ self.stack.reshape(d, -1)).reshape(self.stack.shape[1:])
 
 
 # The Newton step keeps the name of the Stein-lift correction it replaced,
 # because the benchmark counts its calls as `certify.stein_solves`.
 def _stein_correction(S: np.ndarray, probe: _Probe):
-    """Gradient g of -sum_b log det S_b over (P, t), H^-1 g and H^-1 e_t.
+    """Gradient g of -sum_b log det S_b over the probe's coordinates,
+    H^-1 g and H^-1 e_t, H its Hessian.
 
     S is the slack stack _slacks(vertices, rate, P, t) of the probe's
-    vertices and rate.  P's coordinates are its upper triangle, at the
-    index pairs np.triu_indices(n), in the basis E_i = e_k e_l' + e_l e_k',
-    then t.  Block b maps E_i to its Stein image X_bi (rate E_i - A_J' E_i
-    A_J, E_i or -E_i) and t to -I, so H_ij = sum_b tr(S_b^-1 X_bi S_b^-1
-    X_bj): sums of products G[k, r] G[l, s] of n x n matrices G made from
-    S_b^-1 and A_J, which one n^2 x n^2 Gram matrix adds up.
+    vertices and rate.  With Z_ib = S_b^-1 X[i, b], g_i = -sum_b tr Z_ib
+    and H_ij = sum_b tr(Z_ib Z_jb).
     """
-    vertices, transposed, rate = probe.vertices, probe.transposed, probe.rate
-    V, n = vertices.shape[:2]
-    rows, cols = probe.upper
-    inverses = np.linalg.inv(S)
-    pushed = inverses[:V] @ transposed
-    # The adjoint block maps applied to S_b^-1 and to S_b^-2, summed over b.
-    Y = np.stack([inverses, inverses @ inverses])
-    adjoint = rate * Y[:, :V].sum(1) - (vertices @ Y[:, :V] @ transposed).sum(1)
-    grad, h = -2.0 * (adjoint + Y[:, V] - Y[:, V + 1])[:, rows, cols]
-    grams = np.concatenate([inverses[:V], pushed, vertices @ pushed, inverses[V:]])
-    flat = grams.reshape(len(grams), n * n)
-    K = ((flat * probe.coef).T @ flat).ravel()[probe.gather].sum(0)
-    # H and the right-hand side [g, e_t] fill preallocated arrays.
-    d = len(rows)
-    H = np.empty((d + 1, d + 1))
-    np.add(K, K.T, out=H[:d, :d])
-    H[:d, d] = H[d, :d] = h
-    H[d, d] = np.sum(inverses * inverses)
-    rhs = np.zeros((2, d + 1))
-    rhs[0, :d] = grad
-    rhs[:, d] = np.trace(inverses, axis1=1, axis2=2).sum(), 1.0
-    return rhs[0], *np.linalg.solve(H, rhs.T).T
+    Z = np.linalg.inv(S) @ probe.stack
+    d = len(Z)
+    g = -np.trace(Z, axis1=2, axis2=3).sum(1)
+    # tr(Z_ib Z_jb) pairs Z_ib[k, l] with Z_jb[l, k]: one product over (b, k, l).
+    H = Z.reshape(d, -1) @ Z.transpose(0, 1, 3, 2).reshape(d, -1).T
+    rhs = np.zeros((d, 2))
+    rhs[:, 0], rhs[-1, 1] = g, 1.0
+    return g, *np.linalg.solve(H, rhs).T
 
 
 def _feasible_shape(
@@ -255,21 +244,24 @@ def _feasible_shape(
     in `active`, P >= t I and I - P >= t I from P = init or I / 2.  Returns
     P as soon as the start or an accepted Newton iterate with t > 0 holds
     every block of all 2^m vertices positive definite, checked from P
-    itself.  An iterate with t > 0 that fails that check adds every failing
-    vertex to `active`, lowers t below their slacks and goes on from P at
-    the same weight.  The vertex whose start slack is most negative joins
-    `active` first; synthesize_contraction passes one list through all of
-    its probes, and a full list makes this the all-vertex probe.
+    itself.  An iterate with t > 0 that fails that check adds the failing
+    vertex with the lowest slack to `active`, lowers t below that slack
+    and goes on from P at the same weight.  The vertex whose start slack
+    is most negative joins `active` first; synthesize_contraction passes
+    one list through all of its probes, and a full list makes this the
+    all-vertex probe.  Each Newton system costs O(|active| n^2 d^2) for
+    d = n (n + 1) / 2 + 1 coordinates, so one vertex joins per check.
 
     Centred at weight w, t + N / w bounds the optimal t over `active`,
     N = n (|active| + 2), and so over all vertices too; None means that
     this bound is negative or the gap N / w is below feas_tol, and then the
     last iterate is appended to `last` when a list is given.  Before that
-    verdict, the vertices whose slack at P is at most t join `active` and
-    the probe goes on, so the last iterate lies in every vertex's barrier
-    domain.  The weight grows tenfold once the squared Newton decrement is
-    at most _LONG_STEP, or _CENTRED when that verdict could fire (long-step
-    barrier: Boyd & Vandenberghe, Convex Optimization, 2004, section 11.3).
+    verdict, the same rule lets the vertex with the lowest slack at P join
+    `active` if that slack is at most t, and the probe goes on, so the last
+    iterate lies in every vertex's barrier domain.  The weight grows
+    tenfold once the squared Newton decrement is at most _LONG_STEP, or
+    _CENTRED when that verdict could fire (long-step barrier: Boyd &
+    Vandenberghe, Convex Optimization, 2004, section 11.3).
     Each line search starts at twice the last accepted step, at most 1.
 
     synthesize_contraction calls it cold at floor + bisect_tol.  Only if
@@ -310,7 +302,7 @@ def _feasible_shape(
             dP = np.zeros((n, n))
             dP[probe.upper] = step[:-1]
             dP, dt = dP + dP.T, step[-1]
-            D = probe.direction(dP, dt)
+            D = probe.direction(step)
             size = min(1.0, 2.0 * size)
             while True:
                 trial_S = S + size * D
@@ -336,11 +328,11 @@ def _feasible_shape(
         smallest = np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0]
         if t > 0.0 and smallest.min() > 0.0:
             return P
-        failing = np.flatnonzero(smallest[:-2] <= min(t, 0.0)).tolist()
-        failing = [J for J in failing if J not in active]
-        if failing:
-            active += failing
-            t = 2.0 * smallest[failing].min() - feas_tol
+        smallest[active] = np.inf
+        worst = int(np.argmin(smallest[:-2]))
+        if smallest[worst] <= min(t, 0.0):
+            active.append(worst)
+            t = 2.0 * smallest[worst] - feas_tol
             probe = _Probe(vertices[active], rate)
             S = _slacks(probe.vertices, rate, P, t)
             log_det = _log_det(S)

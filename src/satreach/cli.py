@@ -265,9 +265,11 @@ def load_config(path) -> AnalysisConfig:
 def _replacing(path: Path):
     """Binary handle on a sibling temp file that replaces `path` on success.
 
-    An exception while writing deletes the temp file and leaves any
-    previous artifact at `path` as it was.
+    The parent directory is created first.  An exception while writing
+    deletes the temp file and leaves any previous artifact at `path` as it
+    was.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as handle:
@@ -294,10 +296,12 @@ def _write_csv(path: Path, header: list[str], tables) -> None:
             handle.writelines(table_blocks(line, table))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> str:
+    """Write `payload` as indented, key-sorted JSON and return that text."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with _replacing(path) as handle:
         handle.write(text.encode("utf-8"))
+    return text
 
 
 def _synthesis_digest(cfg: AnalysisConfig) -> str:
@@ -395,7 +399,7 @@ def _certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray
     return P, payload, None if passed else failure
 
 
-def cmd_certify(cfg: AnalysisConfig) -> dict:
+def cmd_certify(cfg: AnalysisConfig) -> str:
     """Produce and independently verify a certificate; write certificate.json.
 
     Always synthesizes when P is omitted, never reading an earlier file.  A
@@ -403,11 +407,10 @@ def cmd_certify(cfg: AnalysisConfig) -> dict:
     can be inspected, and then reported as a synthesis failure.
     """
     _, payload, failure = _certificate(cfg, reuse=False)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out_dir / "certificate.json", payload)
+    text = _write_json(cfg.out_dir / "certificate.json", payload)
     if failure is not None:
         raise SynthesisError(f"{failure}; residuals in {cfg.out_dir / 'certificate.json'}")
-    return payload
+    return text
 
 
 @dataclass(frozen=True)
@@ -442,7 +445,6 @@ def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:
 
 def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
     """Write the CSV artifacts cfg.emit names; `stats` adds the ensemble's."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "data" in cfg.emit:
         profile = state.profile
         bounds = [
@@ -505,16 +507,14 @@ def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:
     return payload
 
 
-def cmd_analyze(cfg: AnalysisConfig) -> dict:
+def cmd_analyze(cfg: AnalysisConfig) -> str:
     """Bounds, reachable-set scalings, and boundary polylines; no simulation."""
     state = _analysis_state(cfg)
     _emit(cfg, state)
-    payload = _analysis_payload(cfg, state)
-    _write_json(cfg.out_dir / "analysis.json", payload)
-    return payload
+    return _write_json(cfg.out_dir / "analysis.json", _analysis_payload(cfg, state))
 
 
-def cmd_simulate(cfg: AnalysisConfig) -> dict:
+def cmd_simulate(cfg: AnalysisConfig) -> str:
     """Analysis plus a Monte Carlo ensemble; fills the empirical column."""
     sim = cfg.simulation
     state = _analysis_state(cfg)
@@ -534,11 +534,10 @@ def cmd_simulate(cfg: AnalysisConfig) -> dict:
             "q_mean_final": float(stats.q_mean[-1]),
         }
     )
-    _write_json(cfg.out_dir / "simulation.json", payload)
-    return payload
+    return _write_json(cfg.out_dir / "simulation.json", payload)
 
 
-def cmd_sweep(cfg: AnalysisConfig) -> dict:
+def cmd_sweep(cfg: AnalysisConfig) -> str:
     """Effective rate as the saturation budget varies; writes convergence.csv."""
     if cfg.sweep_ubar is None:
         raise ConfigError("sweep command needs a 'sweep' config section")
@@ -547,7 +546,6 @@ def cmd_sweep(cfg: AnalysisConfig) -> dict:
     P, profile = _rate_profile(cfg, budgets)
     kept = ~profile.fallback
     swept = np.column_stack([budgets[kept, 0], profile.r_lin[kept], profile.rate_effective[kept]])
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "convergence" in cfg.emit:
         # The constant ll column is part of the line template.
         line = f"%.17g,{profile.rate_linear:.17g},%.17g\n"
@@ -564,11 +562,10 @@ def cmd_sweep(cfg: AnalysisConfig) -> dict:
         "largest_r_L": float(swept[-1, 1]) if len(swept) else None,
         "last_effective_rate": float(swept[-1, 2]) if len(swept) else None,
     }
-    _write_json(cfg.out_dir / "sweep.json", payload)
-    return payload
+    return _write_json(cfg.out_dir / "sweep.json", payload)
 
 
-def cmd_report(cfg: AnalysisConfig) -> dict:
+def cmd_report(cfg: AnalysisConfig) -> str:
     """Merge whichever JSON artifacts earlier commands left behind."""
     merged = {}
     for name in ("certificate", "analysis", "simulation", "sweep"):
@@ -580,9 +577,7 @@ def cmd_report(cfg: AnalysisConfig) -> dict:
                 raise ConfigError(f"cannot merge {path}: {exc}") from exc
         else:
             merged[name] = None
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out_dir / "report.json", merged)
-    return merged
+    return _write_json(cfg.out_dir / "report.json", merged)
 
 
 _COMMANDS = {
@@ -625,8 +620,8 @@ def main(argv=None) -> int:
                 cfg.simulation = replace(cfg.simulation, seed=args.seed)
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from exc
-        payload = _COMMANDS[args.command](cfg)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # The text the command wrote to its JSON artifact.
+        sys.stdout.write(_COMMANDS[args.command](cfg))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import grid_best_planar_rate, grid_min_rate_oracle, random_certifiable_problem
+from hypothesis import given
+from hypothesis import strategies as st
 
 import satreach as sr
 import satreach.certify as certify
@@ -332,6 +334,37 @@ def test_synthesis_reaches_the_floor_with_eight_inputs():
     assert sr.verify_certificate(cert, sys_r, gain_r).passed
 
 
+def test_synthesis_reaches_a_certifiable_rate_with_twelve_inputs():
+    # With every failing vertex joining, 160 of the 4096 vertices were
+    # active and two probes were refuted at squared Newton decrements of
+    # -9.8e3 and -6.3e4, so 0.857109 shipped although a shape with exact
+    # rate 0.85673 exists.
+    sys_r, gain_r = random_certifiable_problem(np.random.default_rng(3), 6, 12)
+    P, rate = sr.synthesize_contraction(sys_r, gain_r)
+    assert rate <= 0.85673 + certify.DEFAULT_BISECT_TOL
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain_r))
+    assert sr.verify_certificate(cert, sys_r, gain_r).passed
+
+
+def test_only_the_worst_failing_vertex_joins_the_active_set(monkeypatch):
+    # On this plant many vertices fail each check by a little; with every
+    # failing vertex joining, 304 of its 1024 vertices ended up active.
+    sys_r, gain_r = random_certifiable_problem(np.random.default_rng(2), 8, 10)
+    lists = []
+    real = certify._feasible_shape
+
+    def recording(*args, active=None, **kwargs):
+        lists.append(active)
+        return real(*args, active=active, **kwargs)
+
+    monkeypatch.setattr(certify, "_feasible_shape", recording)
+    P, rate = sr.synthesize_contraction(sys_r, gain_r)
+    assert all(active is lists[0] for active in lists)
+    assert len(set(lists[0])) == len(lists[0]) <= 32
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=sr.closed_loop_rate(P, sys_r, gain_r))
+    assert sr.verify_certificate(cert, sys_r, gain_r).passed
+
+
 @pytest.mark.parametrize("m, seed", [(1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (2, 7), (2, 11)])
 def test_synthesis_is_not_beaten_by_a_planar_grid(m, seed):
     # The grid's best shape is one feasible point, so a synthesis that finds
@@ -343,15 +376,30 @@ def test_synthesis_is_not_beaten_by_a_planar_grid(m, seed):
     assert rate <= best + certify.DEFAULT_BISECT_TOL
 
 
-def test_newton_system_matches_finite_differences_of_the_barrier():
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    margin=st.floats(0.1, 1.0),
+)
+def test_newton_system_matches_finite_differences_of_the_barrier(n, m, seed, fraction, margin):
     # Coordinates as in _stein_correction: P's upper triangle in the basis
-    # e_k e_l' + e_l e_k', then t.
-    vertices = sr.vertex_matrices(*random_certifiable_problem(np.random.default_rng(4), 3, 2))
-    rate, P0, t0, h = 0.99, np.diag([0.5, 0.4, 0.6]), -0.3, 1e-4
-    rows, cols = np.triu_indices(3)
+    # e_k e_l' + e_l e_k', then t.  (P0, t0) lies inside the barrier's
+    # domain: every slack block exceeds t0 I by at least `margin`.
+    rng = np.random.default_rng(seed)
+    vertices = sr.vertex_matrices(*random_certifiable_problem(rng, n, m))
+    floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
+    rate = floor + fraction * (1.0 - floor)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    P0 = (Q * rng.uniform(0.1, 0.9, n)) @ Q.T
+    P0 = 0.5 * (P0 + P0.T)
+    t0 = np.linalg.eigvalsh(certify._slacks(vertices, rate, P0))[:, 0].min() - margin
+    h = 1e-4
+    rows, cols = np.triu_indices(n)
 
     def barrier(x):
-        dP = np.zeros((3, 3))
+        dP = np.zeros((n, n))
         dP[rows, cols] = x[:-1]
         return -certify._log_det(certify._slacks(vertices, rate, P0 + dP + dP.T, t0 + x[-1]))
 
@@ -364,9 +412,12 @@ def test_newton_system_matches_finite_differences_of_the_barrier():
     g, Hg, He = certify._stein_correction(
         certify._slacks(vertices, rate, P0, t0), certify._Probe(vertices, rate)
     )
-    assert np.allclose(g, grad, rtol=1e-6, atol=1e-6)
-    assert np.allclose(hess @ Hg, g, rtol=1e-4, atol=1e-4)
-    assert np.allclose(hess @ He, np.eye(rows.size + 1)[-1], rtol=1e-4, atol=1e-4)
+    # Central differences at h = 1e-4 err by O(h^2) relative to the
+    # gradient's scale (~2e-7 at worst over 400 random draws).
+    scale = np.abs(g).max()
+    assert np.abs(g - grad).max() <= 1e-6 * scale
+    assert np.abs(hess @ Hg - g).max() <= 1e-4 * scale
+    assert np.abs(hess @ He - np.eye(rows.size + 1)[-1]).max() <= 1e-4
 
 
 def test_synthesize_rejects_unstable_closed_loop():

@@ -214,11 +214,17 @@ def test_the_line_search_moves_the_slacks_along_one_direction(n, m, seed, fracti
     vertices = sr.vertex_matrices(*random_certifiable_problem(rng, n, m))
     floor = float(np.abs(np.linalg.eigvals(vertices)).max()) ** 2
     rate = floor + fraction * (1.0 - floor)
-    F, G = rng.normal(size=(2, n, n))
-    P, dP = 0.5 * np.eye(n) + 0.1 * (F + F.T), G + G.T
-    t, dt = rng.normal(size=2)
+    F = rng.normal(size=(n, n))
+    P, t = 0.5 * np.eye(n) + 0.1 * (F + F.T), rng.normal()
+    # A step in the probe's coordinates: P's upper triangle in the basis
+    # e_k e_l' + e_l e_k', then t.
+    probe = sr.certify._Probe(vertices, rate)
+    step = rng.normal(size=len(probe.upper[0]) + 1)
+    dP = np.zeros((n, n))
+    dP[probe.upper] = step[:-1]
+    dP, dt = dP + dP.T, step[-1]
     S = sr.certify._slacks(vertices, rate, P, t)
-    D = sr.certify._Probe(vertices, rate).direction(dP, dt)
+    D = probe.direction(step)
     expected = sr.certify._slacks(vertices, rate, P + size * dP, t + size * dt)
     assert np.abs(S + size * D - expected).max() <= 1e-12 * np.abs(expected).max()
 

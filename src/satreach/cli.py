@@ -109,16 +109,18 @@ def _block(raw: dict, name: str) -> dict:
 
 
 def _numeric(value, key: str):
-    """`value` if it is a JSON number or a (nested) array of numbers.
+    """`value` if it is a finite JSON number or a (nested) array of them.
 
     Booleans, strings and null are rejected rather than coerced: `true`
-    would read as 1.0 and `"1e-7"` as the number it spells.
+    would read as 1.0 and `"1e-7"` as the number it spells.  So are NaN,
+    Infinity, -Infinity and literals too large for a double, which the
+    JSON reader returns as non-finite floats.
     """
     if isinstance(value, list):
         for item in value:
             _numeric(item, key)
-    elif type(value) not in (int, float):
-        raise ConfigError(f"'{key}' must be a number or an array of numbers, got {value!r}")
+    elif not (type(value) is int or type(value) is float and math.isfinite(value)):
+        raise ConfigError(f"'{key}' must be a finite number or an array of them, got {value!r}")
     return value
 
 
@@ -178,14 +180,6 @@ def _parse_sweep(raw: dict) -> np.ndarray:
     return values
 
 
-def _finite_number(text: str) -> float:
-    """JSON hook that rejects NaN, Infinity and literals overflowing a double."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
 def _valid_shape(P, n: int) -> np.ndarray:
     """P as an n x n float array, once it passes as a certificate shape.
 
@@ -203,8 +197,8 @@ def load_config(path) -> AnalysisConfig:
     """Parse and validate a JSON config; all failures become ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
-    except (OSError, ValueError) as exc:
+        raw = json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
@@ -284,11 +278,12 @@ def _write_csv(path: Path, header: list[str], tables) -> None:
     """Write `header`, then the rows of each `(line, table)` in `tables`.
 
     `line` is the %-template of one row, ending in a newline, and `table`
-    a 2-D float array with one column per `%` field.  Each block of rows
-    is formatted by csvformat.table_blocks and written before the next is
-    formatted.  `%.17g` and `format(x, ".17g")` print a double alike and
-    no cell needs quoting, so the bytes equal those of csv.writer over
-    per-cell formatted strings.
+    a 2-D float array with one column per `%.17g` field; integer-valued
+    columns such as data.csv's `k` print as `%d` would print them.  Each
+    block of rows is formatted by csvformat.table_blocks and written
+    before the next is formatted.  `%.17g` and `format(x, ".17g")` print
+    a double alike and no cell needs quoting, so the bytes equal those of
+    csv.writer over per-cell formatted strings.
     """
     with _replacing(path) as handle:
         handle.write((",".join(header) + "\n").encode("ascii"))
@@ -456,9 +451,10 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
         # The writer formats and writes the table in blocks of rows.
         table = np.column_stack([np.arange(cfg.k_max + 1), *bounds])
         filled = min(len(q_mean), cfg.k_max + 1)
+        covered = np.insert(table[:filled], 1, q_mean[:filled], axis=1)
         tables = [
-            ("%d,%.17g,%.17g,%.17g,%.17g\n", np.insert(table[:filled], 1, q_mean[:filled], axis=1)),
-            ("%d,,%.17g,%.17g,%.17g\n", table[filled:]),
+            ("%.17g,%.17g,%.17g,%.17g,%.17g\n", covered),
+            ("%.17g,,%.17g,%.17g,%.17g\n", table[filled:]),
         ]
         _write_csv(cfg.out_dir / "data.csv", ["k", "e", "l", "ll", "lb"], tables)
     curves = {"lell": state.pub_rate, "lbell": state.pub_selected}
@@ -573,7 +569,7 @@ def cmd_report(cfg: AnalysisConfig) -> str:
         if path.exists():
             try:
                 merged[name] = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"cannot merge {path}: {exc}") from exc
         else:
             merged[name] = None
@@ -634,6 +630,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        print(f"cannot allocate: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -1,4 +1,4 @@
-"""CSV rows as bytes: `%`-templates of `%.17g` and `%d` fields over float tables.
+"""CSV rows as bytes: `%`-templates of `%.17g` fields over float tables.
 
 A table is formatted in blocks of at most BLOCK_CELLS cells.  A table of
 at least KERNEL_MIN_CELLS cells goes through a NumPy kernel that writes,
@@ -17,15 +17,15 @@ two-product, so the scaled value is known to within 1e-14 of a unit.
 Where 10^s is itself a double (0 <= s <= 22, lo = 0) the scaled value is
 exact and so are its ties.  Elsewhere a fraction within GUARD_TIE of one
 half could round either way.  The guard hands a block to `%` when it
-holds such a cell, a non-finite cell, a nonzero |x| outside
-[GUARD_MIN, GUARD_MAX] (every subnormal among them), or a `%d` cell that
-is not an integer of magnitude below 1e16.  Zeros print as `0` and `-0`.
+holds such a cell, a non-finite cell, or a nonzero |x| outside
+[GUARD_MIN, GUARD_MAX] (every subnormal among them).  Zeros print as `0`
+and `-0`, and every other integer-valued x with |x| < 1e17 as `%d` prints
+it.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 
 import numpy as np
 
@@ -47,8 +47,6 @@ GUARD_TIE = 1e-9
 GUARD_MIN = 1e-280
 GUARD_MAX = 1e280
 
-_FIELDS = r"(%\.17g|%d)"
-
 # The bytes of one cell's slot: a sign, the "0.000" prefix of small fixed
 # point numbers, then the 17 digits at even offsets from _DIGITS, each
 # followed by a decimal point (the last by "e"), then the exponent's sign
@@ -63,13 +61,11 @@ _SCALE_MAX = 297
 _X_OFFSET = 300
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
-# Layout classes of a %.17g cell: (kind * 17 + 16 - trailing zeros) * 2
-# + sign, where kind 0 is scientific with a negative two-digit exponent,
-# 1..21 fixed point for X = -4..16, 22 scientific with a positive
-# two-digit exponent and 23 scientific with three digits.  The classes of
-# a %d cell follow: (digits - 1) * 2 + sign for 1..16 digits.
-_G_CLASSES = 24 * 17 * 2
-_CLASSES = _G_CLASSES + 16 * 2
+# Layout classes of a cell: (kind * 17 + 16 - trailing zeros) * 2 + sign,
+# where kind 0 is scientific with a negative two-digit exponent, 1..21
+# fixed point for X = -4..16, 22 scientific with a positive two-digit
+# exponent and 23 scientific with three digits.
+_CLASSES = 24 * 17 * 2
 
 
 def percent_block(line: str, block: np.ndarray) -> bytes:
@@ -96,10 +92,9 @@ def table_blocks(line: str, table: np.ndarray):
 class _Kernel:
     """The kernel for one template, with a byte grid for up to `rows` rows."""
 
-    def __init__(self, literals: list[bytes], is_d: np.ndarray, rows: int):
+    def __init__(self, literals: list[bytes], rows: int):
         fields = len(literals)
         width = -(-(_SLOT + max(map(len, literals))) // 8) * 8
-        self.d_cols = np.flatnonzero(is_d)
         self.grid = np.zeros((rows, fields, width), dtype=np.uint8)
         self.grid[:, :, 0] = ord("-")
         self.grid[:, :, 1:_DIGITS] = np.frombuffer(b"0.000", dtype=np.uint8)
@@ -115,11 +110,11 @@ class _Kernel:
     @classmethod
     def for_template(cls, line: str, fields: int, rows: int):
         """The kernel for `line`, or None when the kernel does not cover it."""
-        parts = re.split(_FIELDS, line)
-        literals = [text.encode("ascii") for text in parts[2::2]]
+        parts = line.split("%.17g")
+        literals = [text.encode("ascii") for text in parts[1:]]
         if parts[0] or len(literals) != fields or any(b"%" in text for text in literals):
             return None
-        return cls(literals, np.array([spec == "%d" for spec in parts[1::2]]), rows)
+        return cls(literals, rows)
 
     def format(self, block: np.ndarray) -> list[bytes] | None:
         """The bytes of `line % row` for every row of `block`, in pieces, or
@@ -144,16 +139,10 @@ class _Kernel:
         """Write each cell's digits and exponent into the grid and return
         its mask row, or None where the guard fails."""
         t = _tables()
-        # Every cell goes through %.17g; the %d cells are then replaced.
         digits = _g17(block)
         if digits is None:
             return None
         N, X = digits
-        if self.d_cols.size:
-            k = block[:, self.d_cols]
-            if not (np.all(np.abs(k) < 1e16) and np.all(k == np.floor(k))):
-                return None
-            N[:, self.d_cols] = np.abs(k).astype(np.int64)
         head, c1, c2, c3, c4 = _chunks(N)
         x = X + _X_OFFSET
         cls = np.take(t["kind"], x) - np.take(t["zeros2"], c4) + np.signbit(block)
@@ -162,9 +151,6 @@ class _Kernel:
             high = np.take(t["zeros2"], c1.flat[fix])
             high = np.take(t["zeros2"], c2.flat[fix]) + (c2.flat[fix] == 0) * high
             cls.flat[fix] -= np.take(t["zeros2"], c3.flat[fix]) + (c3.flat[fix] == 0) * high
-        if self.d_cols.size:
-            count = np.searchsorted(t["decades"], N[:, self.d_cols], side="right")
-            cls[:, self.d_cols] = _G_CLASSES + count * 2 + (k < 0)
 
         grid = self.grid[: len(block)]
         grid.view(np.uint16)[:, :, _DIGITS // 2] = np.take(t["lead"], head)
@@ -299,7 +285,6 @@ def _tables() -> dict:
         # a 4-digit group (8 for 0000).
         "kind": kind * 34 + 32,
         "zeros2": 2 * sum((k % 10**j == 0).astype(np.int8) for j in range(1, 5)),
-        "decades": 10 ** np.arange(1, 17, dtype=np.int64),
         "masks": _class_masks(),
     }
 
@@ -317,7 +302,7 @@ def _class_masks() -> np.ndarray:
     X = kind - 5
     last = np.where(fixed & (X >= 0), np.maximum(X, significant - 1), significant - 1)
     at = np.where(fixed, X, 0)  # the digit the point follows, if any
-    g = (
+    return (
         ((col == 0) & (neg == 1))
         | (fixed & (X < 0) & (col >= 1) & (col <= 1 - X))
         | ((digit >= 0) & (digit <= last))
@@ -325,7 +310,3 @@ def _class_masks() -> np.ndarray:
         | (~fixed & ((col == _EXP - 1) | (col == _EXP) | (col > _EXP + 1)))
         | ((kind == 23) & (col == _EXP + 1))
     )
-
-    count, neg = (a.ravel()[:, None] for a in np.meshgrid(np.arange(1, 17), [0, 1], indexing="ij"))
-    d = ((col == 0) & (neg == 1)) | (digit >= 17 - count)
-    return np.concatenate([g, d])

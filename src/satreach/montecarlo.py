@@ -23,7 +23,10 @@ a fixed order, and the per-step sums behind the statistics take each
 block's trajectories in index order, so results are bitwise reproducible
 no matter how the trajectory set is split into blocks.  No block
 outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES + num_traj x
-n) doubles.
+n) doubles while one trajectory fits the budget.  Past that, once
+horizon x (n + 2) exceeds _BLOCK_DOUBLES, a block is one trajectory and
+holds about horizon x (n + 4) doubles: its draws, and two rows each of
+the per-step sums of q_k and q_k^2.
 """
 
 from __future__ import annotations

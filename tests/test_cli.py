@@ -441,7 +441,11 @@ def test_report_merges_available_artifacts(tmp_path):
     assert merged["sweep"] is None
 
 
-@pytest.mark.parametrize("spoil", ["truncated", "directory"])
+# Deeper than the JSON reader's recursion limit.
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("spoil", ["truncated", "directory", "nested"])
 def test_report_refuses_an_artifact_it_cannot_read(tmp_path, capsys, spoil):
     # An artifact that is not a readable JSON file is named as such, not
     # reported as a write failure.
@@ -450,6 +454,9 @@ def test_report_refuses_an_artifact_it_cannot_read(tmp_path, capsys, spoil):
     if spoil == "truncated":
         assert main(["analyze", "--config", str(cfg_path)]) == EXIT_OK
         (out / "analysis.json").write_text('{"lambda": ', encoding="utf-8")
+    elif spoil == "nested":
+        out.mkdir()
+        (out / "analysis.json").write_text(NESTED_JSON, encoding="utf-8")
     else:
         (out / "analysis.json").mkdir(parents=True)
     assert main(["report", "--config", str(cfg_path)]) == EXIT_CONFIG
@@ -502,6 +509,33 @@ def test_write_errors_exit_4_with_one_line(tmp_path, capsys, blocked):
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
+
+
+def test_a_nested_config_is_a_config_error(tmp_path, capsys):
+    # The JSON reader raises RecursionError here, which is no ValueError.
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED_JSON, encoding="utf-8")
+    assert main(["certify", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("certify", "sweep", "count"),
+        ("analyze", "prs", "k_max"),
+        ("analyze", "prs", "boundary_points"),
+        ("certify", "simulation", "horizon"),
+    ],
+)
+def test_unallocatable_sizes_exit_4_with_one_line(tmp_path, capsys, command, section, key):
+    # 10^13 elements, 72 TiB, pass validation but no allocator grants them.
+    cfg = base_config(tmp_path / "out", sweep=dict(SWEEP))
+    cfg[section][key] = 10**13
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("cannot allocate: ") and err.count("\n") == 1
 
 
 def test_demo_config_loads():
@@ -606,12 +640,12 @@ def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
         for k in range(10_000):
             if k == 5_000:
                 raise RuntimeError("interrupted")
-            yield "%d,%.17g\n", np.array([[k, 1.0]])
+            yield "%.17g,%.17g\n", np.array([[k, 1.0]])
 
     def tables():
         # Several kernel blocks reach the temp file before the raise.
         table = np.column_stack([np.arange(10_000), np.linspace(0.1, 7.0, 10_000)])
-        yield "%d,%.17g\n", table
+        yield "%.17g,%.17g\n", table
         raise RuntimeError("interrupted")
 
     real_format = csvformat._Kernel.format
@@ -698,6 +732,7 @@ def test_kernel_formats_every_cli_template(tmp_path, monkeypatch):
     assert written == reference
     header, rows = read_csv(tmp_path / "kernel" / "data.csv")
     assert rows[300][1] != "" and rows[301][1] == ""
+    assert [row[0] for row in rows] == [str(k) for k in range(20_001)]
     assert len(read_csv(tmp_path / "kernel" / "convergence.csv")[1]) > 10_000
 
 
@@ -960,6 +995,19 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("system", "ubar", '["10"]'),
         ("system", "ubar", "[true]"),
         ("sweep", "ubar_values", "[true, 2]"),
+        *[
+            (section, key, value.replace("X", literal))
+            for section, key, value in [
+                ("system", "A", "[[X, 0.1], [0.1, 0.89]]"),
+                ("gain", "K", "[[-0.282, X]]"),
+                ("prs", "epsilon", "X"),
+                ("simulation", "v_policy", "[X]"),
+                ("simulation", "horizon", "X"),
+                # ubar_values stands alone in its section.
+                ("sweep", None, '{"ubar_values": [1, X]}'),
+            ]
+            for literal in ("NaN", "-Infinity", "1e400")
+        ],
         ("prs", "boundary_points", "2"),
         ("prs", "boundary_points", "0"),
         ("prs", "boundary_points", "-5"),

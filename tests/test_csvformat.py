@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satreach import csvformat
@@ -98,35 +98,46 @@ def test_exact_ties_round_half_even_in_the_kernel():
 
 
 @given(st.integers(-(2**64), 2**64))
+@example(10**17 - 16)
+@example(10**17)
 def test_kernel_prints_integers_as_percent_d_does(k):
-    # Up to and past 2^53, where doubles stop holding every integer, and 1e16.
+    # Up to and past 2^53, where doubles stop holding every integer, and
+    # past 1e17, where %.17g turns to scientific notation.
     x = float(k)
-    got = kernel_bytes("%d\n", [x])
-    if abs(x) >= 1e16:
-        assert got is None
-    else:
+    got = kernel_bytes("%.17g\n", [x])
+    if abs(x) < 1e17:
         assert got == ("%d\n" % x).encode()
+    else:
+        assert got == ("%.17g\n" % x).encode()
 
 
-@pytest.mark.parametrize("x", [0.5, -2.5, 1e16, -1e16, float("nan"), float("inf")])
-def test_kernel_hands_unproven_d_cells_to_percent(x):
-    assert kernel_bytes("%d\n", [x]) is None
+# data.csv's two row templates and the `%d` form of each, whose bytes they
+# keep: k is an integer below 1e16, never -0.0 (which %d prints as 0).
+DATA_TEMPLATES = [
+    ("%.17g,%.17g,%.17g,%.17g,%.17g\n", "%d,%.17g,%.17g,%.17g,%.17g\n", [0, 1, 2, 3, 4]),
+    ("%.17g,,%.17g,%.17g,%.17g\n", "%d,,%.17g,%.17g,%.17g\n", [0, 2, 3, 4]),
+]
 
 
-@given(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=20))
+@given(st.lists(st.tuples(*[FINITE] * 5), min_size=1, max_size=20))
 def test_kernel_blocks_equal_percent_blocks(rows):
     table = np.array(rows)
-    table[:, 0] = np.trunc(np.clip(table[:, 0], -1e15, 1e15))
-    for line in ("%d,%.17g,%.17g\n", "%d,,%.17g,0.76852028012028373,%.17g\n"):
-        got = kernel_bytes(line, table)
-        if not any(needs_percent(x) for x in table[:, 1:].ravel()):
-            assert got == percent_block(line, table)
-        else:
+    table[:, 0] = np.trunc(np.clip(table[:, 0], -1e15, 1e15)) + 0.0
+    cases = [(line, d_line, table[:, columns]) for line, d_line, columns in DATA_TEMPLATES]
+    # A constant between two fields, as in convergence.csv.
+    cases.append(("%.17g,0.76852028012028373,%.17g\n", None, table[:, 3:]))
+    for line, d_line, cells in cases:
+        got = kernel_bytes(line, cells)
+        if any(needs_percent(x) for x in cells.ravel()):
             assert got is None
+        else:
+            assert got == percent_block(line, cells)
+            if d_line is not None:
+                assert got == percent_block(d_line, cells)
 
 
 @pytest.mark.parametrize(
-    "line", ["x%.17g\n", "%.17g,%s\n", "%.17g,%%\n", "%.16g\n", "%5d\n"], ids=repr
+    "line", ["x%.17g\n", "%.17g,%s\n", "%.17g,%%\n", "%.16g\n", "%d\n", "%5d\n"], ids=repr
 )
 def test_other_templates_use_percent(line):
     assert csvformat._Kernel.for_template(line, line.count("%") - line.count("%%") * 2, 4) is None

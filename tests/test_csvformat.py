@@ -111,6 +111,19 @@ def test_kernel_prints_integers_as_percent_d_does(k):
         assert got == ("%.17g\n" % x).encode()
 
 
+@pytest.mark.parametrize("x", [0.5, -2.5, 1e16, -1e16, float("nan"), float("inf")])
+def test_kernel_hands_unproven_d_cells_to_percent(x):
+    # The kernel has no `%d` field: a `%d` table, however large, goes to `%`
+    # whole, which truncates fractions and raises on NaN and infinity.
+    assert csvformat._Kernel.for_template("%d\n", 1, 4) is None
+    table = np.full((csvformat.KERNEL_MIN_CELLS, 1), x)
+    if math.isfinite(x):
+        assert b"".join(csvformat.table_blocks("%d\n", table)) == percent_block("%d\n", table)
+    else:
+        with pytest.raises((ValueError, OverflowError)):
+            b"".join(csvformat.table_blocks("%d\n", table))
+
+
 # data.csv's two row templates and the `%d` form of each, whose bytes they
 # keep: k is an integer below 1e16, never -0.0 (which %d prints as 0).
 DATA_TEMPLATES = [

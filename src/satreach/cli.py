@@ -439,7 +439,12 @@ def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:
 
 
 def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
-    """Write the CSV artifacts cfg.emit names; `stats` adds the ensemble's."""
+    """Write the CSV artifacts cfg.emit names; `stats` adds the ensemble's.
+
+    Every table is built before the first file is replaced, so a table
+    that cannot be built leaves the directory's earlier CSVs as they were.
+    """
+    files = []
     if "data" in cfg.emit:
         profile = state.profile
         bounds = [
@@ -456,20 +461,21 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
             ("%.17g,%.17g,%.17g,%.17g,%.17g\n", covered),
             ("%.17g,,%.17g,%.17g,%.17g\n", table[filled:]),
         ]
-        _write_csv(cfg.out_dir / "data.csv", ["k", "e", "l", "ll", "lb"], tables)
+        files.append(("data", ["k", "e", "l", "ll", "lb"], tables))
     curves = {"lell": state.pub_rate, "lbell": state.pub_selected}
     planar = [*curves, "states"] if stats is not None else list(curves)
     wanted = [name for name in planar if name in cfg.emit]
-    if cfg.system.n != 2:
-        if wanted:
-            print(f"{', '.join(wanted)} need a planar system; skipped", file=sys.stderr)
-        return
+    if cfg.system.n != 2 and wanted:
+        print(f"{', '.join(wanted)} need a planar system; skipped", file=sys.stderr)
+        wanted = []
     for name in wanted:
         if name == "states":
             pts = stats.final_states
         else:
             pts = boundary_polyline(curves[name], cfg.boundary_points)
-        _write_csv(cfg.out_dir / f"{name}.csv", ["x", "y"], [("%.17g,%.17g\n", pts)])
+        files.append((name, ["x", "y"], [("%.17g,%.17g\n", pts)]))
+    for name, header, tables in files:
+        _write_csv(cfg.out_dir / f"{name}.csv", header, tables)
 
 
 def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:

@@ -12,8 +12,8 @@ trajectories.  The nominal input must be finite and keep |v_i| <= ubar_i
 at every step; the command line further holds it within the analysis'
 vbar.
 
-The ensemble is stepped in blocks of trajectories sized from one memory
-budget, _BLOCK_DOUBLES, that covers every array a block holds: its
+The ensemble is stepped in equal blocks of trajectories, sized from one
+memory budget, _BLOCK_DOUBLES, that covers every array a block holds: its
 horizon x n draws, its rows of the per-step sums of q_k and q_k^2, and
 the work arrays of one step, all allocated once and written in place.
 Each step clips the block's inputs with model.saturate, which refuses a
@@ -21,17 +21,46 @@ non-finite input, so an ensemble whose state overflows raises instead of
 returning non-finite statistics.  Every matrix product adds its terms in
 a fixed order, and the per-step sums behind the statistics take each
 block's trajectories in index order, so results are bitwise reproducible
-no matter how the trajectory set is split into blocks.  No block
-outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES + num_traj x
-n) doubles while one trajectory fits the budget.  Past that, once
-horizon x (n + 2) exceeds _BLOCK_DOUBLES, a block is one trajectory and
-holds about horizon x (n + 4) doubles: its draws, and two rows each of
-the per-step sums of q_k and q_k^2.
+no matter how the trajectory set is split into blocks or which process
+steps a block.
+
+On Linux, an ensemble of at least _FORK_MIN_TRAJ_STEPS trajectory-steps
+whose caller runs no other Python thread is shared out between the
+caller and one forked worker per further CPU in its affinity mask, at
+most _MAX_PROCESSES processes and one per block, and the block count is
+rounded up to a multiple of the process count.  A CPU quota of the
+caller's cgroup is not read.  Native threads, such as the pool OpenBLAS
+starts when NumPy loads, do not stop the fork: OpenBLAS shuts its pool
+down across a fork, and a worker calls no BLAS routine, only elementwise
+ufuncs, its generator and reads and writes of its pipes.  Python 3.12
+and later warn of such a fork with a DeprecationWarning, which the
+default warning filters do not show.  With k processes, process b mod k
+steps block b, and process 0 is the caller.  A worker writes each
+block's q_k rows and final states into the next of its _RING slots of
+shared anonymous memory; the caller copies them out and folds them into
+the sums in block order, as it folds its own blocks.  A worker that
+fails leaves its blocks to the caller, which steps them again and so
+raises whatever one process would; the caller kills and reaps every
+worker before it returns or raises.  No option sets the process count:
+the command line's `simulation.workers` is still accepted and ignored.
+A worker's calls, such as those to model.saturate, are made in its own
+process, so a tracer in the caller sees only the caller's blocks.
+
+No block outlives its step loop: the ensemble holds O(k x _BLOCK_DOUBLES
++ num_traj x n) doubles while one trajectory fits the budget.  Past
+that, once horizon x (n + 2) exceeds _BLOCK_DOUBLES, a block is one
+trajectory and holds about horizon x (n + 4) doubles: its draws, and two
+rows each of the per-step sums of q_k and q_k^2.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
+import threading
 from dataclasses import dataclass
+from sys import platform
 
 import numpy as np
 
@@ -55,6 +84,21 @@ def _doubles_per_trajectory(n: int, m: int, horizon: int) -> int:
 # mc-demo benchmark as one block was faster but raised its peak resident
 # memory by 5 %.
 _BLOCK_DOUBLES = 256 * _doubles_per_trajectory(6, 3, 100)
+
+# Trajectory-steps below which an ensemble is stepped in one process.
+# Forking and reaping a worker costs ~1.8 ms on a 2-CPU Xeon VM, where
+# demo ensembles split into two equal blocks stepped as fast forked as in
+# one process at ~11 000 (horizon 5), ~18 000 (horizon 100) and ~28 000
+# (horizon 20) trajectory-steps.
+_FORK_MIN_TRAJ_STEPS = 30_000
+
+# Processes, caller included, that may step one ensemble: the ensemble
+# kernel's time, the fork threshold and a worker's memory were measured
+# with two, on 2 CPUs.
+_MAX_PROCESSES = 2
+
+# Slots of shared memory each worker may fill ahead of the caller's fold.
+_RING = 2
 
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
@@ -199,66 +243,50 @@ def _term_sum(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def simulate_ensemble(
-    sys: SystemSpec,
-    gain: FeedbackGain,
-    cfg: SimulationConfig,
-    ellipsoid: Ellipsoid | None = None,
-) -> EnsembleStats:
-    """Simulate the error recursion from e_0 = 0 across the ensemble.
+def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P: np.ndarray, size: int):
+    """The function that steps one block of at most `size` trajectories.
 
-    The quadratic form is measured against the shape of `ellipsoid`, or
-    against the identity when none is given.  The trajectories are stepped
-    in blocks of at most _BLOCK_DOUBLES doubles, and every trajectory's
-    arithmetic runs in a fixed order, so the statistics are bitwise
-    independent of the block size.
+    step(start, q, finals) steps trajectories start, ..., start + len(q) - 1
+    from e_0 = 0, and writes trajectory start + t's q_0, ..., q_horizon into
+    q[t] and its state at the horizon into finals[t].  Its work arrays are
+    allocated here, once, and reused by every block it steps.
 
     Raises:
-        ValueError: on mismatched dimensions, a malformed or non-finite
-            v_policy, or a non-finite input u_k, as a diverging plant gives.
+        ValueError: a malformed or non-finite v_policy.
         PreconditionError: |v_policy| exceeds ubar.
     """
-    _check_gain(sys, gain)
-    P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
-    if P.shape != (sys.n, sys.n):
-        raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
-    n, m, steps, total = sys.n, sys.m, cfg.horizon, cfg.num_traj
+    n, m, steps = sys.n, sys.m, cfg.horizon
     inputs = _nominal_inputs(cfg.v_policy, steps, sys.ubar)[:, :, None]
     # One product with the stacked [A; K; P] gives A e, K e and P e of the
     # same state, each summed in the order of its own product.
     Mc, Bc, Fc = (
         _columns(M) for M in (np.vstack([sys.A, gain.K, P]), sys.B, _noise_factor(sys.W))
     )
-    size = min(total, max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, m, steps)))
-    finals = np.empty((total, n))
     # The state is held transposed, one row per component and one column per
     # trajectory, so every product runs on contiguous rows.  The draws are
     # held one (horizon, n) row per trajectory, as the generator writes them.
     draws = np.empty((size, steps, n))
-    state = np.empty((n, size))
-    work = tuple(np.empty(shape + (size,)) for shape in ((n, 2 * n + m), (m, n), (n, n), (n,)))
-    # Rows 1.. hold the block's q_k (q_k^2) and row 0 their running sum
-    # over the earlier blocks, so one reduction down the rows adds the
-    # trajectories one at a time in index order, the order in which a
-    # mean over all the samples at once would add them.
-    sums = np.zeros((size + 1, steps + 1))
-    squares = np.zeros((size + 1, steps + 1))
-    inside = np.zeros(steps + 1, dtype=np.int64)
+    shapes = ((n,), (n, 2 * n + m), (m, n), (n, n), (n,))
+    # A narrower block takes the head of each buffer, so its arrays are as
+    # contiguous as a full block's; column slices of full-width arrays made
+    # a 232-trajectory block of n = 6 step 1.5x slower than a 256 one.
+    buffers = [np.empty(math.prod(shape) * size) for shape in shapes]
     # One generator is re-keyed to each trajectory's stream in turn.
     rng = np.random.Generator(np.random.Philox(key=0))
 
-    for start in range(0, total, size):
-        count = min(size, total - start)
+    def step(start: int, q: np.ndarray, finals: np.ndarray) -> None:
+        count = len(q)
         block = draws[:count]
         _draw_block(cfg.noise_kind, cfg.seed, start, rng, block)
-        e = state[:, :count]
+        e, m_terms, b_terms, f_terms, q_terms = (
+            buffer[: math.prod(shape) * count].reshape(shape + (count,))
+            for buffer, shape in zip(buffers, shapes)
+        )
         e.fill(0.0)
-        m_terms, b_terms, f_terms, q_terms = (a[..., :count] for a in work)
         m_list, b_list, f_list, q_list = (list(a) for a in (m_terms, b_terms, f_terms, q_terms))
         Ae, u, Pe = m_terms[0, :n], m_terms[0, n : n + m], m_terms[0, n + m :]
         e_rows, u_rows = e[:, None, :], u[:, None, :]
         noise = block.transpose(1, 2, 0)[:, :, None, :]
-        q = sums[1 : count + 1]
         q_steps = q.T
         # Pass k takes q_k from e_k and, before the horizon, steps to e_k+1.
         for k in range(steps + 1):
@@ -275,12 +303,192 @@ def simulate_ensemble(
             np.add(Ae, _term_sum(b_list), out=e)
             np.multiply(Fc, noise[k], out=f_terms)
             e += _term_sum(f_list)
-        finals[start : start + count] = e.T
-        np.square(q, out=squares[1 : count + 1])
-        sums[0] = sums[: count + 1].sum(axis=0)
-        squares[0] = squares[: count + 1].sum(axis=0)
-        if ellipsoid is not None:
-            inside += np.count_nonzero(q <= ellipsoid.threshold, axis=0)
+        finals[...] = e.T
+
+    return step
+
+
+def _processes(blocks: int, traj_steps: int) -> int:
+    """How many processes step an ensemble of `blocks` blocks.
+
+    One per CPU this process may run on, at most _MAX_PROCESSES and one
+    per block, when the platform is Linux, no other Python thread is alive
+    to be cut off by a fork, and the ensemble is long enough to repay one;
+    else 1, the caller alone.
+    """
+    if platform != "linux" or threading.active_count() > 1 or traj_steps < _FORK_MIN_TRAJ_STEPS:
+        return 1
+    return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), blocks)
+
+
+class _Workers:
+    """Forked processes that step an ensemble's blocks beside the caller.
+
+    With k processes, block b belongs to process b mod k, and process 0 is
+    the caller, which steps its own blocks as their turn to be folded
+    comes.  Worker w steps blocks w, w + k, ... in order, each into the
+    next slot of its ring of _RING slots of shared anonymous memory, and
+    sends a byte down its `ready` pipe as each slot is filled; the caller
+    copies the slot out and sends a byte down the worker's `free` pipe to
+    hand it back.  A worker that stops early, by an error or a signal,
+    closes its end of `ready`, and from then on the caller steps that
+    worker's blocks itself, so an error surfaces as it would in one
+    process.  The caller holds the read end of every `free` pipe open as
+    well, so handing a slot back to a worker that has stopped leaves a
+    byte unread instead of raising SIGPIPE, which kills a caller that has
+    not set it aside.  Entering the context forks the workers; leaving it
+    kills and reaps every one of them.
+    """
+
+    def __init__(self, step, starts: range, q_len: int, n: int, processes: int):
+        self.step, self.starts, self.k, self.q_len = step, starts, processes, q_len
+        # A slot holds one block: per trajectory its q_k row, then its final state.
+        self.shape = (processes - 1, _RING, starts.step, q_len + n)
+        self.pids: list[int] = []
+        # Per worker, the caller's ends of its pipes; `ready` is None once
+        # the caller steps that worker's blocks.
+        self.ready: list[int | None] = []
+        self.free: list[int | None] = []
+        # Every pipe end the caller holds, closed on leaving.
+        self.held: list[int] = []
+
+    def __enter__(self):
+        if self.k == 1:
+            return self
+        import mmap  # loaded only by an ensemble that forks
+
+        try:
+            ring = mmap.mmap(-1, 8 * math.prod(self.shape))
+        except OSError:
+            self.k = 1
+            return self
+        self.slots = np.frombuffer(ring, dtype=float).reshape(self.shape)
+        try:
+            for w in range(1, self.k):
+                self._fork(w)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def _fork(self, w: int) -> None:
+        """Start worker w; if that fails, the caller steps w's blocks."""
+        pipes: list[int] = []
+        try:
+            pipes += os.pipe()
+            pipes += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in pipes:
+                os.close(fd)
+            self.ready.append(None)
+            self.free.append(None)
+            return
+        ready_r, ready_w, free_r, free_w = pipes
+        if pid == 0:
+            try:
+                for fd in [ready_r, free_w, *self.held]:
+                    os.close(fd)
+                self._serve(w, ready_w, free_r)
+            finally:
+                os._exit(0)
+        os.close(ready_w)
+        self.pids.append(pid)
+        self.ready.append(ready_r)
+        self.free.append(free_w)
+        self.held += [ready_r, free_r, free_w]
+
+    def _serve(self, w: int, ready: int, free: int) -> None:
+        """Worker w's loop: step its blocks into its ring, in order."""
+        for j, start in enumerate(self.starts[w :: self.k]):
+            # Slot j % _RING is free once the caller has copied block j - _RING.
+            if j >= _RING and not os.read(free, 1):
+                return
+            count = min(self.starts.step, self.starts.stop - start)
+            self.step(start, *self._slot(w, j, count))
+            os.write(ready, b"\0")
+
+    def _slot(self, w: int, j: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The q rows and final states of worker w's j-th block, in its slot."""
+        slot = self.slots[w - 1, j % _RING, :count]
+        return slot[:, : self.q_len], slot[:, self.q_len :]
+
+    def take(self, b: int, q: np.ndarray, finals: np.ndarray) -> None:
+        """Fill q and finals with block b, from its worker's slot or by stepping it."""
+        w, j = b % self.k, b // self.k
+        if w and self.ready[w - 1] is not None:
+            if os.read(self.ready[w - 1], 1):
+                q[...], finals[...] = self._slot(w, j, len(q))
+                if j + _RING < len(self.starts[w :: self.k]):
+                    # A worker that has stopped since finds its blocks
+                    # stepped here, once its `ready` pipe reads empty.
+                    os.write(self.free[w - 1], b"\0")
+                return
+            # The worker stopped early: its blocks fall to the caller.
+            self.ready[w - 1] = None
+        self.step(self.starts[b], q, finals)
+
+    def __exit__(self, *exc) -> None:
+        import signal
+
+        for pid in self.pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in self.held:
+            os.close(fd)
+
+
+def simulate_ensemble(
+    sys: SystemSpec,
+    gain: FeedbackGain,
+    cfg: SimulationConfig,
+    ellipsoid: Ellipsoid | None = None,
+) -> EnsembleStats:
+    """Simulate the error recursion from e_0 = 0 across the ensemble.
+
+    The quadratic form is measured against the shape of `ellipsoid`, or
+    against the identity when none is given.  The trajectories are stepped
+    in blocks of at most _BLOCK_DOUBLES doubles, shared out between this
+    process and the workers _processes allows, and every trajectory's
+    arithmetic runs in a fixed order, so the statistics are bitwise
+    independent of the block size and the process count.
+
+    Raises:
+        ValueError: on mismatched dimensions, a malformed or non-finite
+            v_policy, or a non-finite input u_k, as a diverging plant gives.
+        PreconditionError: |v_policy| exceeds ubar.
+    """
+    _check_gain(sys, gain)
+    P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
+    if P.shape != (sys.n, sys.n):
+        raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
+    n, steps, total = sys.n, cfg.horizon, cfg.num_traj
+    blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, sys.m, steps)))
+    processes = _processes(blocks, total * steps)
+    # Equal blocks, a multiple of the process count of them, so that no
+    # process is left stepping a longer share while the others wait.
+    size = -(-total // (-(-blocks // processes) * processes))
+    step = _block_stepper(sys, gain, cfg, P, size)
+    starts = range(0, total, size)
+    finals = np.empty((total, n))
+    # Rows 1.. hold a block's q_k (q_k^2) and row 0 their running sum over
+    # the earlier blocks, so one reduction down the rows adds the
+    # trajectories one at a time in index order, the order in which a mean
+    # over all the samples at once would add them.
+    sums = np.zeros((size + 1, steps + 1))
+    squares = np.zeros((size + 1, steps + 1))
+    inside = np.zeros(steps + 1, dtype=np.int64)
+    with _Workers(step, starts, steps + 1, n, processes) as workers:
+        for b, start in enumerate(starts):
+            count = min(size, total - start)
+            q = sums[1 : count + 1]
+            workers.take(b, q, finals[start : start + count])
+            np.square(q, out=squares[1 : count + 1])
+            sums[0] = sums[: count + 1].sum(axis=0)
+            squares[0] = squares[: count + 1].sum(axis=0)
+            if ellipsoid is not None:
+                inside += np.count_nonzero(q <= ellipsoid.threshold, axis=0)
 
     q_mean = sums[0] / total
     q_stderr = np.zeros(steps + 1)

@@ -538,6 +538,23 @@ def test_unallocatable_sizes_exit_4_with_one_line(tmp_path, capsys, command, sec
     assert err.startswith("cannot allocate: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_an_unbuildable_polyline_writes_no_artifact(tmp_path, capsys, command):
+    # The polylines are built before data.csv replaces an earlier run's.
+    earlier = tmp_path / "earlier"
+    cfg = base_config(earlier)
+    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+    cfg["prs"]["boundary_points"] = 10**13
+    cfg["simulation"]["seed"] = 1
+    path = write_config(tmp_path, cfg, "huge.json")
+    for out in (earlier, tmp_path / "fresh"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("cannot allocate: ")
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_demo_config_loads():
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
     assert cfg.simulation.horizon == 100

@@ -1,6 +1,13 @@
 """Determinism, distributional sanity, and containment statistics."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +414,191 @@ def test_ensemble_bitwise_invariant_to_block_size_when_saturated(monkeypatch):
         loose = sr.SystemSpec(A=A, B=B, W=plant.W, ubar=np.full(m, 1e6))
         unclipped = sr.simulate_ensemble(loose, gain, cfg, ellipsoid=ellipsoid)
         assert not np.array_equal(unclipped.final_states, runs[0].final_states), n
+
+
+def _force_processes(monkeypatch, cpus):
+    # Forks at any ensemble size, as if `cpus` CPUs were free.
+    monkeypatch.setattr(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0)
+    monkeypatch.setattr(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def test_at_most_two_processes_step_an_ensemble(monkeypatch):
+    _force_processes(monkeypatch, 64)
+    assert [sr.montecarlo._processes(blocks, 10**6) for blocks in (1, 2, 3, 64)] == [1, 2, 2, 2]
+
+
+def _assert_no_child_left():
+    # Neither a running child nor an unreaped zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(sr.montecarlo.os, "fork", counting)
+    return forks
+
+
+def test_forks_only_without_a_thread_on_several_cpus_and_reaps(monkeypatch, ref_sys, ref_gain):
+    cfg = SimulationConfig(horizon=30, num_traj=23, seed=17)
+    _force_block_size(monkeypatch, ref_sys, cfg, 4)
+    forks = _count_forks(monkeypatch)
+    _force_processes(monkeypatch, 1)
+    sr.simulate_ensemble(ref_sys, ref_gain, cfg)
+    _force_processes(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        sr.simulate_ensemble(ref_sys, ref_gain, cfg)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    sr.simulate_ensemble(ref_sys, ref_gain, cfg)
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def _overflowing_plant():
+    # |K e| overflows once |e| passes ~4e8, four standard deviations of
+    # the first step's noise, so only some trajectories raise.
+    return sr.SystemSpec(A=[[0.5]], B=[[1.0]], W=[[1e16]], ubar=[1.0]), sr.FeedbackGain(K=[[-4.5e299]])
+
+
+def _raises(step, start, horizon):
+    try:
+        step(start, np.empty((1, horizon + 1)), np.empty((1, 1)))
+    except ValueError:
+        return True
+    return False
+
+
+# The block the first raising trajectory falls in, of how many: block 2 is
+# the caller's, block 1 the worker's first, and block 3 the worker's second,
+# which the worker fails after it has stepped block 1 and before the caller
+# hands that slot back; no later block raises, so only the caller's own
+# stepping of the failed block can.  Handing a slot back to a worker that
+# has stopped must not raise SIGPIPE, whose default action would kill the
+# caller; a recording handler stands in for that action.
+@pytest.mark.parametrize("failing, blocks", [(2, 4), (1, 2), (3, 6)])
+def test_a_diverging_block_raises_alike_in_one_and_two_processes(monkeypatch, failing, blocks):
+    sigpipes = []
+    previous = signal.signal(signal.SIGPIPE, lambda *frame: sigpipes.append(1))
+    try:
+        _diverge_in_one_and_two_processes(monkeypatch, failing, blocks)
+    finally:
+        signal.signal(signal.SIGPIPE, previous)
+    assert sigpipes == []
+
+
+def _diverge_in_one_and_two_processes(monkeypatch, failing, blocks):
+    plant, gain = _overflowing_plant()
+    caller = os.getpid()
+    real_saturate = sr.montecarlo.saturate
+    pending = []
+
+    def slow_caller(u, ubar):
+        # The worker runs ahead while the caller's first step waits.
+        if os.getpid() == caller and pending:
+            pending.pop()
+            time.sleep(0.2)
+        return real_saturate(u, ubar)
+
+    cfg = SimulationConfig(horizon=30, num_traj=400, seed=0)
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The first trajectory that raises when stepped alone.
+        step = sr.montecarlo._block_stepper(plant, gain, cfg, np.eye(1), 1)
+        first = next(i for i in range(cfg.num_traj) if _raises(step, i, cfg.horizon))
+        size = 2 * first // (2 * failing + 1)
+        cfg = SimulationConfig(horizon=30, num_traj=blocks * size, seed=0)
+        _force_block_size(monkeypatch, plant, cfg, size)
+        monkeypatch.setattr(sr.montecarlo, "saturate", slow_caller)
+        for cpus in (1, 2):
+            _force_processes(monkeypatch, cpus)
+            pending.append(1)
+            with pytest.raises(ValueError) as raised:
+                sr.simulate_ensemble(plant, gain, cfg)
+            errors.append(str(raised.value))
+            _assert_no_child_left()
+    assert first // size == failing
+    assert errors == ["u must be finite"] * 2
+
+
+def test_an_interrupted_caller_leaves_no_child(monkeypatch, ref_sys, ref_gain):
+    cfg = SimulationConfig(horizon=30, num_traj=23, seed=17)
+    _force_block_size(monkeypatch, ref_sys, cfg, 4)
+    _force_processes(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    caller = os.getpid()
+    real_saturate = sr.montecarlo.saturate
+    calls = []
+
+    def interrupted(u, ubar):
+        # Mid-way through the caller's second block; workers step on.
+        if os.getpid() == caller:
+            calls.append(1)
+            if len(calls) == 40:
+                raise KeyboardInterrupt
+        return real_saturate(u, ubar)
+
+    monkeypatch.setattr(sr.montecarlo, "saturate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sr.simulate_ensemble(ref_sys, ref_gain, cfg)
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+# Run with OpenBLAS's thread pool alive, as NumPy starts it unless
+# OPENBLAS_NUM_THREADS=1: the ensemble forks beside that native thread, and
+# its statistics equal the one-process run's.
+NATIVE_THREADS_RUN = """
+import os
+import numpy as np
+import satreach as sr
+
+threads = len(os.listdir("/proc/self/task"))
+plant = sr.SystemSpec(A=[[0.9, 0.2], [0.0, 0.8]], B=[[0.0], [1.0]], W=[[0.01, 0.0], [0.0, 0.02]], ubar=[0.5])
+gain = sr.FeedbackGain(K=[[-0.3, -0.6]])
+cfg = sr.SimulationConfig(horizon=100, num_traj=1000, seed=5)
+ellipsoid = sr.Ellipsoid(P=np.eye(2), r=0.5)
+real_fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or real_fork()
+runs = []
+for cpus in ({0}, {0, 1}):
+    os.sched_getaffinity = lambda pid: cpus
+    runs.append(sr.simulate_ensemble(plant, gain, cfg, ellipsoid=ellipsoid))
+same = all(
+    np.array_equal(getattr(runs[0], name).view(np.uint64), getattr(runs[1], name).view(np.uint64))
+    for name in ("q_mean", "q_stderr", "final_states", "containment")
+)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(threads, len(forks), same, left)
+"""
+
+
+def test_forks_beside_a_native_blas_thread():
+    src = str(Path(sr.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", NATIVE_THREADS_RUN], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    threads, forks, same, left = run.stdout.split()
+    if threads == "1":
+        pytest.skip("NumPy's BLAS started no thread pool")
+    assert (forks, same, left) == ("1", "True", "False")
 
 
 def _traced_peak(sys_, gain, num_traj):

@@ -6,7 +6,7 @@ spectral floor when its probe succeeds, active-vertex synthesis that
 ships the exact rate of its shape and matches the all-vertex probe within
 bisect_tol, probes that return only strictly
 certifying shapes, slacks that move affinely along a Newton step, and
-block-size invariance of the ensemble."""
+block-size and process-count invariance of the ensemble."""
 
 import math
 from fractions import Fraction
@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 from conftest import hull_membership_check, random_certifiable_problem
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import satreach as sr
@@ -235,7 +235,11 @@ STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.i
 
 
 # From n = 8 on, NumPy would sum a narrow block's product terms in
-# another order than a wide block's.
+# another order than a wide block's.  `workers` is the CPU count the kernel
+# sees, with forking forced at any ensemble size and three processes
+# allowed where the kernel allows two; the explicit examples
+# step plant seed 0 at n = 3, m = 2, whose inputs clip, with a per-step
+# policy, under each noise kind, in blocks that do not divide num_traj.
 @given(
     n=st.one_of(DIMS, st.integers(8, 12)),
     m=st.integers(1, 3),
@@ -246,9 +250,15 @@ STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.i
     horizon=st.integers(1, 8),
     num_traj=st.integers(1, 12),
     block=st.integers(1, 12),
+    workers=st.sampled_from([1, 2, 3]),
+)
+@example(n=3, m=2, plant_seed=0, seed=7, kind="gaussian", policy="per-step", horizon=8, num_traj=11, block=4, workers=2)
+@example(n=3, m=2, plant_seed=0, seed=7, kind="uniform", policy="per-step", horizon=8, num_traj=11, block=2, workers=3)
+@example(
+    n=3, m=2, plant_seed=0, seed=7, kind="rademacher_scaled", policy="per-step", horizon=8, num_traj=11, block=3, workers=2
 )
 def test_ensemble_is_bitwise_invariant_to_the_block_size(
-    n, m, plant_seed, seed, kind, policy, horizon, num_traj, block
+    n, m, plant_seed, seed, kind, policy, horizon, num_traj, block, workers
 ):
     sys_r, gain, rng = _random_plant(n, m, plant_seed)
     F = rng.normal(size=(n, n))
@@ -261,11 +271,18 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
     cfg = SimulationConfig(horizon=horizon, num_traj=num_traj, seed=seed, noise_kind=kind, v_policy=v_policy)
     ellipsoid = Ellipsoid(P=np.eye(n), r=float(n))
     per_trajectory = sr.montecarlo._doubles_per_trajectory(n, m, horizon)
+    # Too short to fork unforced, so this is the one-process run.
+    reference = sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid)
     runs = []
-    for size in (1, block, num_traj):
-        with mock.patch.object(sr.montecarlo, "_BLOCK_DOUBLES", size * per_trajectory):
-            runs.append(sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid))
-    for stats in runs[1:]:
+    with (
+        mock.patch.object(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0),
+        mock.patch.object(sr.montecarlo, "_MAX_PROCESSES", 3),
+        mock.patch.object(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(workers))),
+    ):
+        for size in (1, block, num_traj):
+            with mock.patch.object(sr.montecarlo, "_BLOCK_DOUBLES", size * per_trajectory):
+                runs.append(sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid))
+    for stats in runs:
         for name in ("q_mean", "q_stderr", "final_states", "containment"):
-            ours, theirs = getattr(stats, name), getattr(runs[0], name)
+            ours, theirs = getattr(stats, name), getattr(reference, name)
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name

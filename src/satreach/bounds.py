@@ -133,6 +133,8 @@ def _condition(rate: float, rate_linear: float, noise: float, r_lin) -> tuple:
     if np.any(r_lin < 0.0):
         raise ValueError("r_lin must be nonnegative")
     condition_lhs = noise / (1.0 - rate)
+    if not np.isfinite(condition_lhs):
+        raise ValueError(f"noise mass noise / (1 - rate) must be finite, got {condition_lhs}")
     return r_lin, r_lin - condition_lhs > BRANCH_TOL, condition_lhs
 
 

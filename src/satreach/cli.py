@@ -91,7 +91,15 @@ class AnalysisConfig:
     simulation: SimulationConfig
     out_dir: Path
     emit: tuple[str, ...]
-    sweep_ubar: np.ndarray | None
+    # The sweep's explicit budgets, or its (ubar_min, ubar_max, count) range.
+    sweep: np.ndarray | tuple[float, float, int] | None
+
+    @property
+    def sweep_ubar(self) -> np.ndarray | None:
+        """The sweep's budgets; a range's grid is built on each read."""
+        if isinstance(self.sweep, tuple):
+            return _sweep_values(np.linspace(*self.sweep))
+        return self.sweep
 
 
 def _reject_unknown(block: dict, known, where: str) -> None:
@@ -160,24 +168,27 @@ def _parse_simulation(raw: dict) -> SimulationConfig:
     )
 
 
-def _parse_sweep(raw: dict) -> np.ndarray:
-    block = _block(raw, "sweep")
-    if "ubar_values" in block:
-        if len(block) > 1:
-            raise ConfigError("sweep takes either ubar_values or ubar_min, ubar_max and count")
-        values = np.asarray(_numeric(block["ubar_values"], "ubar_values"), dtype=float)
-    else:
-        lo = _number(block, "ubar_min")
-        hi = _number(block, "ubar_max")
-        count = _int(block, "count", 100)
-        if count < 2 or hi <= lo:
-            raise ConfigError("sweep needs ubar_min < ubar_max and count >= 2")
-        values = np.linspace(lo, hi, count)
+def _sweep_values(values: np.ndarray) -> np.ndarray:
+    """`values`, once they pass as a nonempty increasing list of budgets."""
     if values.ndim != 1 or values.size == 0 or np.any(values <= 0.0):
         raise ConfigError("sweep bounds must be a nonempty list of positive numbers")
     if np.any(np.diff(values) <= 0.0):
         raise ConfigError("sweep bounds must be strictly increasing")
     return values
+
+
+def _parse_sweep(raw: dict) -> np.ndarray | tuple[float, float, int]:
+    """The sweep's explicit budgets, or its range, whose grid only `sweep` builds."""
+    block = _block(raw, "sweep")
+    if "ubar_values" in block:
+        if len(block) > 1:
+            raise ConfigError("sweep takes either ubar_values or ubar_min, ubar_max and count")
+        return _sweep_values(np.asarray(_numeric(block["ubar_values"], "ubar_values"), dtype=float))
+    lo, hi = _sweep_values(np.array([_number(block, "ubar_min"), _number(block, "ubar_max")]))
+    count = _int(block, "count", 100)
+    if count < 2:
+        raise ConfigError("a sweep range needs count >= 2")
+    return lo, hi, count
 
 
 def _valid_shape(P, n: int) -> np.ndarray:
@@ -242,7 +253,7 @@ def load_config(path) -> AnalysisConfig:
             simulation=_parse_simulation(raw),
             out_dir=Path(output.get("directory", "out")),
             emit=tuple(emit),
-            sweep_ubar=_parse_sweep(raw) if "sweep" in raw else None,
+            sweep=_parse_sweep(raw) if "sweep" in raw else None,
         )
         check_synthesis_tolerances(cfg.feas_tol, cfg.bisect_tol)
         # The analysis tightens the rate for nominal inputs bounded by vbar,
@@ -541,9 +552,10 @@ def cmd_simulate(cfg: AnalysisConfig) -> str:
 
 def cmd_sweep(cfg: AnalysisConfig) -> str:
     """Effective rate as the saturation budget varies; writes convergence.csv."""
-    if cfg.sweep_ubar is None:
+    grid = cfg.sweep_ubar
+    if grid is None:
         raise ConfigError("sweep command needs a 'sweep' config section")
-    budgets = np.repeat(cfg.sweep_ubar[:, None], cfg.system.m, axis=1)
+    budgets = np.repeat(grid[:, None], cfg.system.m, axis=1)
     budgets = budgets[np.all(cfg.vbar <= budgets, axis=1)]
     P, profile = _rate_profile(cfg, budgets)
     kept = ~profile.fallback
@@ -558,7 +570,7 @@ def cmd_sweep(cfg: AnalysisConfig) -> str:
         "trace_PW": float(profile.noise_energy),
         # Infimum budget at which the tightening condition starts to hold.
         "ubar_star": linear_region_budget(P, cfg.gain.K, cfg.vbar, profile.condition_lhs),
-        "grid_size": int(cfg.sweep_ubar.size),
+        "grid_size": int(grid.size),
         "admissible": len(swept),
         "first_admissible_ubar": float(swept[0, 0]) if len(swept) else None,
         "largest_r_L": float(swept[-1, 1]) if len(swept) else None,

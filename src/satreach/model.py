@@ -73,9 +73,12 @@ class SystemSpec:
             raise ValueError(f"W must have shape {(n, n)}, got {W.shape}")
         if ubar.shape != (B.shape[1],):
             raise ValueError(f"ubar must have length {B.shape[1]}, got {ubar.shape[0]}")
-        if np.max(np.abs(W - W.T)) > SYMMETRY_TOL:
-            raise ValueError("W must be symmetric")
-        W = 0.5 * (W + W.T)
+        with np.errstate(over="ignore"):
+            if np.max(np.abs(W - W.T)) > SYMMETRY_TOL:
+                raise ValueError("W must be symmetric")
+            W = 0.5 * (W + W.T)
+        if not np.isfinite(W).all():
+            raise ValueError("W must stay finite when symmetrized as (W + W') / 2")
         if np.linalg.eigvalsh(W).min() < -SYMMETRY_TOL:
             raise ValueError("W must be positive semidefinite")
         if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:

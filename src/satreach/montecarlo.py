@@ -24,30 +24,29 @@ block's trajectories in index order, so results are bitwise reproducible
 no matter how the trajectory set is split into blocks or which process
 steps a block.
 
-On Linux, an ensemble of at least _FORK_MIN_TRAJ_STEPS trajectory-steps
-whose caller runs no other Python thread is shared out between the
-caller and one forked worker per further CPU in its affinity mask, at
-most _MAX_PROCESSES processes and one per block, and the block count is
-rounded up to a multiple of the process count.  A CPU quota of the
-caller's cgroup is not read.  Native threads, such as the pool OpenBLAS
-starts when NumPy loads, do not stop the fork: OpenBLAS shuts its pool
-down across a fork, and a worker calls no BLAS routine, only elementwise
-ufuncs, its generator and reads and writes of its pipes.  Python 3.12
-and later warn of such a fork with a DeprecationWarning, which the
-default warning filters do not show.  With k processes, process b mod k
-steps block b, and process 0 is the caller.  A worker writes each
-block's q_k rows and final states into the next of its _RING slots of
-shared anonymous memory; the caller copies them out and folds them into
-the sums in block order, as it folds its own blocks.  A worker that
-fails leaves its blocks to the caller, which steps them again and so
-raises whatever one process would; the caller kills and reaps every
-worker before it returns or raises.  No option sets the process count:
-the command line's `simulation.workers` is still accepted and ignored.
-A worker's calls, such as those to model.saturate, are made in its own
-process, so a tracer in the caller sees only the caller's blocks.
+On Linux, an ensemble of two blocks or more and at least
+_FORK_MIN_TRAJ_STEPS trajectory-steps, whose caller runs no other Python
+thread and may run on a second CPU, is shared out between the caller and
+one forked worker: the block count is rounded up to an even one, the
+caller steps the even blocks and the worker the odd ones.  A CPU quota
+of the caller's cgroup is not read.  Native threads, such as the pool
+OpenBLAS starts when NumPy loads, do not stop the fork: OpenBLAS shuts
+its pool down across a fork, and the worker calls no BLAS routine, only
+elementwise ufuncs, its generator and reads and writes of its pipes.
+Python 3.12 and later warn of such a fork with a DeprecationWarning,
+which the default warning filters do not show.  The worker writes each
+block's q_k rows and final states into the next of _RING slots of shared
+anonymous memory; the caller copies them out and folds them into the
+sums in block order, as it folds its own blocks.  A worker that fails
+leaves its blocks to the caller, which steps them again and so raises
+whatever one process would; the caller kills and reaps the worker before
+it returns or raises.  No option sets the process count: the command
+line's `simulation.workers` is still accepted and ignored.  The worker's
+calls, such as those to model.saturate, are made in its own process, so
+a tracer in the caller sees only the caller's blocks.
 
-No block outlives its step loop: the ensemble holds O(k x _BLOCK_DOUBLES
-+ num_traj x n) doubles while one trajectory fits the budget.  Past
+No block outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES +
+num_traj x n) doubles while one trajectory fits the budget.  Past
 that, once horizon x (n + 2) exceeds _BLOCK_DOUBLES, a block is one
 trajectory and holds about horizon x (n + 4) doubles: its draws, and two
 rows each of the per-step sums of q_k and q_k^2.
@@ -92,12 +91,7 @@ _BLOCK_DOUBLES = 256 * _doubles_per_trajectory(6, 3, 100)
 # (horizon 20) trajectory-steps.
 _FORK_MIN_TRAJ_STEPS = 30_000
 
-# Processes, caller included, that may step one ensemble: the ensemble
-# kernel's time, the fork threshold and a worker's memory were measured
-# with two, on 2 CPUs.
-_MAX_PROCESSES = 2
-
-# Slots of shared memory each worker may fill ahead of the caller's fold.
+# Slots of shared memory the worker may fill ahead of the caller's fold.
 _RING = 2
 
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
@@ -204,6 +198,9 @@ def _keyed_state(key) -> dict:
 def _nominal_inputs(policy: np.ndarray | None, horizon: int, bound: np.ndarray) -> np.ndarray:
     """The (horizon, m) nominal inputs of a v_policy held within |v| <= bound.
 
+    A zero or constant policy gives a broadcast view, which allocates no
+    row per step.
+
     Raises:
         ValueError: the policy is neither a length-m vector nor (horizon, m),
             where m = len(bound), or is not finite.
@@ -211,7 +208,7 @@ def _nominal_inputs(policy: np.ndarray | None, horizon: int, bound: np.ndarray) 
     """
     m = len(bound)
     if policy is None:
-        return np.zeros((horizon, m))
+        policy = np.zeros(m)
     shape = (m,) if policy.ndim == 1 else (horizon, m)
     if policy.shape != shape:
         raise ValueError(f"v_policy must have shape {shape}, got {policy.shape}")
@@ -308,135 +305,112 @@ def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P
     return step
 
 
-def _processes(blocks: int, traj_steps: int) -> int:
-    """How many processes step an ensemble of `blocks` blocks.
+def _forks(blocks: int, traj_steps: int) -> bool:
+    """Whether a forked worker steps half of an ensemble of `blocks` blocks.
 
-    One per CPU this process may run on, at most _MAX_PROCESSES and one
-    per block, when the platform is Linux, no other Python thread is alive
-    to be cut off by a fork, and the ensemble is long enough to repay one;
-    else 1, the caller alone.
+    It does on Linux, when no other Python thread is alive to be cut off
+    by a fork, the ensemble has two blocks or more and is long enough to
+    repay a fork, and this process may run on a second CPU.
     """
-    if platform != "linux" or threading.active_count() > 1 or traj_steps < _FORK_MIN_TRAJ_STEPS:
-        return 1
-    return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), blocks)
+    if platform != "linux" or threading.active_count() > 1:
+        return False
+    return blocks >= 2 and traj_steps >= _FORK_MIN_TRAJ_STEPS and len(os.sched_getaffinity(0)) >= 2
 
 
-class _Workers:
-    """Forked processes that step an ensemble's blocks beside the caller.
+class _Worker:
+    """A forked process that steps an ensemble's odd blocks beside the caller.
 
-    With k processes, block b belongs to process b mod k, and process 0 is
-    the caller, which steps its own blocks as their turn to be folded
-    comes.  Worker w steps blocks w, w + k, ... in order, each into the
-    next slot of its ring of _RING slots of shared anonymous memory, and
-    sends a byte down its `ready` pipe as each slot is filled; the caller
-    copies the slot out and sends a byte down the worker's `free` pipe to
-    hand it back.  A worker that stops early, by an error or a signal,
-    closes its end of `ready`, and from then on the caller steps that
-    worker's blocks itself, so an error surfaces as it would in one
-    process.  The caller holds the read end of every `free` pipe open as
-    well, so handing a slot back to a worker that has stopped leaves a
-    byte unread instead of raising SIGPIPE, which kills a caller that has
-    not set it aside.  Entering the context forks the workers; leaving it
-    kills and reaps every one of them.
+    The caller steps the even blocks as their turn to be folded comes.  The
+    worker steps blocks 1, 3, ... in order, each into the next slot of a
+    ring of _RING slots of shared anonymous memory, and sends a byte down
+    its `ready` pipe as each slot is filled; the caller copies the slot out
+    and sends a byte down the `free` pipe to hand it back.  A worker that
+    stops early, by an error or a signal, closes its end of `ready`, and
+    from then on the caller steps its blocks itself, so an error surfaces
+    as it would in one process.  The caller holds the read end of `free`
+    open as well, so handing a slot back to a worker that has stopped
+    leaves a byte unread instead of raising SIGPIPE, which kills a caller
+    that has not set it aside.  Until fork() starts the worker, the caller
+    steps every block; leaving the context kills and reaps the worker and
+    closes every pipe end the caller holds.
     """
 
-    def __init__(self, step, starts: range, q_len: int, n: int, processes: int):
-        self.step, self.starts, self.k, self.q_len = step, starts, processes, q_len
+    def __init__(self, step, starts: range, q_len: int, n: int):
+        self.step, self.starts, self.q_len = step, starts, q_len
         # A slot holds one block: per trajectory its q_k row, then its final state.
-        self.shape = (processes - 1, _RING, starts.step, q_len + n)
-        self.pids: list[int] = []
-        # Per worker, the caller's ends of its pipes; `ready` is None once
-        # the caller steps that worker's blocks.
-        self.ready: list[int | None] = []
-        self.free: list[int | None] = []
+        self.shape = (_RING, starts.step, q_len + n)
+        # The worker's pid and the caller's pipe ends; `ready` is None while
+        # the caller steps every block.
+        self.pid, self.ready, self.free = 0, None, None
         # Every pipe end the caller holds, closed on leaving.
-        self.held: list[int] = []
+        self.fds: list[int] = []
 
     def __enter__(self):
-        if self.k == 1:
-            return self
+        return self
+
+    def fork(self) -> None:
+        """Start the worker; if the ring, a pipe or the fork cannot be had,
+        the caller steps every block."""
         import mmap  # loaded only by an ensemble that forks
 
         try:
             ring = mmap.mmap(-1, 8 * math.prod(self.shape))
+            self.slots = np.frombuffer(ring).reshape(self.shape)
+            self.fds += os.pipe()
+            self.fds += os.pipe()
+            self.pid = os.fork()
         except OSError:
-            self.k = 1
-            return self
-        self.slots = np.frombuffer(ring, dtype=float).reshape(self.shape)
-        try:
-            for w in range(1, self.k):
-                self._fork(w)
-        except BaseException:
             self.__exit__()
-            raise
-        return self
-
-    def _fork(self, w: int) -> None:
-        """Start worker w; if that fails, the caller steps w's blocks."""
-        pipes: list[int] = []
-        try:
-            pipes += os.pipe()
-            pipes += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in pipes:
-                os.close(fd)
-            self.ready.append(None)
-            self.free.append(None)
             return
-        ready_r, ready_w, free_r, free_w = pipes
-        if pid == 0:
+        self.ready, ready_w, free_r, self.free = self.fds
+        if self.pid == 0:
             try:
-                for fd in [ready_r, free_w, *self.held]:
-                    os.close(fd)
-                self._serve(w, ready_w, free_r)
+                os.close(self.ready)
+                os.close(self.free)
+                self._serve(ready_w, free_r)
             finally:
                 os._exit(0)
-        os.close(ready_w)
-        self.pids.append(pid)
-        self.ready.append(ready_r)
-        self.free.append(free_w)
-        self.held += [ready_r, free_r, free_w]
+        os.close(self.fds.pop(1))
 
-    def _serve(self, w: int, ready: int, free: int) -> None:
-        """Worker w's loop: step its blocks into its ring, in order."""
-        for j, start in enumerate(self.starts[w :: self.k]):
-            # Slot j % _RING is free once the caller has copied block j - _RING.
+    def _serve(self, ready: int, free: int) -> None:
+        """The worker's loop: step the odd blocks into the ring, in order."""
+        for j, b in enumerate(range(1, len(self.starts), 2)):
+            # Slot j % _RING is free once the caller has copied the worker's
+            # block j - _RING.
             if j >= _RING and not os.read(free, 1):
                 return
-            count = min(self.starts.step, self.starts.stop - start)
-            self.step(start, *self._slot(w, j, count))
+            self.step(self.starts[b], *self._slot(b))
             os.write(ready, b"\0")
 
-    def _slot(self, w: int, j: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The q rows and final states of worker w's j-th block, in its slot."""
-        slot = self.slots[w - 1, j % _RING, :count]
+    def _slot(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The q rows and final states of odd block b, in its slot of the ring."""
+        count = min(self.starts.step, self.starts.stop - self.starts[b])
+        slot = self.slots[b // 2 % _RING, :count]
         return slot[:, : self.q_len], slot[:, self.q_len :]
 
     def take(self, b: int, q: np.ndarray, finals: np.ndarray) -> None:
-        """Fill q and finals with block b, from its worker's slot or by stepping it."""
-        w, j = b % self.k, b // self.k
-        if w and self.ready[w - 1] is not None:
-            if os.read(self.ready[w - 1], 1):
-                q[...], finals[...] = self._slot(w, j, len(q))
-                if j + _RING < len(self.starts[w :: self.k]):
+        """Fill q and finals with block b, from the worker's slot or by stepping it."""
+        if b % 2 and self.ready is not None:
+            if os.read(self.ready, 1):
+                q[...], finals[...] = self._slot(b)
+                if b // 2 + _RING < len(self.starts) // 2:
                     # A worker that has stopped since finds its blocks
                     # stepped here, once its `ready` pipe reads empty.
-                    os.write(self.free[w - 1], b"\0")
+                    os.write(self.free, b"\0")
                 return
             # The worker stopped early: its blocks fall to the caller.
-            self.ready[w - 1] = None
+            self.ready = None
         self.step(self.starts[b], q, finals)
 
     def __exit__(self, *exc) -> None:
         import signal
 
-        for pid in self.pids:
+        if self.pid:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in self.held:
-            os.close(fd)
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+        while self.fds:
+            os.close(self.fds.pop())
 
 
 def simulate_ensemble(
@@ -449,10 +423,10 @@ def simulate_ensemble(
 
     The quadratic form is measured against the shape of `ellipsoid`, or
     against the identity when none is given.  The trajectories are stepped
-    in blocks of at most _BLOCK_DOUBLES doubles, shared out between this
-    process and the workers _processes allows, and every trajectory's
-    arithmetic runs in a fixed order, so the statistics are bitwise
-    independent of the block size and the process count.
+    in blocks of at most _BLOCK_DOUBLES doubles, by this process alone or
+    beside the one worker _forks allows, and every trajectory's arithmetic
+    runs in a fixed order, so the statistics are bitwise independent of
+    the block size and of whether a worker forks.
 
     Raises:
         ValueError: on mismatched dimensions, a malformed or non-finite
@@ -465,10 +439,12 @@ def simulate_ensemble(
         raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
     n, steps, total = sys.n, cfg.horizon, cfg.num_traj
     blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, sys.m, steps)))
-    processes = _processes(blocks, total * steps)
-    # Equal blocks, a multiple of the process count of them, so that no
-    # process is left stepping a longer share while the others wait.
-    size = -(-total // (-(-blocks // processes) * processes))
+    forks = _forks(blocks, total * steps)
+    if forks:
+        # An even number of equal blocks, so that neither process is left
+        # stepping a longer share while the other waits.
+        blocks += blocks % 2
+    size = -(-total // blocks)
     step = _block_stepper(sys, gain, cfg, P, size)
     starts = range(0, total, size)
     finals = np.empty((total, n))
@@ -479,11 +455,13 @@ def simulate_ensemble(
     sums = np.zeros((size + 1, steps + 1))
     squares = np.zeros((size + 1, steps + 1))
     inside = np.zeros(steps + 1, dtype=np.int64)
-    with _Workers(step, starts, steps + 1, n, processes) as workers:
+    with _Worker(step, starts, steps + 1, n) as worker:
+        if forks:
+            worker.fork()
         for b, start in enumerate(starts):
             count = min(size, total - start)
             q = sums[1 : count + 1]
-            workers.take(b, q, finals[start : start + count])
+            worker.take(b, q, finals[start : start + count])
             np.square(q, out=squares[1 : count + 1])
             sums[0] = sums[: count + 1].sum(axis=0)
             squares[0] = squares[: count + 1].sum(axis=0)

@@ -29,8 +29,8 @@ class Ellipsoid:
 
     def __post_init__(self):
         P = _shape_and_factor(self.P)[0]
-        if not self.r >= 0.0:
-            raise ValueError(f"scaling must be nonnegative, got {self.r}")
+        if not 0.0 <= self.r < np.inf:
+            raise ValueError(f"scaling must be finite and nonnegative, got {self.r}")
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "r", float(self.r))
@@ -108,4 +108,7 @@ def pub(P, rate: float, noise: float, epsilon: float) -> Ellipsoid:
     check_rate(rate)
     check_noise(noise)
     check_epsilon(epsilon)
-    return Ellipsoid(P, noise / (epsilon * (1.0 - rate)))
+    spread = epsilon * (1.0 - rate)
+    if spread == 0.0:
+        raise ValueError(f"epsilon (1 - rate) underflows to zero at epsilon {epsilon}")
+    return Ellipsoid(P, noise / spread)

@@ -200,6 +200,11 @@ def test_effective_rate_input_validation():
         sr.effective_rate(0.9, 0.5, -1.0, 10.0)
     with pytest.raises(ValueError):
         sr.effective_rate(0.9, 0.5, 1.0, -1.0)
+    # A noise mass noise / (1 - rate) that is not finite selects no rate.
+    with pytest.raises(ValueError, match="noise mass"):
+        sr.select_rate(0.9, 0.5, 1e308, 10.0)
+    with pytest.raises(ValueError, match="noise mass"):
+        sr.select_rate(0.9, 0.5, np.inf, np.array([10.0, np.inf]))
 
 
 def test_select_rate_uses_effective_rate_when_applicable():

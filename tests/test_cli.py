@@ -428,6 +428,35 @@ def test_sweep_rejects_values_that_do_not_increase(tmp_path, capsys, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ({"ubar_min": 0.0, "ubar_max": 30.0}, "positive"),
+        ({"ubar_min": 30.0, "ubar_max": 4.0}, "strictly increasing"),
+        ({"ubar_min": 4.0, "ubar_max": 30.0, "count": 1}, "count >= 2"),
+    ],
+)
+def test_a_malformed_sweep_range_fails_every_command(tmp_path, capsys, sweep, message):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out, sweep=sweep))
+    for command in ("certify", "sweep"):
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_range_grid_that_does_not_increase_fails_only_the_sweep(tmp_path, capsys):
+    # Three points between 1 and the next double round onto the ends; the
+    # grid is built, and checked, only by the command that reads it.
+    out = tmp_path / "out"
+    sweep = {"ubar_min": 1.0, "ubar_max": math.nextafter(1.0, 2.0), "count": 3}
+    path = write_config(tmp_path, base_config(out, sweep=sweep))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["certify", "--config", str(path)]) == EXIT_OK
+
+
 def test_report_merges_available_artifacts(tmp_path):
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, base_config(out))
@@ -523,10 +552,10 @@ def test_a_nested_config_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, section, key",
     [
-        ("certify", "sweep", "count"),
+        ("sweep", "sweep", "count"),
         ("analyze", "prs", "k_max"),
         ("analyze", "prs", "boundary_points"),
-        ("certify", "simulation", "horizon"),
+        ("simulate", "simulation", "horizon"),
     ],
 )
 def test_unallocatable_sizes_exit_4_with_one_line(tmp_path, capsys, command, section, key):
@@ -536,6 +565,47 @@ def test_unallocatable_sizes_exit_4_with_one_line(tmp_path, capsys, command, sec
     assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith("cannot allocate: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "analyze"])
+@pytest.mark.parametrize("section, key", [("sweep", "count"), ("simulation", "horizon")])
+def test_a_command_allocates_only_what_it_reads(tmp_path, command, section, key):
+    # Only sweep builds the sweep grid, and only simulate steps the horizon;
+    # certify used to build both while the config loaded, and exit 4.
+    cfg = base_config(tmp_path / "out", sweep=dict(SWEEP))
+    cfg[section][key] = 10**13
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+
+
+# A finite config whose W, once symmetrized, or whose noise mass or PUB
+# scaling is not finite; they used to write Infinity and NaN into the JSON
+# artifacts and inf or nan into the CSVs, and exit 0.
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize(
+    "section, key, value, code",
+    [
+        ("system", "W", [[1e308, 0.0], [0.0, 1e308]], EXIT_CONFIG),
+        ("system", "W", [[1e307, 0.0], [0.0, 1e307]], EXIT_PRECONDITION),
+        ("prs", "epsilon", 1e-320, EXIT_PRECONDITION),
+        ("prs", "epsilon", 5e-324, EXIT_PRECONDITION),
+    ],
+    ids=["W-1e308", "W-1e307", "epsilon-1e-320", "epsilon-5e-324"],
+)
+def test_finite_configs_give_finite_artifacts_or_none(tmp_path, capsys, command, section, key, value, code):
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep=dict(SWEEP))
+    cfg[section][key] = value
+    exit_code = main([command, "--config", str(write_config(tmp_path, cfg))])
+    err = capsys.readouterr().err
+    if command == "sweep" and key == "epsilon":
+        # The sweep reads no epsilon: its artifacts are finite.
+        assert exit_code == EXIT_OK
+        assert "Infinity" not in (out / "sweep.json").read_text(encoding="utf-8")
+        assert "inf" not in (out / "convergence.csv").read_text(encoding="utf-8")
+        return
+    assert exit_code == code
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

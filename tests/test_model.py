@@ -174,6 +174,9 @@ def test_system_spec_validation():
         SystemSpec(A=0.5 * eye, B=eye, W=np.diag([1e6, -5e-4]), ubar=[1.0, 1.0])
     with pytest.raises(ValueError):
         SystemSpec(A=0.5 * eye, B=eye, W=np.ones((2, 3)), ubar=[1.0, 1.0])
+    # Finite, but W + W' overflows on the diagonal.
+    with pytest.raises(ValueError, match="finite"):
+        SystemSpec(A=0.5 * eye, B=eye, W=1e308 * eye, ubar=[1.0, 1.0])
     with pytest.raises(ValueError):
         SystemSpec(A=0.5 * eye, B=eye, W=eye, ubar=[1.0, 0.0])
     with pytest.raises(ValueError):

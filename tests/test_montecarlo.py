@@ -1,5 +1,6 @@
 """Determinism, distributional sanity, and containment statistics."""
 
+import mmap
 import os
 import signal
 import subprocess
@@ -422,9 +423,101 @@ def _force_processes(monkeypatch, cpus):
     monkeypatch.setattr(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+# Platform, Python threads, blocks, trajectory-steps and CPUs, and whether
+# one worker forks; the threshold is the shipped _FORK_MIN_TRAJ_STEPS.
+FORK_TABLE = [
+    ("linux", 1, 2, 30_000, 2, True),
+    ("linux", 1, 3, 10**6, 64, True),
+    ("linux", 1, 64, 10**6, 3, True),
+    ("linux", 1, 1, 10**6, 64, False),
+    ("linux", 1, 2, 29_999, 2, False),
+    ("linux", 2, 2, 10**6, 2, False),
+    ("linux", 1, 2, 10**6, 1, False),
+    ("darwin", 1, 2, 10**6, 2, False),
+]
+
+
 def test_at_most_two_processes_step_an_ensemble(monkeypatch):
-    _force_processes(monkeypatch, 64)
-    assert [sr.montecarlo._processes(blocks, 10**6) for blocks in (1, 2, 3, 64)] == [1, 2, 2, 2]
+    assert sr.montecarlo._FORK_MIN_TRAJ_STEPS == 30_000
+    for platform, threads, blocks, traj_steps, cpus, forks in FORK_TABLE:
+        monkeypatch.setattr(sr.montecarlo, "platform", platform)
+        monkeypatch.setattr(sr.montecarlo.threading, "active_count", lambda: threads)
+        monkeypatch.setattr(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert sr.montecarlo._forks(blocks, traj_steps) is forks, (platform, threads, blocks, traj_steps, cpus)
+
+
+def _fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _alone_then_forced_to_fork(monkeypatch, sys_, gain):
+    # The one-process run of 23 trajectories in six blocks of 4, then forking
+    # forced on 2 CPUs for the next run.
+    cfg = SimulationConfig(horizon=30, num_traj=23, seed=17)
+    ell = Ellipsoid(P=np.eye(2), r=20.0)
+    _force_block_size(monkeypatch, sys_, cfg, 4)
+    _force_processes(monkeypatch, 1)
+    alone = sr.simulate_ensemble(sys_, gain, cfg, ellipsoid=ell)
+    _force_processes(monkeypatch, 2)
+    return lambda: sr.simulate_ensemble(sys_, gain, cfg, ellipsoid=ell), alone
+
+
+def _fail_on_call(monkeypatch, target, name, call):
+    # `target.name` raises OSError on its call-th call and runs as usual before.
+    real, calls = getattr(target, name), []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == call:
+            raise OSError("refused")
+        return real(*args)
+
+    monkeypatch.setattr(target, name, failing)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "target, name, call",
+    [(mmap, "mmap", 1), (os, "pipe", 1), (os, "pipe", 2), (os, "fork", 1)],
+    ids=["mmap", "first-pipe", "second-pipe", "fork"],
+)
+def test_a_refused_fork_leaves_every_block_to_the_caller(monkeypatch, ref_sys, ref_gain, target, name, call):
+    run, alone = _alone_then_forced_to_fork(monkeypatch, ref_sys, ref_gain)
+    calls = _fail_on_call(monkeypatch, target, name, call)
+    before = _fds()
+    refused = run()
+    assert len(calls) == call
+    assert _fds() == before
+    _assert_no_child_left()
+    _assert_bitwise_equal([alone, refused])
+
+
+def test_a_killed_worker_leaves_its_later_blocks_to_the_caller(monkeypatch, ref_sys, ref_gain):
+    run, alone = _alone_then_forced_to_fork(monkeypatch, ref_sys, ref_gain)
+    forks = _count_forks(monkeypatch)
+    caller, real_write, real_draw = os.getpid(), os.write, sr.montecarlo._draw_block
+    drawn = []
+
+    def dying_write(fd, data):
+        # The worker announces its first block and is killed.
+        written = real_write(fd, data)
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return written
+
+    def counted_draw(kind, seed, start, rng, block):
+        if os.getpid() == caller:
+            drawn.append(start)
+        real_draw(kind, seed, start, rng, block)
+
+    monkeypatch.setattr(sr.montecarlo.os, "write", dying_write)
+    monkeypatch.setattr(sr.montecarlo, "_draw_block", counted_draw)
+    killed = run()
+    assert forks == [1]
+    # Blocks of 4 start at 0, 4, ..., 20; the worker stepped only block 1.
+    assert drawn == [0, 8, 12, 16, 20]
+    _assert_no_child_left()
+    _assert_bitwise_equal([alone, killed])
 
 
 def _assert_no_child_left():

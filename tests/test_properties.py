@@ -236,8 +236,8 @@ STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.i
 
 # From n = 8 on, NumPy would sum a narrow block's product terms in
 # another order than a wide block's.  `workers` is the CPU count the kernel
-# sees, with forking forced at any ensemble size and three processes
-# allowed where the kernel allows two; the explicit examples
+# sees, with forking forced at any ensemble size, so at 2 one worker steps
+# the odd blocks; the explicit examples
 # step plant seed 0 at n = 3, m = 2, whose inputs clip, with a per-step
 # policy, under each noise kind, in blocks that do not divide num_traj.
 @given(
@@ -250,10 +250,10 @@ STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.i
     horizon=st.integers(1, 8),
     num_traj=st.integers(1, 12),
     block=st.integers(1, 12),
-    workers=st.sampled_from([1, 2, 3]),
+    workers=st.sampled_from([1, 2]),
 )
 @example(n=3, m=2, plant_seed=0, seed=7, kind="gaussian", policy="per-step", horizon=8, num_traj=11, block=4, workers=2)
-@example(n=3, m=2, plant_seed=0, seed=7, kind="uniform", policy="per-step", horizon=8, num_traj=11, block=2, workers=3)
+@example(n=3, m=2, plant_seed=0, seed=7, kind="uniform", policy="per-step", horizon=8, num_traj=11, block=2, workers=2)
 @example(
     n=3, m=2, plant_seed=0, seed=7, kind="rademacher_scaled", policy="per-step", horizon=8, num_traj=11, block=3, workers=2
 )
@@ -276,7 +276,6 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
     runs = []
     with (
         mock.patch.object(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0),
-        mock.patch.object(sr.montecarlo, "_MAX_PROCESSES", 3),
         mock.patch.object(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(workers))),
     ):
         for size in (1, block, num_traj):

@@ -18,6 +18,8 @@ def test_ellipsoid_validation():
         Ellipsoid(P=np.eye(2), r=-1.0)
     with pytest.raises(ValueError):
         Ellipsoid(P=np.eye(2), r=float("nan"))
+    with pytest.raises(ValueError):
+        Ellipsoid(P=np.eye(2), r=float("inf"))
     with pytest.raises(CertificateError):
         Ellipsoid(P=[[1.0, 0.5], [0.0, 1.0]], r=1.0)
     with pytest.raises(CertificateError):
@@ -137,6 +139,11 @@ def test_pub_validation(ref_shape):
         sr.pub(ref_shape, 0.9, 1.0, 0.0)
     with pytest.raises(ValueError):
         sr.pub(ref_shape, 0.9, 1.0, 1.5)
+    # epsilon (1 - rate) that is subnormal gives an infinite scaling, and one
+    # that underflows to zero no quotient at all.
+    for epsilon in (1e-320, 5e-324):
+        with pytest.raises(ValueError):
+            sr.pub(ref_shape, 0.9, 1.0, epsilon)
 
 
 def test_prs_validation(ref_shape):

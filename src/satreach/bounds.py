@@ -24,9 +24,9 @@ BRANCH_TOL = 1e-12
 
 
 def check_noise(noise: float) -> None:
-    """The noise energy trace(P W) is nonnegative."""
-    if noise < 0.0:
-        raise ValueError("noise energy must be nonnegative")
+    """The noise energy trace(P W) is finite and nonnegative."""
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise energy must be finite and nonnegative, got {noise}")
 
 
 def check_k_max(k_max: int) -> None:
@@ -36,9 +36,9 @@ def check_k_max(k_max: int) -> None:
 
 
 def check_budgets(ubar, vbar) -> None:
-    """The nominal budget lies within the saturation level: 0 <= vbar <= ubar."""
-    if np.any(vbar < 0.0) or np.any(vbar > ubar):
-        raise PreconditionError("need 0 <= vbar <= ubar componentwise")
+    """The nominal budget lies within a finite saturation level: 0 <= vbar <= ubar < inf."""
+    if not np.all((0.0 <= vbar) & (vbar <= ubar) & (ubar < np.inf)):
+        raise PreconditionError("need 0 <= vbar <= ubar < inf componentwise")
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,8 @@ def noise_energy(P, W) -> float:
     W = np.asarray(W, dtype=float)
     if W.shape != P.shape:
         raise ValueError(f"W must have shape {P.shape}, got {W.shape}")
+    if not np.isfinite(W).all():
+        raise ValueError("W must be finite")
     return max(float(np.trace(P @ W)), 0.0)
 
 
@@ -128,13 +130,14 @@ def _condition(rate: float, rate_linear: float, noise: float, r_lin) -> tuple:
     fits it strictly (beyond BRANCH_TOL) entry by entry, and that mass.
     """
     check_rates(rate, rate_linear)
-    check_noise(noise)
-    r_lin = np.asarray(r_lin, dtype=float)
-    if np.any(r_lin < 0.0):
-        raise ValueError("r_lin must be nonnegative")
+    # An infinite noise is refused as an infinite noise mass.
     condition_lhs = noise / (1.0 - rate)
     if not np.isfinite(condition_lhs):
         raise ValueError(f"noise mass noise / (1 - rate) must be finite, got {condition_lhs}")
+    check_noise(noise)
+    r_lin = np.asarray(r_lin, dtype=float)
+    if not np.all(r_lin >= 0.0):
+        raise ValueError("r_lin must be nonnegative")
     return r_lin, r_lin - condition_lhs > BRANCH_TOL, condition_lhs
 
 

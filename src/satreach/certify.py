@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, SynthesisError
-from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
+from .model import FeedbackGain, SystemSpec, _check_gain, _symmetrized, vertex_matrices
 
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_BISECT_TOL = 1e-4
@@ -95,26 +95,19 @@ def check_rates(rate: float, rate_linear: float) -> None:
 
 
 def check_synthesis_tolerances(feas_tol: float, bisect_tol: float) -> None:
-    """Synthesis needs feas_tol > 0 and 0 < bisect_tol < 1 (or never ends)."""
-    if not feas_tol > 0.0:
-        raise ValueError(f"feas_tol must be positive, got {feas_tol}")
+    """Synthesis needs a finite feas_tol > 0 and 0 < bisect_tol < 1 (or never ends)."""
+    if not 0.0 < feas_tol < math.inf:
+        raise ValueError(f"feas_tol must be positive and finite, got {feas_tol}")
     if not 0.0 < bisect_tol < 1.0:
         raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
 
 
 def _symmetric_shape(P) -> np.ndarray:
-    """Square, finite, symmetric to relative tolerance 1e-9, and symmetrized."""
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"P must be square, got shape {P.shape}")
-    # NaN and infinite entries, and sums that overflow, end up non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew, symmetric = np.abs(P - P.T), 0.5 * (P + P.T)
-    if not np.all(np.isfinite(symmetric)):
-        raise CertificateError("shape matrix must be finite")
-    if np.max(skew) > 1e-9 * max(1.0, np.max(np.abs(P))):
-        raise CertificateError("shape matrix must be symmetric")
-    return symmetric
+    """model._symmetrized(P, ...), its failures raised as CertificateError."""
+    try:
+        return _symmetrized(P, "shape matrix")
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from None
 
 
 def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
@@ -241,28 +234,37 @@ def _feasible_shape(
     Optim. Methods Softw. 24(3), 2009).
 
     Maximises t subject to rate * P - A_J' P A_J >= t I for every vertex J
-    in `active`, P >= t I and I - P >= t I from P = init or I / 2.  Returns
-    P as soon as the start or an accepted Newton iterate with t > 0 holds
-    every block of all 2^m vertices positive definite, checked from P
-    itself.  An iterate with t > 0 that fails that check adds the failing
-    vertex with the lowest slack to `active`, lowers t below that slack
-    and goes on from P at the same weight.  The vertex whose start slack
-    is most negative joins `active` first; synthesize_contraction passes
-    one list through all of its probes, and a full list makes this the
-    all-vertex probe.  Each Newton system costs O(|active| n^2 d^2) for
-    d = n (n + 1) / 2 + 1 coordinates, so one vertex joins per check.
+    in `active`, P >= t I and I - P >= t I from P = init or I / 2.  One
+    check-and-join block is the only place that checks P on all 2^m
+    vertices, from P itself.  It runs at the start, with t = +inf, and then
+    after each accepted Newton iterate with t > 0 and each verdict (below):
+
+    - it returns P when t > 0 and every block is positive definite;
+    - the vertex with the lowest slack at P joins `active` when it is not
+      active and that slack is at most min(t, 0);
+    - at the start, or after a join, t becomes twice the lowest slack over
+      the active vertices, P and I - P, less feas_tol, and the Newton
+      system is rebuilt at P and the same weight (after a join that is
+      twice the joining vertex's slack, since every other active block's
+      slack exceeds t);
+    - otherwise, when no step was accepted, it appends P to `last` when a
+      list is given and returns None.
+
+    synthesize_contraction passes one list through all of its probes, and
+    a full list makes this the all-vertex probe.  Each Newton system costs
+    O(|active| n^2 d^2) for d = n (n + 1) / 2 + 1 coordinates, so one vertex
+    joins per check.
 
     Centred at weight w, t + N / w bounds the optimal t over `active`,
-    N = n (|active| + 2), and so over all vertices too; None means that
-    this bound is negative or the gap N / w is below feas_tol, and then the
-    last iterate is appended to `last` when a list is given.  Before that
-    verdict, the same rule lets the vertex with the lowest slack at P join
-    `active` if that slack is at most t, and the probe goes on, so the last
-    iterate lies in every vertex's barrier domain.  The weight grows
-    tenfold once the squared Newton decrement is at most _LONG_STEP, or
-    _CENTRED when that verdict could fire (long-step barrier: Boyd &
-    Vandenberghe, Convex Optimization, 2004, section 11.3).
-    Each line search starts at twice the last accepted step, at most 1.
+    N = n (|active| + 2), and so over all vertices too: the verdict is that
+    this bound is negative or the gap N / w is below feas_tol, so None
+    refutes the rate.  A verdict at t <= 0 returns None only once every
+    vertex's slack exceeds t, so the last iterate lies in every vertex's
+    barrier domain.  The weight grows tenfold once the squared Newton
+    decrement is at most _LONG_STEP, or _CENTRED when the verdict could
+    fire (long-step barrier: Boyd & Vandenberghe, Convex Optimization,
+    2004, section 11.3).  Each line search starts at twice the last
+    accepted step, at most 1.
 
     synthesize_contraction calls it cold at floor + bisect_tol.  Only if
     that fails, it calls it cold at 1 - bisect_tol when the failed probe's
@@ -271,77 +273,69 @@ def _feasible_shape(
     """
     n = vertices.shape[1]
     P = 0.5 * np.eye(n) if init is None else init.copy()
-    smallest = np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0]
-    if smallest.min() > 0.0:
-        return P
     active = [] if active is None else active
-    worst = int(np.argmin(smallest[:-2]))
-    if worst not in active:
-        active.append(worst)
-    t = 2.0 * min(smallest[active].min(), smallest[-2:].min()) - feas_tol
-    probe = _Probe(vertices[active], rate)
-    S = _slacks(probe.vertices, rate, P, t)
-    g, Hg, He = _stein_correction(S, probe)
-    # The weight whose centring step at the start is shortest (Boyd &
-    # Vandenberghe, Convex Optimization, 2004, section 11.3.1).
-    weight = max(Hg[-1] / He[-1], 1.0)
-    # The barrier value at the current iterate and its log det term: an
-    # accepted step carries its trial's forward, so nothing is refactored
-    # when the weight grows.
-    log_det = _log_det(S)
-    value = -weight * t - log_det
-    # The last accepted step: each line search starts at twice it, at most 1.
-    size = 0.5
+    # size is the last accepted step: each line search starts at twice it,
+    # at most 1.
+    t, weight, size = math.inf, None, 0.5
     while True:
-        step = weight * He - Hg
-        decrement = weight * step[-1] - g @ step
-        gap = n * (len(active) + 2) / weight
-        verdict = t + gap < 0.0 or gap < feas_tol
-        accepted = False
-        if decrement > (_CENTRED if verdict else _LONG_STEP):
-            dP = np.zeros((n, n))
-            dP[probe.upper] = step[:-1]
-            dP, dt = dP + dP.T, step[-1]
-            D = probe.direction(step)
-            size = min(1.0, 2.0 * size)
-            while True:
-                trial_S = S + size * D
-                trial_log_det = _log_det(trial_S)
-                trial = -weight * (t + size * dt) - trial_log_det
-                if trial <= value - 0.25 * size * decrement:
-                    break
-                size *= 0.5
-            accepted = trial < value
-            if accepted:
-                P, t, S = P + size * dP, t + size * dt, trial_S
-                value, log_det = trial, trial_log_det
-        if accepted and t <= 0.0:
-            g, Hg, He = _stein_correction(S, probe)
-            continue
-        if not (accepted or verdict):
-            weight *= _WEIGHT_GROWTH
-            value = -weight * t - log_det
-            continue
-        # An accepted iterate with t > 0, or a verdict: either stands only
-        # if P holds every vertex's block (checked on P itself, since S
-        # moved along D), above 0 or above t respectively.
+        # The check-and-join block; P is checked itself, since S moved along
+        # D.  The start is its first pass, at t = +inf.
         smallest = np.linalg.eigvalsh(_slacks(vertices, rate, P))[:, 0]
         if t > 0.0 and smallest.min() > 0.0:
             return P
-        smallest[active] = np.inf
         worst = int(np.argmin(smallest[:-2]))
-        if smallest[worst] <= min(t, 0.0):
+        joins = worst not in active and smallest[worst] <= min(t, 0.0)
+        if joins:
             active.append(worst)
-            t = 2.0 * smallest[worst] - feas_tol
+        if joins or weight is None:
+            t = 2.0 * smallest[active + [-2, -1]].min() - feas_tol
             probe = _Probe(vertices[active], rate)
             S = _slacks(probe.vertices, rate, P, t)
+            # The log det term of the barrier value: an accepted step carries
+            # its trial's forward, so nothing is refactored when the weight grows.
             log_det = _log_det(S)
-            value = -weight * t - log_det
         elif not accepted:
             if last is not None:
                 last.append(P)
             return None
         g, Hg, He = _stein_correction(S, probe)
+        if weight is None:
+            # The weight whose centring step at the start is shortest (Boyd &
+            # Vandenberghe, Convex Optimization, 2004, section 11.3.1).
+            weight = max(Hg[-1] / He[-1], 1.0)
+        value = -weight * t - log_det
+        while True:
+            step = weight * He - Hg
+            decrement = weight * step[-1] - g @ step
+            gap = n * (len(active) + 2) / weight
+            verdict = t + gap < 0.0 or gap < feas_tol
+            accepted = False
+            if decrement > (_CENTRED if verdict else _LONG_STEP):
+                dP = np.zeros((n, n))
+                dP[probe.upper] = step[:-1]
+                dP, dt = dP + dP.T, step[-1]
+                D = probe.direction(step)
+                size = min(1.0, 2.0 * size)
+                while True:
+                    trial_S = S + size * D
+                    trial_log_det = _log_det(trial_S)
+                    trial = -weight * (t + size * dt) - trial_log_det
+                    if trial <= value - 0.25 * size * decrement:
+                        break
+                    size *= 0.5
+                accepted = trial < value
+                if accepted:
+                    P, t, S = P + size * dP, t + size * dt, trial_S
+                    value, log_det = trial, trial_log_det
+            if accepted and t <= 0.0:
+                g, Hg, He = _stein_correction(S, probe)
+            elif not (accepted or verdict):
+                weight *= _WEIGHT_GROWTH
+                value = -weight * t - log_det
+            else:
+                # An accepted iterate with t > 0, or a verdict: the check
+                # above decides whether it stands.
+                break
 
 
 def _shippable_rate(P, vertices, feas_tol: float) -> float:
@@ -427,10 +421,11 @@ def verify_certificate(
     definite beyond feas_tol.
     """
     P = cert.P
-    residuals = np.linalg.eigvalsh(_slacks(vertex_matrices(sys, gain), cert.rate, P)[:-2])[:, 0]
+    # The blocks are the vertices, then P, then I - P.
+    smallest = np.linalg.eigvalsh(_slacks(vertex_matrices(sys, gain), cert.rate, P))[:, 0]
+    residuals, shape_min_eig = smallest[:-2], float(smallest[-2])
     linear = _slacks((sys.A + sys.B @ gain.K)[None], cert.rate_linear, P)[0]
     linear_residual = float(np.linalg.eigvalsh(linear)[0])
-    shape_min_eig = float(np.linalg.eigvalsh(P)[0])
     rate_gap = cert.rate - cert.rate_linear
     passed = (
         bool(np.all(residuals >= -cert.feas_tol))

@@ -303,8 +303,11 @@ def _write_csv(path: Path, header: list[str], tables) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> str:
-    """Write `payload` as indented, key-sorted JSON and return that text."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write `payload` as indented, key-sorted JSON and return that text.
+
+    A non-finite number raises ValueError before anything is written.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _replacing(path) as handle:
         handle.write(text.encode("utf-8"))
     return text
@@ -421,12 +424,14 @@ def cmd_certify(cfg: AnalysisConfig) -> str:
 
 @dataclass(frozen=True)
 class AnalysisState:
-    """The certificate, rate decision and ultimate bounds of one analysis."""
+    """The certificate, rate decision and ultimate bounds of one analysis,
+    with the bounds' planar areas, or None unless the system is planar."""
 
     P: np.ndarray
     profile: ContractionProfile
     pub_rate: Ellipsoid
     pub_selected: Ellipsoid
+    areas: tuple[float, float] | None
 
 
 def _rate_profile(cfg: AnalysisConfig, ubar) -> tuple[np.ndarray, ContractionProfile]:
@@ -440,13 +445,12 @@ def _rate_profile(cfg: AnalysisConfig, ubar) -> tuple[np.ndarray, ContractionPro
 
 
 def _analysis_state(cfg: AnalysisConfig) -> AnalysisState:
+    """The analysis, every number of it checked finite before any artifact
+    is written."""
     P, profile = _rate_profile(cfg, cfg.system.ubar)
-    return AnalysisState(
-        P=P,
-        profile=profile,
-        pub_rate=pub(P, profile.rate, profile.noise_energy, cfg.epsilon),
-        pub_selected=pub(P, profile.rate_selected, profile.noise_energy, cfg.epsilon),
-    )
+    rates = (profile.rate, profile.rate_selected)
+    pubs = [pub(P, rate, profile.noise_energy, cfg.epsilon) for rate in rates]
+    return AnalysisState(P, profile, *pubs, tuple(map(area, pubs)) if cfg.system.n == 2 else None)
 
 
 def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
@@ -509,9 +513,8 @@ def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:
         "ll_reference_only": True,
         "P": np.asarray(state.P).tolist(),
     }
-    if cfg.system.n == 2:
-        a_full = area(state.pub_rate)
-        a_sel = area(state.pub_selected)
+    if state.areas is not None:
+        a_full, a_sel = state.areas
         payload["areas"] = {
             "lambda": float(a_full),
             "lambda_hat": float(a_sel),

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Noise covariances are symmetrized on ingestion; asymmetry beyond this
-# tolerance is rejected rather than silently averaged away.
+# Noise covariances and shape matrices are symmetrized on ingestion;
+# asymmetry beyond this tolerance, relative to the largest entry where that
+# exceeds one, is rejected rather than silently averaged away.  It is also
+# the absolute floor below zero that W's smallest eigenvalue may reach.
 SYMMETRY_TOL = 1e-9
 
 # Vertex enumeration is exponential in the input dimension; refuse past this.
@@ -33,6 +35,22 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _symmetrized(M, name: str) -> np.ndarray:
+    """(M + M') / 2 of a square M that is finite once symmetrized and whose
+    asymmetry |M - M'| is at most SYMMETRY_TOL * max(1, max |M|)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    # NaN and infinite entries, and sums that overflow, end up non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew, symmetric = np.abs(M - M.T), 0.5 * (M + M.T)
+    if not np.isfinite(symmetric).all():
+        raise ValueError(f"{name} must stay finite when symmetrized as (M + M') / 2")
+    if np.max(skew) > SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
+        raise ValueError(f"{name} must be symmetric")
+    return symmetric
 
 
 def _saturation_bounds(ubar) -> np.ndarray:
@@ -73,12 +91,7 @@ class SystemSpec:
             raise ValueError(f"W must have shape {(n, n)}, got {W.shape}")
         if ubar.shape != (B.shape[1],):
             raise ValueError(f"ubar must have length {B.shape[1]}, got {ubar.shape[0]}")
-        with np.errstate(over="ignore"):
-            if np.max(np.abs(W - W.T)) > SYMMETRY_TOL:
-                raise ValueError("W must be symmetric")
-            W = 0.5 * (W + W.T)
-        if not np.isfinite(W).all():
-            raise ValueError("W must stay finite when symmetrized as (W + W') / 2")
+        W = _symmetrized(W, "W")
         if np.linalg.eigvalsh(W).min() < -SYMMETRY_TOL:
             raise ValueError("W must be positive semidefinite")
         if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:

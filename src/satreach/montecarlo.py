@@ -17,12 +17,15 @@ memory budget, _BLOCK_DOUBLES, that covers every array a block holds: its
 horizon x n draws, its rows of the per-step sums of q_k and q_k^2, and
 the work arrays of one step, all allocated once and written in place.
 Each step clips the block's inputs with model.saturate, which refuses a
-non-finite input, so an ensemble whose state overflows raises instead of
-returning non-finite statistics.  Every matrix product adds its terms in
-a fixed order, and the per-step sums behind the statistics take each
-block's trajectories in index order, so results are bitwise reproducible
-no matter how the trajectory set is split into blocks or which process
-steps a block.
+non-finite input, so an ensemble whose state overflows raises; one whose
+state stays finite while q_k, q_k^2 or their sums overflow raises too,
+once the statistics are found not finite.  Either way no non-finite
+statistic is returned, and NumPy's overflow warnings are silenced while
+the ensemble runs, in the caller and in the worker alike.  Every matrix
+product adds its terms in a fixed order, and the per-step sums behind the
+statistics take each block's trajectories in index order, so results are
+bitwise reproducible no matter how the trajectory set is split into
+blocks or which process steps a block.
 
 On Linux, an ensemble of two blocks or more and at least
 _FORK_MIN_TRAJ_STEPS trajectory-steps, whose caller runs no other Python
@@ -428,9 +431,15 @@ def simulate_ensemble(
     runs in a fixed order, so the statistics are bitwise independent of
     the block size and of whether a worker forks.
 
+    Every returned statistic is finite: q_k is summed under
+    np.errstate(over="ignore", invalid="ignore"), and a mean or standard
+    error that overflows raises instead of being returned.
+
     Raises:
         ValueError: on mismatched dimensions, a malformed or non-finite
-            v_policy, or a non-finite input u_k, as a diverging plant gives.
+            v_policy, a non-finite input u_k, as a diverging plant gives, or
+            a q_k mean or standard error that is not finite, as a finite
+            state with an overflowing q_k gives.
         PreconditionError: |v_policy| exceeds ubar.
     """
     _check_gain(sys, gain)
@@ -455,7 +464,9 @@ def simulate_ensemble(
     sums = np.zeros((size + 1, steps + 1))
     squares = np.zeros((size + 1, steps + 1))
     inside = np.zeros(steps + 1, dtype=np.int64)
-    with _Worker(step, starts, steps + 1, n) as worker:
+    # Overflow is caught once, in the statistics; the worker, forked in this
+    # context, inherits it.
+    with np.errstate(over="ignore", invalid="ignore"), _Worker(step, starts, steps + 1, n) as worker:
         if forks:
             worker.fork()
         for b, start in enumerate(starts):
@@ -467,12 +478,13 @@ def simulate_ensemble(
             squares[0] = squares[: count + 1].sum(axis=0)
             if ellipsoid is not None:
                 inside += np.count_nonzero(q <= ellipsoid.threshold, axis=0)
-
-    q_mean = sums[0] / total
-    q_stderr = np.zeros(steps + 1)
-    if total > 1:
-        spread = np.maximum(squares[0] - sums[0] * q_mean, 0.0)
-        q_stderr = np.sqrt(spread / (total - 1) / total)
+        q_mean = sums[0] / total
+        q_stderr = np.zeros(steps + 1)
+        if total > 1:
+            spread = np.maximum(squares[0] - sums[0] * q_mean, 0.0)
+            q_stderr = np.sqrt(spread / (total - 1) / total)
+    if not (np.isfinite(q_mean).all() and np.isfinite(q_stderr).all()):
+        raise ValueError("the ensemble's q_k overflows: its mean or standard error is not finite")
     return EnsembleStats(
         q_mean=q_mean,
         q_stderr=q_stderr,

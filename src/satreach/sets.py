@@ -47,11 +47,18 @@ class Ellipsoid:
 
 
 def area(ellipsoid: Ellipsoid) -> float:
-    """Planar area pi * r / sqrt(det P); defined for two dimensions only."""
+    """Planar area pi * r / sqrt(det P); defined for two dimensions only.
+
+    Raises:
+        ValueError: unless the ellipsoid is planar and its area is finite.
+    """
     if ellipsoid.n != 2:
         raise ValueError("area is defined for two-dimensional ellipsoids only")
     det = float(np.linalg.det(ellipsoid.P))
-    return float(np.pi * ellipsoid.r / np.sqrt(det))
+    size = float(np.pi * ellipsoid.r / np.sqrt(det))
+    if not size < np.inf:
+        raise ValueError(f"area of the ellipsoid of scaling {ellipsoid.r:.6g} is not finite")
+    return size
 
 
 def boundary_polyline(ellipsoid: Ellipsoid, num_points: int) -> np.ndarray:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import grid_effective_rate_oracle
+from conftest import grid_effective_rate_oracle, random_certifiable_problem
 
 import satreach as sr
 from satreach import NotApplicableError, PreconditionError
@@ -284,3 +284,29 @@ def test_bound_sequence_validation():
         sr.expectation_bound_sequence(0.5, -1.0, 5)
     with pytest.raises(ValueError):
         sr.expectation_bound_sequence(0.5, 1.0, -1)
+
+
+SHAPE = [[3.54, 0.67], [0.67, 3.51]]
+
+
+# Each call once let NaN or an infinity through a check written as a
+# comparison that NaN fails to trip, and returned NaN, a silent fallback or
+# a rate.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sr.expectation_bound_sequence(0.5, np.nan, 3),
+        lambda: sr.linear_region_scaling(SHAPE, [[-0.282, -0.8415]], [10.0], [np.nan]),
+        lambda: sr.linear_region_scaling(SHAPE, [[-0.282, -0.8415]], [np.inf], [np.inf]),
+        lambda: sr.select_rate(0.9, 0.5, 1.0, np.nan),
+        lambda: sr.noise_energy(SHAPE, [[np.nan, 0.0], [0.0, 1.0]]),
+        lambda: sr.certify.check_synthesis_tolerances(np.inf, 1e-4),
+        lambda: sr.synthesize_contraction(
+            *random_certifiable_problem(np.random.default_rng(0), 2, 1), feas_tol=np.inf
+        ),
+    ],
+    ids=["noise-nan", "vbar-nan", "ubar-inf", "r_lin-nan", "W-nan", "feas_tol-inf", "synthesis-feas_tol-inf"],
+)
+def test_nan_and_infinity_are_rejected(call):
+    with pytest.raises((ValueError, PreconditionError)):
+        call()

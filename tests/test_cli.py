@@ -577,19 +577,21 @@ def test_a_command_allocates_only_what_it_reads(tmp_path, command, section, key)
     assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
 
 
-# A finite config whose W, once symmetrized, or whose noise mass or PUB
-# scaling is not finite; they used to write Infinity and NaN into the JSON
-# artifacts and inf or nan into the CSVs, and exit 0.
+# A finite config whose W, once symmetrized, or whose noise mass, PUB
+# scaling or PUB area is not finite; they used to write Infinity and NaN
+# into the JSON artifacts and inf or nan into the CSVs, and exit 0.  With
+# W = 1e305 I the PUB scalings are finite but their areas overflow.
 @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
 @pytest.mark.parametrize(
     "section, key, value, code",
     [
         ("system", "W", [[1e308, 0.0], [0.0, 1e308]], EXIT_CONFIG),
         ("system", "W", [[1e307, 0.0], [0.0, 1e307]], EXIT_PRECONDITION),
+        ("system", "W", [[1e305, 0.0], [0.0, 1e305]], EXIT_PRECONDITION),
         ("prs", "epsilon", 1e-320, EXIT_PRECONDITION),
         ("prs", "epsilon", 5e-324, EXIT_PRECONDITION),
     ],
-    ids=["W-1e308", "W-1e307", "epsilon-1e-320", "epsilon-5e-324"],
+    ids=["W-1e308", "W-1e307", "W-1e305", "epsilon-1e-320", "epsilon-5e-324"],
 )
 def test_finite_configs_give_finite_artifacts_or_none(tmp_path, capsys, command, section, key, value, code):
     out = tmp_path / "out"
@@ -597,8 +599,9 @@ def test_finite_configs_give_finite_artifacts_or_none(tmp_path, capsys, command,
     cfg[section][key] = value
     exit_code = main([command, "--config", str(write_config(tmp_path, cfg))])
     err = capsys.readouterr().err
-    if command == "sweep" and key == "epsilon":
-        # The sweep reads no epsilon: its artifacts are finite.
+    if command == "sweep" and (key == "epsilon" or value[0][0] == 1e305):
+        # The sweep reads no epsilon, no area and no ensemble: its
+        # artifacts are finite.
         assert exit_code == EXIT_OK
         assert "Infinity" not in (out / "sweep.json").read_text(encoding="utf-8")
         assert "inf" not in (out / "convergence.csv").read_text(encoding="utf-8")
@@ -606,6 +609,14 @@ def test_finite_configs_give_finite_artifacts_or_none(tmp_path, capsys, command,
     assert exit_code == code
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_covariance_symmetric_to_rounding_is_accepted(tmp_path):
+    # diag(3e8, 1e8) rotated by about 0.1237 rad: its off-diagonals are
+    # 7.45e-9 apart, 2.5e-17 of its largest entry; it used to exit 2.
+    cfg = base_config(tmp_path / "out")
+    cfg["system"]["W"] = [[296953828.2791313, 24493982.56757605], [24493982.567576043, 103046171.72086869]]
+    assert main(["analyze", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

@@ -177,6 +177,16 @@ def test_system_spec_validation():
     # Finite, but W + W' overflows on the diagonal.
     with pytest.raises(ValueError, match="finite"):
         SystemSpec(A=0.5 * eye, B=eye, W=1e308 * eye, ubar=[1.0, 1.0])
+    # W's asymmetry is measured relative to its largest entry, as P's is:
+    # diag(3e8, 1e8) rotated by about 0.1237 rad, whose off-diagonals are
+    # 7.45e-9 apart (2.5e-17 relative), used to be rejected.
+    covariance = [[296953828.2791313, 24493982.56757605], [24493982.567576043, 103046171.72086869]]
+    spec = SystemSpec(A=0.5 * eye, B=eye, W=covariance, ubar=[1.0, 1.0])
+    assert np.array_equal(spec.W, 0.5 * (np.array(covariance) + np.array(covariance).T))
+    skewed = np.array(covariance)
+    skewed[0, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        SystemSpec(A=0.5 * eye, B=eye, W=skewed, ubar=[1.0, 1.0])
     with pytest.raises(ValueError):
         SystemSpec(A=0.5 * eye, B=eye, W=eye, ubar=[1.0, 0.0])
     with pytest.raises(ValueError):

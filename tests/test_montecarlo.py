@@ -285,6 +285,17 @@ def test_ensemble_rejects_a_non_finite_input():
         sr.simulate_ensemble(plant, gain, cfg)
 
 
+@pytest.mark.parametrize("num_traj", [3, 1200], ids=["one-process", "forked"])
+def test_an_overflowing_q_k_raises_without_a_warning(ref_sys, ref_gain, num_traj):
+    # The state stays finite, but q_k^2 overflows, so the standard error
+    # would not be finite.  The ensemble raises, and warns of no overflow on
+    # the way (the test configuration turns a RuntimeWarning into an error).
+    plant = sr.SystemSpec(A=ref_sys.A, B=ref_sys.B, W=1e305 * np.eye(2), ubar=ref_sys.ubar)
+    cfg = SimulationConfig(horizon=100, num_traj=num_traj, seed=0)
+    with pytest.raises(ValueError, match="not finite"):
+        sr.simulate_ensemble(plant, ref_gain, cfg)
+
+
 def test_ensemble_rejects_mismatched_ellipsoid_shape(ref_sys, ref_gain):
     # A 1 x 1 shape used to broadcast against the planar state unnoticed.
     cfg = SimulationConfig(horizon=5, num_traj=2, seed=0)

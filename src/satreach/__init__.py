@@ -44,7 +44,7 @@ from .montecarlo import (
 )
 from .sets import Ellipsoid, area, boundary_polyline, prs_sequence, pub
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CertificateError",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _shape_and_factor, check_rate, check_rates
+from .certify import _shape_and_factor, check_rate
 from .errors import NotApplicableError, PreconditionError
 
 # Absolute tolerance used to classify the conditional-tightening branch;
@@ -129,7 +129,9 @@ def _condition(rate: float, rate_linear: float, noise: float, r_lin) -> tuple:
     Returns `r_lin` as an array, whether the noise mass noise / (1 - rate)
     fits it strictly (beyond BRANCH_TOL) entry by entry, and that mass.
     """
-    check_rates(rate, rate_linear)
+    check_rate(rate)
+    if not 0.0 <= rate_linear < rate:
+        raise ValueError(f"rate_linear must lie in [0, rate), got {rate_linear} at rate {rate}")
     # An infinite noise is refused as an infinite noise mass.
     condition_lhs = noise / (1.0 - rate)
     if not np.isfinite(condition_lhs):

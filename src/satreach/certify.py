@@ -38,13 +38,13 @@ _CENTRED = 1e-8
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """A verified-or-verifiable contraction certificate.
+    """A contraction certificate, judged by verify_certificate alone.
 
     Attributes:
-        P: symmetric positive definite shape matrix.
-        rate: contraction rate valid over the whole saturation hull.
-        rate_linear: contraction rate of the fully linear closed loop,
-            strictly smaller than `rate`.
+        P: symmetric shape matrix.
+        rate: claimed contraction rate over the whole saturation hull.
+        rate_linear: claimed contraction rate of the fully linear closed
+            loop; verify_certificate requires it strictly below `rate`.
         feas_tol: semidefinite slack used when checking the certificate.
     """
 
@@ -55,22 +55,28 @@ class ContractionCertificate:
 
     def __post_init__(self):
         P = _symmetric_shape(self.P)
-        check_rates(self.rate, self.rate_linear)
+        check_rate(self.rate)
+        check_rate(self.rate_linear)
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Residuals from an independent check of a certificate.
+    """Residuals from an independent check of a certificate, in constant size.
 
-    `vertex_residuals[J]` is the smallest eigenvalue of
-    rate * P - A_J' P A_J, so nonnegative values (up to feas_tol slack)
-    mean the vertex inequality holds.  `linear_residual` is the analogous
-    slack of the fully linear loop at rate_linear.
+    Vertex J's residual is the smallest eigenvalue of
+    rate * P - A_J' P A_J, so a nonnegative one (up to feas_tol slack)
+    means its inequality holds.  The report keeps the smallest,
+    `worst_residual`, at the vertex whose bitmask is `worst_vertex` (the
+    lowest on a tie), and `tight_vertices`, the count of residuals within
+    feas_tol of zero.  `linear_residual` is the analogous slack of the fully
+    linear loop at rate_linear, and `rate_gap` is rate - rate_linear.
     """
 
-    vertex_residuals: tuple[float, ...]
+    worst_vertex: int
+    worst_residual: float
+    tight_vertices: int
     linear_residual: float
     rate_gap: float
     shape_min_eig: float
@@ -82,16 +88,6 @@ def check_rate(rate: float) -> None:
     """A contraction rate lies in [0, 1)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"rate must lie in [0, 1), got {rate}")
-
-
-def check_rates(rate: float, rate_linear: float) -> None:
-    """The linear rate lies strictly below the hull-wide rate."""
-    check_rate(rate)
-    if not 0.0 <= rate_linear < rate:
-        raise ValueError(
-            "rates must satisfy 0 <= rate_linear < rate < 1, got "
-            f"rate_linear={rate_linear}, rate={rate}"
-        )
 
 
 def check_synthesis_tolerances(feas_tol: float, bisect_tol: float) -> None:
@@ -415,29 +411,32 @@ def verify_certificate(
 ) -> VerificationReport:
     """Independently re-check a certificate against the hull vertices.
 
-    Always returns a report; `passed` is True when every vertex inequality
-    holds at `cert.rate` within feas_tol slack, the linear loop holds at
-    `cert.rate_linear`, the rates are strictly ordered, and P is positive
-    definite beyond feas_tol.
+    The only judge of a certificate.  Always returns a report; `passed` is
+    True when every vertex inequality holds at `cert.rate` within feas_tol
+    slack, the linear loop holds at `cert.rate_linear`, the rates are
+    strictly ordered, and P is positive definite beyond feas_tol.
     """
-    P = cert.P
+    P, tol = cert.P, cert.feas_tol
     # The blocks are the vertices, then P, then I - P.
     smallest = np.linalg.eigvalsh(_slacks(vertex_matrices(sys, gain), cert.rate, P))[:, 0]
     residuals, shape_min_eig = smallest[:-2], float(smallest[-2])
+    worst = int(np.argmin(residuals))
     linear = _slacks((sys.A + sys.B @ gain.K)[None], cert.rate_linear, P)[0]
     linear_residual = float(np.linalg.eigvalsh(linear)[0])
-    rate_gap = cert.rate - cert.rate_linear
+    rate_gap = float(cert.rate - cert.rate_linear)
     passed = (
-        bool(np.all(residuals >= -cert.feas_tol))
-        and linear_residual >= -cert.feas_tol
+        bool(residuals[worst] >= -tol)
+        and linear_residual >= -tol
         and rate_gap > 0.0
-        and shape_min_eig >= cert.feas_tol
+        and shape_min_eig >= tol
     )
     return VerificationReport(
-        vertex_residuals=tuple(residuals.tolist()),
+        worst_vertex=worst,
+        worst_residual=float(residuals[worst]),
+        tight_vertices=int(np.count_nonzero(np.abs(residuals) <= tol)),
         linear_residual=linear_residual,
         rate_gap=rate_gap,
         shape_min_eig=shape_min_eig,
-        feas_tol=cert.feas_tol,
+        feas_tol=tol,
         passed=passed,
     )

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -204,11 +204,22 @@ def _valid_shape(P, n: int) -> np.ndarray:
     return P
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is a
+    ConfigError, where json.loads would keep the last value silently."""
+    block = dict(pairs)
+    if len(block) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ConfigError(f"duplicate keys {repeated} in a config object")
+    return block
+
+
 def load_config(path) -> AnalysisConfig:
     """Parse and validate a JSON config; all failures become ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -358,8 +369,9 @@ def _certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray
     synthesis digest is checked again and kept if it still passes; failing
     that, P is synthesized.  Reuse gives the same bits as synthesis, since
     JSON floats round-trip and the linear rate is recomputed from P.  The
-    failure is None on a pass; otherwise the payload has `pass` false and
-    the residuals.
+    payload's residuals are verify_certificate's report but its verdict,
+    which is `pass`; the failure is None on a pass, and otherwise names
+    those residuals.
 
     Raises:
         SynthesisError: a fixed P certifies no rate below one, or synthesis
@@ -378,23 +390,9 @@ def _certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray
             cfg.system, cfg.gain, feas_tol=cfg.feas_tol, bisect_tol=cfg.bisect_tol
         )
     rate_linear = closed_loop_rate(P, cfg.system, cfg.gain)
-    failure = "certificate fails verification"
-    try:
-        cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear, feas_tol=cfg.feas_tol)
-    except ValueError as exc:
-        # Zero-gain corner: every vertex equals the closed loop, so the
-        # rate gap degenerates and no vertex inequality is checked.
-        residuals = {"vertices": [], "linear": None, "shape_min_eig": None, "rate_gap": 0.0}
-        passed, failure = False, f"{failure}: certificate rates are unordered: {exc}"
-    else:
-        report = verify_certificate(cert, cfg.system, cfg.gain)
-        residuals = {
-            "vertices": [float(r) for r in report.vertex_residuals],
-            "linear": float(report.linear_residual),
-            "shape_min_eig": float(report.shape_min_eig),
-            "rate_gap": float(report.rate_gap),
-        }
-        passed = bool(report.passed)
+    cert = ContractionCertificate(P=P, rate=rate, rate_linear=rate_linear, feas_tol=cfg.feas_tol)
+    residuals = asdict(verify_certificate(cert, cfg.system, cfg.gain))
+    passed = residuals.pop("passed")
     if not passed and stored is not None:
         return _certificate(cfg, reuse=False)
     payload = {
@@ -405,6 +403,7 @@ def _certificate(cfg: AnalysisConfig, *, reuse: bool = True) -> tuple[np.ndarray
         "pass": passed,
         "config_sha256": digest,
     }
+    failure = f"certificate fails verification: {json.dumps(residuals, sort_keys=True)}"
     return P, payload, None if passed else failure
 
 

@@ -432,7 +432,11 @@ def test_verify_reference_certificate(ref_sys, ref_gain, ref_shape):
     )
     report = sr.verify_certificate(cert, ref_sys, ref_gain)
     assert report.passed
-    assert len(report.vertex_residuals) == 2
+    # The open loop A (vertex 0) is tight at rate rho(A)^2; the linear loop
+    # (vertex 1) holds with room to spare.
+    assert report.worst_vertex == 0
+    assert abs(report.worst_residual) <= cert.feas_tol
+    assert report.tight_vertices == 1
     assert report.rate_gap == pytest.approx(REF_RATE - REF_RATE_LINEAR, rel=1e-12)
     assert report.shape_min_eig > 0.0
 
@@ -441,7 +445,7 @@ def test_verify_rejects_understated_rate(ref_sys, ref_gain, ref_shape):
     cert = ContractionCertificate(P=ref_shape, rate=0.97, rate_linear=0.75)
     report = sr.verify_certificate(cert, ref_sys, ref_gain)
     assert not report.passed
-    assert min(report.vertex_residuals) < -cert.feas_tol
+    assert report.worst_residual < -cert.feas_tol
 
 
 def test_verify_rejects_indefinite_shape(ref_sys, ref_gain):
@@ -451,11 +455,18 @@ def test_verify_rejects_indefinite_shape(ref_sys, ref_gain):
     assert not sr.verify_certificate(cert, ref_sys, ref_gain).passed
 
 
-def test_certificate_requires_ordered_rates(ref_shape):
-    with pytest.raises(ValueError):
-        ContractionCertificate(P=ref_shape, rate=0.5, rate_linear=0.7)
+def test_certificate_requires_ordered_rates(ref_sys, ref_gain, ref_shape):
+    # The constructor checks each rate alone; verify_certificate judges
+    # their order, and fails an unordered or equal pair by its rate gap.
+    for rate, rate_linear in ((0.5, 0.7), (REF_RATE, REF_RATE)):
+        cert = ContractionCertificate(P=ref_shape, rate=rate, rate_linear=rate_linear)
+        report = sr.verify_certificate(cert, ref_sys, ref_gain)
+        assert not report.passed
+        assert report.rate_gap == rate - rate_linear <= 0.0
     with pytest.raises(ValueError):
         ContractionCertificate(P=ref_shape, rate=1.2, rate_linear=0.5)
+    with pytest.raises(ValueError):
+        ContractionCertificate(P=ref_shape, rate=0.9, rate_linear=-0.1)
     with pytest.raises(ValueError):
         ContractionCertificate(
             P=[[1.0, 0.5], [0.0, 1.0]], rate=0.9, rate_linear=0.5

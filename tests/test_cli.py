@@ -7,7 +7,7 @@ import math
 import os
 import subprocess
 import sys
-import tomllib
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -75,7 +75,7 @@ def test_certify_with_fixed_shape(tmp_path, capsys):
     assert payload["lambda_L"] == pytest.approx(REF_RATE_LINEAR, rel=1e-12)
     assert payload["pass"] is True
     assert np.allclose(payload["P"], [[3.54, 0.67], [0.67, 3.51]])
-    assert min(payload["residuals"]["vertices"]) >= -1e-7
+    assert payload["residuals"]["worst_residual"] >= -1e-7
     # The same summary lands on stdout.
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
@@ -107,6 +107,26 @@ def test_config_errors_use_their_own_exit_code(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        ('"gain": {', '"gain": {"K": [[0.0, 0.0]]}, "gain": {'),
+        ('"epsilon": 0.2', '"epsilon": 0.2, "epsilon": 0.9'),
+    ],
+    ids=["top-level", "in-section"],
+)
+def test_duplicate_keys_are_a_config_error(tmp_path, capsys, duplicate):
+    # json.loads keeps the last of two equal keys; a config must not.
+    out = tmp_path / "out"
+    text = json.dumps(base_config(out))
+    assert duplicate[0] in text
+    path = tmp_path / "config.json"
+    path.write_text(text.replace(duplicate[0], duplicate[1], 1), encoding="utf-8")
+    assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG
+    assert "duplicate keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synthesis_failure_exit_code(tmp_path):
     cfg = base_config(tmp_path / "out")
     cfg["system"]["A"] = [[0.9, 0.0], [0.0, 0.9]]
@@ -127,18 +147,22 @@ def test_certify_zero_gain_writes_failed_certificate_and_exits_nonzero(tmp_path,
     payload = json.loads((out / "certificate.json").read_text(encoding="utf-8"))
     assert payload["pass"] is False
     assert payload["lambda"] == payload["lambda_L"]
-    assert "certificate fails verification" in capsys.readouterr().err
+    assert payload["residuals"]["rate_gap"] == 0.0
+    err = capsys.readouterr().err
+    assert "certificate fails verification" in err
+    assert '"rate_gap": 0.0' in err
 
 
 @pytest.mark.parametrize("command", ["certify", "analyze", "simulate", "sweep"])
 def test_unordered_rates_are_a_synthesis_failure_for_every_command(tmp_path, capsys, command):
     # K = 0 makes the linear rate equal the hull-wide rate; each command
-    # stops where the certificate is resolved and names that failure.
+    # stops where the certificate is resolved and names the zero rate gap
+    # that verify_certificate fails it by.
     out = tmp_path / "out"
     cfg = base_config(out, sweep={"ubar_min": 4.0, "ubar_max": 30.0, "count": 5})
     cfg["gain"]["K"] = [[0.0, 0.0]]
     assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_SYNTHESIS
-    assert "certificate rates are unordered" in capsys.readouterr().err
+    assert '"rate_gap": 0.0' in capsys.readouterr().err
     written = sorted(path.name for path in out.iterdir()) if out.exists() else []
     assert written == (["certificate.json"] if command == "certify" else [])
 
@@ -1029,8 +1053,16 @@ def test_a_certificate_from_another_version_is_resynthesized(tmp_path, synthesis
 
 
 def test_package_and_project_versions_agree():
+    # pyproject.toml reads its version from satreach.__version__, so a bump
+    # edits one file; setuptools resolves it without importing the package.
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"] == sr.__version__
+    with warnings.catch_warnings():
+        # setuptools flags its [tool.setuptools] table as beta.
+        warnings.simplefilter("ignore")
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == sr.__version__
 
 
 def test_certify_always_synthesizes(tmp_path, synthesis_calls):

@@ -5,8 +5,11 @@ exact hull rate of their shape matrix and stop within bisect_tol of the
 spectral floor when its probe succeeds, active-vertex synthesis that
 ships the exact rate of its shape and matches the all-vertex probe within
 bisect_tol, probes that return only strictly
-certifying shapes, slacks that move affinely along a Newton step, and
-block-size and process-count invariance of the ensemble."""
+certifying shapes, slacks that move affinely along a Newton step, a
+constant-size verification record equal to a per-vertex loop's,
+block-size and process-count invariance of the ensemble, and ensembles
+that respect the probabilistic ultimate bound and the expectation bound of
+the pipeline's own certificate."""
 
 import math
 from fractions import Fraction
@@ -19,7 +22,14 @@ from hypothesis import strategies as st
 
 import satreach as sr
 from satreach import ContractionCertificate, Ellipsoid, FeedbackGain, SimulationConfig, SystemSpec
-from satreach.bounds import BRANCH_TOL
+from satreach.bounds import (
+    BRANCH_TOL,
+    expectation_bound_sequence,
+    linear_region_budget,
+    linear_region_scaling,
+    noise_energy,
+    select_rate,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 4)
@@ -229,6 +239,27 @@ def test_the_line_search_moves_the_slacks_along_one_direction(n, m, seed, fracti
     assert np.abs(S + size * D - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@given(n=st.integers(2, 4), m=st.integers(1, 6), seed=SEEDS, rate=st.floats(0.0, 1.0, exclude_max=True))
+def test_the_verification_record_matches_a_per_vertex_loop(n, m, seed, rate):
+    # The synthesized certificate holds with tight vertices; the same P at
+    # an arbitrary rate may fail some.  Either way the report keeps the
+    # lowest-mask smallest residual and the count within feas_tol of zero,
+    # bit for bit as one eigvalsh per vertex finds them.
+    sys_r, gain = random_certifiable_problem(np.random.default_rng(seed), n, m)
+    P, synthesized = sr.synthesize_contraction(sys_r, gain)
+    for lam in (synthesized, rate):
+        cert = ContractionCertificate(P=P, rate=lam, rate_linear=0.0)
+        report = sr.verify_certificate(cert, sys_r, gain)
+        residuals = []
+        for M in sr.vertex_matrices(sys_r, gain):
+            S = lam * P - M.T @ P @ M
+            residuals.append(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+        worst = min(range(2**m), key=residuals.__getitem__)
+        assert report.worst_vertex == worst
+        assert report.worst_residual == residuals[worst]
+        assert report.tight_vertices == sum(abs(r) <= cert.feas_tol for r in residuals)
+
+
 # Seeds across the whole 64-bit range; 2**32 - 1 and 2**32, where the seed
 # grows a second 32-bit word, and the largest seed are drawn on purpose.
 STREAM_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -285,3 +316,34 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
         for name in ("q_mean", "q_stderr", "final_states", "containment"):
             ours, theirs = getattr(stats, name), getattr(reference, name)
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    seed=SEEDS,
+    kind=st.sampled_from(sr.montecarlo.NOISE_KINDS),
+    budget=st.floats(0.3, 3.0),
+)
+def test_the_ensemble_respects_the_pipeline_bounds(n, m, seed, kind, budget):
+    # Synthesis, rate selection and the PUB at epsilon = 0.2, then 300
+    # trajectories over 30 steps.  `budget` scales ubar against the budget
+    # at which the tightening starts: below it the rate falls back and the
+    # inputs clip often, above it the effective rate is used and they clip
+    # on the tail of the ensemble.
+    epsilon, horizon = 0.2, 30
+    sys_r, gain = random_certifiable_problem(np.random.default_rng(seed), n, m)
+    P, rate = sr.synthesize_contraction(sys_r, gain)
+    noise, vbar = noise_energy(P, sys_r.W), np.zeros(m)
+    ubar = np.full(m, budget * linear_region_budget(P, gain.K, vbar, noise / (1.0 - rate)))
+    sys_r = SystemSpec(A=sys_r.A, B=sys_r.B, W=sys_r.W, ubar=ubar)
+    profile = select_rate(
+        rate, sr.closed_loop_rate(P, sys_r, gain), noise, linear_region_scaling(P, gain.K, ubar, vbar)
+    )
+    cfg = SimulationConfig(horizon=horizon, num_traj=300, seed=seed, noise_kind=kind)
+    stats = sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=sr.pub(P, profile.rate_selected, noise, epsilon))
+    assert np.all(1.0 - stats.containment <= epsilon)
+    # q_stderr is 0 at k = 0, where e_0 = 0, so the margin is never a quotient.
+    bound = expectation_bound_sequence(profile.rate_selected, noise, horizon)
+    assert np.all(stats.q_mean <= bound + 4.0 * stats.q_stderr)

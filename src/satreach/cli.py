@@ -10,7 +10,10 @@ csv.writer.  Tables of csvformat.KERNEL_MIN_CELLS cells or more are
 formatted by a NumPy kernel that computes each cell's 17 digits exactly;
 a smaller table, or a block the kernel's guard rejects (a non-finite,
 subnormal or huge cell, or a rounding too close to a tie to prove), is
-formatted by one `%` operation per block.
+formatted by one `%` operation per block.  The blocks of every CSV a
+command writes form one csvformat.Blocks stream: when its kernel tables
+are large enough, one forked worker formats the odd blocks beside the
+command, which writes every block in order, with the same bytes.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .certify import (
     synthesize_contraction,
     verify_certificate,
 )
-from .csvformat import table_blocks
+from .csvformat import Blocks
 from .errors import ConfigError, PreconditionError, SynthesisError
 from .model import FeedbackGain, SystemSpec, _check_gain, vertex_matrices
 from .montecarlo import SimulationConfig, _nominal_inputs, simulate_ensemble, wilson_upper
@@ -296,21 +299,32 @@ def _replacing(path: Path):
         raise
 
 
-def _write_csv(path: Path, header: list[str], tables) -> None:
-    """Write `header`, then the rows of each `(line, table)` in `tables`.
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write `header`, then each bytes-like block of `blocks`, in order.
 
-    `line` is the %-template of one row, ending in a newline, and `table`
-    a 2-D float array with one column per `%.17g` field; integer-valued
-    columns such as data.csv's `k` print as `%d` would print them.  Each
-    block of rows is formatted by csvformat.table_blocks and written
-    before the next is formatted.  `%.17g` and `format(x, ".17g")` print
-    a double alike and no cell needs quoting, so the bytes equal those of
-    csv.writer over per-cell formatted strings.
+    `blocks` is one file's csvformat.Blocks.file iterator: each block is
+    written before the next is formatted or taken from the worker's slot.
     """
     with _replacing(path) as handle:
         handle.write((",".join(header) + "\n").encode("ascii"))
-        for line, table in tables:
-            handle.writelines(table_blocks(line, table))
+        handle.writelines(blocks)
+
+
+def _write_csvs(out_dir: Path, files) -> None:
+    """Write each (name, header, tables) of `files` to out_dir/name.csv.
+
+    `tables` lists the file's (line, table) pairs: `line` is the
+    %-template of one row, ending in a newline, and `table` a 2-D float
+    array with one column per `%.17g` field; integer-valued columns such
+    as data.csv's `k` print as `%d` would print them.  Every file's blocks
+    form one csvformat.Blocks stream, so a command whose tables are large
+    enough forks one worker for all of them.  `%.17g` and
+    `format(x, ".17g")` print a double alike and no cell needs quoting, so
+    the bytes equal those of csv.writer over per-cell formatted strings.
+    """
+    with Blocks([tables for _, _, tables in files]) as blocks:
+        for i, (name, header, _) in enumerate(files):
+            _write_csv(out_dir / f"{name}.csv", header, blocks.file(i))
 
 
 def _write_json(path: Path, payload: dict) -> str:
@@ -457,6 +471,7 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
 
     Every table is built before the first file is replaced, so a table
     that cannot be built leaves the directory's earlier CSVs as they were.
+    The files are written by _write_csvs, one block stream for all of them.
     """
     files = []
     if "data" in cfg.emit:
@@ -488,8 +503,7 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
         else:
             pts = boundary_polyline(curves[name], cfg.boundary_points)
         files.append((name, ["x", "y"], [("%.17g,%.17g\n", pts)]))
-    for name, header, tables in files:
-        _write_csv(cfg.out_dir / f"{name}.csv", header, tables)
+    _write_csvs(cfg.out_dir, files)
 
 
 def _analysis_payload(cfg: AnalysisConfig, state: AnalysisState) -> dict:
@@ -565,7 +579,7 @@ def cmd_sweep(cfg: AnalysisConfig) -> str:
     if "convergence" in cfg.emit:
         # The constant ll column is part of the line template.
         line = f"%.17g,{profile.rate_linear:.17g},%.17g\n"
-        _write_csv(cfg.out_dir / "convergence.csv", ["rl", "ll", "lb"], [(line, swept[:, 1:])])
+        _write_csvs(cfg.out_dir, [("convergence", ["rl", "ll", "lb"], [(line, swept[:, 1:])])])
     payload = {
         "lambda": float(profile.rate),
         "lambda_L": float(profile.rate_linear),

@@ -27,26 +27,20 @@ statistics take each block's trajectories in index order, so results are
 bitwise reproducible no matter how the trajectory set is split into
 blocks or which process steps a block.
 
-On Linux, an ensemble of two blocks or more and at least
-_FORK_MIN_TRAJ_STEPS trajectory-steps, whose caller runs no other Python
-thread and may run on a second CPU, is shared out between the caller and
-one forked worker: the block count is rounded up to an even one, the
-caller steps the even blocks and the worker the odd ones.  A CPU quota
-of the caller's cgroup is not read.  Native threads, such as the pool
-OpenBLAS starts when NumPy loads, do not stop the fork: OpenBLAS shuts
-its pool down across a fork, and the worker calls no BLAS routine, only
-elementwise ufuncs, its generator and reads and writes of its pipes.
-Python 3.12 and later warn of such a fork with a DeprecationWarning,
-which the default warning filters do not show.  The worker writes each
-block's q_k rows and final states into the next of _RING slots of shared
-anonymous memory; the caller copies them out and folds them into the
-sums in block order, as it folds its own blocks.  A worker that fails
-leaves its blocks to the caller, which steps them again and so raises
-whatever one process would; the caller kills and reaps the worker before
-it returns or raises.  No option sets the process count: the command
-line's `simulation.workers` is still accepted and ignored.  The worker's
-calls, such as those to model.saturate, are made in its own process, so
-a tracer in the caller sees only the caller's blocks.
+An ensemble of at least _FORK_MIN_TRAJ_STEPS trajectory-steps is shared
+out with the one worker forked.may_fork allows: the block count is
+rounded up to an even one, the caller steps the even blocks and the
+worker the odd ones.  The worker calls no BLAS routine, only elementwise
+ufuncs, its generator and reads and writes of its pipes.  It writes each
+block's q_k rows and final states into a slot of the forked.Worker ring;
+the caller copies them out and folds them into the sums in block order,
+as it folds its own blocks.  A worker that fails leaves its blocks to
+the caller, which steps them again and so raises whatever one process
+would; the caller kills and reaps the worker before it returns or
+raises.  No option sets the process count: the command line's
+`simulation.workers` is still accepted and ignored.  The worker's calls,
+such as those to model.saturate, are made in its own process, so a
+tracer in the caller sees only the caller's blocks.
 
 No block outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES +
 num_traj x n) doubles while one trajectory fits the budget.  Past
@@ -57,16 +51,13 @@ rows each of the per-step sums of q_k and q_k^2.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass
-from sys import platform
 
 import numpy as np
 
 from .errors import PreconditionError
+from .forked import Worker, may_fork
 from .model import FeedbackGain, SystemSpec, _check_gain, saturate
 from .sets import Ellipsoid
 
@@ -93,9 +84,6 @@ _BLOCK_DOUBLES = 256 * _doubles_per_trajectory(6, 3, 100)
 # one process at ~11 000 (horizon 5), ~18 000 (horizon 100) and ~28 000
 # (horizon 20) trajectory-steps.
 _FORK_MIN_TRAJ_STEPS = 30_000
-
-# Slots of shared memory the worker may fill ahead of the caller's fold.
-_RING = 2
 
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
@@ -308,114 +296,6 @@ def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P
     return step
 
 
-def _forks(blocks: int, traj_steps: int) -> bool:
-    """Whether a forked worker steps half of an ensemble of `blocks` blocks.
-
-    It does on Linux, when no other Python thread is alive to be cut off
-    by a fork, the ensemble has two blocks or more and is long enough to
-    repay a fork, and this process may run on a second CPU.
-    """
-    if platform != "linux" or threading.active_count() > 1:
-        return False
-    return blocks >= 2 and traj_steps >= _FORK_MIN_TRAJ_STEPS and len(os.sched_getaffinity(0)) >= 2
-
-
-class _Worker:
-    """A forked process that steps an ensemble's odd blocks beside the caller.
-
-    The caller steps the even blocks as their turn to be folded comes.  The
-    worker steps blocks 1, 3, ... in order, each into the next slot of a
-    ring of _RING slots of shared anonymous memory, and sends a byte down
-    its `ready` pipe as each slot is filled; the caller copies the slot out
-    and sends a byte down the `free` pipe to hand it back.  A worker that
-    stops early, by an error or a signal, closes its end of `ready`, and
-    from then on the caller steps its blocks itself, so an error surfaces
-    as it would in one process.  The caller holds the read end of `free`
-    open as well, so handing a slot back to a worker that has stopped
-    leaves a byte unread instead of raising SIGPIPE, which kills a caller
-    that has not set it aside.  Until fork() starts the worker, the caller
-    steps every block; leaving the context kills and reaps the worker and
-    closes every pipe end the caller holds.
-    """
-
-    def __init__(self, step, starts: range, q_len: int, n: int):
-        self.step, self.starts, self.q_len = step, starts, q_len
-        # A slot holds one block: per trajectory its q_k row, then its final state.
-        self.shape = (_RING, starts.step, q_len + n)
-        # The worker's pid and the caller's pipe ends; `ready` is None while
-        # the caller steps every block.
-        self.pid, self.ready, self.free = 0, None, None
-        # Every pipe end the caller holds, closed on leaving.
-        self.fds: list[int] = []
-
-    def __enter__(self):
-        return self
-
-    def fork(self) -> None:
-        """Start the worker; if the ring, a pipe or the fork cannot be had,
-        the caller steps every block."""
-        import mmap  # loaded only by an ensemble that forks
-
-        try:
-            ring = mmap.mmap(-1, 8 * math.prod(self.shape))
-            self.slots = np.frombuffer(ring).reshape(self.shape)
-            self.fds += os.pipe()
-            self.fds += os.pipe()
-            self.pid = os.fork()
-        except OSError:
-            self.__exit__()
-            return
-        self.ready, ready_w, free_r, self.free = self.fds
-        if self.pid == 0:
-            try:
-                os.close(self.ready)
-                os.close(self.free)
-                self._serve(ready_w, free_r)
-            finally:
-                os._exit(0)
-        os.close(self.fds.pop(1))
-
-    def _serve(self, ready: int, free: int) -> None:
-        """The worker's loop: step the odd blocks into the ring, in order."""
-        for j, b in enumerate(range(1, len(self.starts), 2)):
-            # Slot j % _RING is free once the caller has copied the worker's
-            # block j - _RING.
-            if j >= _RING and not os.read(free, 1):
-                return
-            self.step(self.starts[b], *self._slot(b))
-            os.write(ready, b"\0")
-
-    def _slot(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The q rows and final states of odd block b, in its slot of the ring."""
-        count = min(self.starts.step, self.starts.stop - self.starts[b])
-        slot = self.slots[b // 2 % _RING, :count]
-        return slot[:, : self.q_len], slot[:, self.q_len :]
-
-    def take(self, b: int, q: np.ndarray, finals: np.ndarray) -> None:
-        """Fill q and finals with block b, from the worker's slot or by stepping it."""
-        if b % 2 and self.ready is not None:
-            if os.read(self.ready, 1):
-                q[...], finals[...] = self._slot(b)
-                if b // 2 + _RING < len(self.starts) // 2:
-                    # A worker that has stopped since finds its blocks
-                    # stepped here, once its `ready` pipe reads empty.
-                    os.write(self.free, b"\0")
-                return
-            # The worker stopped early: its blocks fall to the caller.
-            self.ready = None
-        self.step(self.starts[b], q, finals)
-
-    def __exit__(self, *exc) -> None:
-        import signal
-
-        if self.pid:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-        while self.fds:
-            os.close(self.fds.pop())
-
-
 def simulate_ensemble(
     sys: SystemSpec,
     gain: FeedbackGain,
@@ -427,9 +307,9 @@ def simulate_ensemble(
     The quadratic form is measured against the shape of `ellipsoid`, or
     against the identity when none is given.  The trajectories are stepped
     in blocks of at most _BLOCK_DOUBLES doubles, by this process alone or
-    beside the one worker _forks allows, and every trajectory's arithmetic
-    runs in a fixed order, so the statistics are bitwise independent of
-    the block size and of whether a worker forks.
+    beside the one worker forked.may_fork allows, and every trajectory's
+    arithmetic runs in a fixed order, so the statistics are bitwise
+    independent of the block size and of whether a worker forks.
 
     Every returned statistic is finite: q_k is summed under
     np.errstate(over="ignore", invalid="ignore"), and a mean or standard
@@ -448,7 +328,7 @@ def simulate_ensemble(
         raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
     n, steps, total = sys.n, cfg.horizon, cfg.num_traj
     blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, sys.m, steps)))
-    forks = _forks(blocks, total * steps)
+    forks = may_fork(blocks, total * steps, _FORK_MIN_TRAJ_STEPS)
     if forks:
         # An even number of equal blocks, so that neither process is left
         # stepping a longer share while the other waits.
@@ -456,6 +336,14 @@ def simulate_ensemble(
     size = -(-total // blocks)
     step = _block_stepper(sys, gain, cfg, P, size)
     starts = range(0, total, size)
+    # A block in a slot is, per trajectory, its q_k row and then its final state.
+    width = steps + 1 + n
+
+    def produce(b: int, slot: memoryview) -> int:
+        rows = np.frombuffer(slot, count=min(size, total - starts[b]) * width).reshape(-1, width)
+        step(starts[b], rows[:, : steps + 1], rows[:, steps + 1 :])
+        return rows.nbytes
+
     finals = np.empty((total, n))
     # Rows 1.. hold a block's q_k (q_k^2) and row 0 their running sum over
     # the earlier blocks, so one reduction down the rows adds the
@@ -466,13 +354,19 @@ def simulate_ensemble(
     inside = np.zeros(steps + 1, dtype=np.int64)
     # Overflow is caught once, in the statistics; the worker, forked in this
     # context, inherits it.
-    with np.errstate(over="ignore", invalid="ignore"), _Worker(step, starts, steps + 1, n) as worker:
+    with np.errstate(over="ignore", invalid="ignore"), Worker(produce, len(starts), size * width * 8) as worker:
         if forks:
             worker.fork()
         for b, start in enumerate(starts):
             count = min(size, total - start)
             q = sums[1 : count + 1]
-            worker.take(b, q, finals[start : start + count])
+            slot = worker.take(b)
+            if slot is None:
+                step(start, q, finals[start : start + count])
+            else:
+                rows = np.frombuffer(slot).reshape(count, width)
+                q[...], finals[start : start + count] = rows[:, : steps + 1], rows[:, steps + 1 :]
+                worker.release(b)
             np.square(q, out=squares[1 : count + 1])
             sums[0] = sums[: count + 1].sum(axis=0)
             squares[0] = squares[: count + 1].sum(axis=0)

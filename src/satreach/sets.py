@@ -49,13 +49,18 @@ class Ellipsoid:
 def area(ellipsoid: Ellipsoid) -> float:
     """Planar area pi * r / sqrt(det P); defined for two dimensions only.
 
+    Where pi * r overflows, the area is taken as pi * (r / sqrt(det P)).
+
     Raises:
         ValueError: unless the ellipsoid is planar and its area is finite.
     """
     if ellipsoid.n != 2:
         raise ValueError("area is defined for two-dimensional ellipsoids only")
-    det = float(np.linalg.det(ellipsoid.P))
-    size = float(np.pi * ellipsoid.r / np.sqrt(det))
+    root = np.sqrt(float(np.linalg.det(ellipsoid.P)))
+    with np.errstate(over="ignore"):
+        size = float(np.pi * ellipsoid.r / root)
+        if not size < np.inf:
+            size = float(np.pi * (ellipsoid.r / root))
     if not size < np.inf:
         raise ValueError(f"area of the ellipsoid of scaling {ellipsoid.r:.6g} is not finite")
     return size

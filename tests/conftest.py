@@ -7,9 +7,13 @@ effective rate against a vectorized scan of the balance equation, and the
 ensemble kernel against one plain matrix-vector step at a time.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+import satreach as sr
 
 from satreach import FeedbackGain, PreconditionError, SystemSpec, saturate, vertex_matrices
 
@@ -160,3 +164,43 @@ def grid_best_planar_rate(vertices, points: int = 400) -> float:
         root = (beta + np.sqrt(np.maximum(beta * beta - 4.0 * det_p * det_q, 0.0))) / (2.0 * det_p)
         worst = np.maximum(worst, root)
     return float(worst.min())
+
+
+# Helpers of the forked-worker tests.
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left() -> None:
+    """Neither a running child nor an unreaped zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gains one entry per fork of a worker."""
+    forks, real_fork = [], os.fork
+
+    def counting():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(sr.forked.os, "fork", counting)
+    return forks
+
+
+def fail_on_call(monkeypatch, target, name, call) -> list:
+    """Make `target.name` raise OSError on its call-th call, running as
+    usual before; returns the list of calls made."""
+    real, calls = getattr(target, name), []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == call:
+            raise OSError("refused")
+        return real(*args)
+
+    monkeypatch.setattr(target, name, failing)
+    return calls

@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left, count_forks
 
 import satreach as sr
 from satreach import csvformat
@@ -22,6 +23,7 @@ from satreach.cli import (
     EXIT_PRECONDITION,
     EXIT_SYNTHESIS,
     _write_csv,
+    _write_csvs,
     _write_json,
     load_config,
     main,
@@ -564,6 +566,30 @@ def test_write_errors_exit_4_with_one_line(tmp_path, capsys, blocked):
     assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
 
 
+def test_a_full_disk_mid_file_leaves_no_worker_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    # data.csv, ~140 KB at k_max = 2000, hits a full disk after 60 000 bytes,
+    # while a forked worker formats its odd blocks.
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            if self.tell() + len(data) > 60_000:
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(csvformat, "_FORK_MIN_CELLS", 0)
+    monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sr.cli, "open", lambda path, mode: io.BufferedWriter(FullDisk(path, mode)), raising=False)
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["prs"]["k_max"] = 2000
+    assert main(["analyze", "--config", str(write_config(tmp_path, cfg))]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts: ") and "No space left" in err
+    assert forks == [1]
+    assert_no_child_left()
+    assert list(out.iterdir()) == []
+
+
 def test_a_nested_config_is_a_config_error(tmp_path, capsys):
     # The JSON reader raises RecursionError here, which is no ValueError.
     path = tmp_path / "nested.json"
@@ -602,9 +628,10 @@ def test_a_command_allocates_only_what_it_reads(tmp_path, command, section, key)
 
 
 # A finite config whose W, once symmetrized, or whose noise mass, PUB
-# scaling or PUB area is not finite; they used to write Infinity and NaN
+# scaling or ensemble is not finite; they used to write Infinity and NaN
 # into the JSON artifacts and inf or nan into the CSVs, and exit 0.  With
-# W = 1e305 I the PUB scalings are finite but their areas overflow.
+# W = 1e305 I the PUB scalings are finite, and so are their areas, though
+# pi r overflows, but the ensemble's q_k^2 overflows.
 @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
 @pytest.mark.parametrize(
     "section, key, value, code",
@@ -630,8 +657,28 @@ def test_finite_configs_give_finite_artifacts_or_none(tmp_path, capsys, command,
         assert "Infinity" not in (out / "sweep.json").read_text(encoding="utf-8")
         assert "inf" not in (out / "convergence.csv").read_text(encoding="utf-8")
         return
+    if command == "analyze" and key == "W" and value[0][0] == 1e305:
+        # No ensemble runs, and the areas pi r / sqrt(det P) ~ 1.6e308 are finite.
+        assert exit_code == EXIT_OK
+        assert "Infinity" not in (out / "analysis.json").read_text(encoding="utf-8")
+        assert "inf" not in (out / "data.csv").read_text(encoding="utf-8")
+        return
     assert exit_code == code
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_an_overflowing_area_exits_4(tmp_path, capsys, command):
+    # With P / 4 and W = 1.5e305 I the PUB scalings are ~6.6e307, but the
+    # areas, pi r / sqrt(det P), overflow however they are computed.
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["rates"]["P"] = [[x / 4 for x in row] for row in cfg["rates"]["P"]]
+    cfg["system"]["W"] = [[1.5e305, 0.0], [0.0, 1.5e305]]
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "area of the ellipsoid" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -762,12 +809,12 @@ def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
         for k in range(10_000):
             if k == 5_000:
                 raise RuntimeError("interrupted")
-            yield "%.17g,%.17g\n", np.array([[k, 1.0]])
+            yield b"%d,1\n" % k
 
     def tables():
         # Several kernel blocks reach the temp file before the raise.
         table = np.column_stack([np.arange(10_000), np.linspace(0.1, 7.0, 10_000)])
-        yield "%.17g,%.17g\n", table
+        yield from csvformat.Blocks([[("%.17g,%.17g\n", table)]]).file(0)
         raise RuntimeError("interrupted")
 
     real_format = csvformat._Kernel.format
@@ -785,7 +832,7 @@ def test_interrupted_writes_keep_the_previous_artifacts(tmp_path):
         _write_csv(out / "data.csv", ["k", "e"], tables())
     with mock.patch.object(csvformat._Kernel, "format", third_block_raises):
         with pytest.raises(RuntimeError, match="interrupted"):
-            _write_csv(out / "lell.csv", ["x", "y"], [("%.17g,%.17g\n", np.ones((10_000, 2)) / 3)])
+            _write_csvs(out, [("lell", ["x", "y"], [("%.17g,%.17g\n", np.ones((10_000, 2)) / 3)])])
     with pytest.raises(TypeError):
         _write_json(out / "analysis.json", {"a": list(range(10_000)), "b": object()})
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
@@ -823,7 +870,7 @@ def test_block_writer_matches_csv_writer(tmp_path, num_rows):
     for values in (EDGE_VALUES, KERNEL_VALUES):
         table = np.resize(np.array(values), 3 * num_rows).reshape(num_rows, 3)
         path = tmp_path / "t.csv"
-        _write_csv(path, ["a", "b", "c"], [("%.17g,%.17g,%.17g\n", table)])
+        _write_csvs(tmp_path, [("t", ["a", "b", "c"], [("%.17g,%.17g,%.17g\n", table)])])
         assert path.read_bytes() == reference_csv(["a", "b", "c"], (cells(row) for row in table))
         assert not list(tmp_path.glob(".*.tmp"))
 

@@ -3,13 +3,17 @@
 guard says no exactness proof holds."""
 
 import math
+import mmap
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left, count_forks, fail_on_call, open_fds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import satreach as sr
 from satreach import csvformat
 from satreach.csvformat import GUARD_MAX, GUARD_MIN, GUARD_TIE, percent_block
 
@@ -117,11 +121,12 @@ def test_kernel_hands_unproven_d_cells_to_percent(x):
     # whole, which truncates fractions and raises on NaN and infinity.
     assert csvformat._Kernel.for_template("%d\n", 1, 4) is None
     table = np.full((csvformat.KERNEL_MIN_CELLS, 1), x)
+    blocks = csvformat.Blocks([[("%d\n", table)]])
     if math.isfinite(x):
-        assert b"".join(csvformat.table_blocks("%d\n", table)) == percent_block("%d\n", table)
+        assert b"".join(blocks.file(0)) == percent_block("%d\n", table)
     else:
         with pytest.raises((ValueError, OverflowError)):
-            b"".join(csvformat.table_blocks("%d\n", table))
+            b"".join(blocks.file(0))
 
 
 # data.csv's two row templates and the `%d` form of each, whose bytes they
@@ -154,3 +159,160 @@ def test_kernel_blocks_equal_percent_blocks(rows):
 )
 def test_other_templates_use_percent(line):
     assert csvformat._Kernel.for_template(line, line.count("%") - line.count("%%") * 2, 4) is None
+
+
+# ------------------------------------------------- the forked block worker
+
+
+def _files():
+    # Three files of seven blocks, of 1365 rows of three columns or 2048 of
+    # two: 0 and 1 of data, 2 of its tail, 3 to 5 of xy, and 6, a table
+    # small enough for `%` alone.
+    k = np.arange(3000.0)
+    data = np.column_stack([k, 0.98**k, 1.0 / (k + 3.0)])
+    t = np.linspace(0.0, 2.0 * np.pi, 5000)
+    xy = np.column_stack([7.3 * np.cos(t), -4.1 * np.sin(t)])
+    return [
+        [("%.17g,%.17g,%.17g\n", data[:2000]), ("%.17g,,%.17g\n", data[2000:, [0, 2]])],
+        [("%.17g,%.17g\n", xy)],
+        [("%.17g,%.17g\n", xy[:100] / 3.0)],
+    ]
+
+
+def _reference(files) -> list[bytes]:
+    return [b"".join(percent_block(line, table) for line, table in tables) for tables in files]
+
+
+def _written(files) -> list[bytes]:
+    # Each slot's bytes are copied before the next block is asked for.
+    with csvformat.Blocks(files) as blocks:
+        return [b"".join(bytes(piece) for piece in blocks.file(i)) for i in range(len(files))]
+
+
+def _force_fork(monkeypatch, cpus=2):
+    monkeypatch.setattr(csvformat, "_FORK_MIN_CELLS", 0)
+    monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _caller_formats(monkeypatch):
+    # The blocks this process formats, in order.
+    caller, real, formatted = os.getpid(), csvformat.Blocks.format, []
+
+    def recording(blocks, b):
+        if os.getpid() == caller:
+            formatted.append(b)
+        return real(blocks, b)
+
+    monkeypatch.setattr(csvformat.Blocks, "format", recording)
+    return formatted
+
+
+# Platform, Python threads, cells of kernel tables, CPUs, and whether one
+# worker forks; the threshold is the shipped _FORK_MIN_CELLS, and a table
+# below KERNEL_MIN_CELLS does not count toward it.
+CSV_FORK_TABLE = [
+    ("linux", 1, 50_000, 2, True),
+    ("linux", 1, 10**6, 64, True),
+    ("linux", 1, 49_999, 2, False),
+    ("linux", 2, 10**6, 2, False),
+    ("linux", 1, 10**6, 1, False),
+    ("darwin", 1, 10**6, 2, False),
+]
+
+
+def test_csv_blocks_fork_one_worker_past_the_cell_threshold(monkeypatch):
+    assert csvformat._FORK_MIN_CELLS == 50_000
+    forks = []
+    monkeypatch.setattr(sr.forked.Worker, "fork", lambda worker: forks.append(1))
+    small = np.zeros((csvformat.KERNEL_MIN_CELLS - 1, 1))
+    for platform, threads, cells, cpus, expected in CSV_FORK_TABLE:
+        monkeypatch.setattr(sr.forked, "platform", platform)
+        monkeypatch.setattr(sr.forked.threading, "active_count", lambda: threads)
+        monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        files = [[("%.17g\n", np.zeros((cells, 1)))], [("%.17g\n", small)]]
+        forks.clear()
+        with csvformat.Blocks(files):
+            pass
+        assert forks == ([1] if expected else []), (platform, threads, cells, cpus)
+
+
+def test_forked_csv_blocks_equal_percent_and_leave_no_child(monkeypatch):
+    files = _files()
+    _force_fork(monkeypatch)
+    forks = count_forks(monkeypatch)
+    formatted = _caller_formats(monkeypatch)
+    assert _written(files) == _reference(files)
+    assert forks == [1]
+    # The caller formats the even blocks only.
+    assert formatted == [0, 2, 4, 6]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "target, name, call",
+    [(mmap, "mmap", 1), (os, "pipe", 1), (os, "pipe", 2), (os, "fork", 1)],
+    ids=["mmap", "first-pipe", "second-pipe", "fork"],
+)
+def test_a_refused_csv_fork_leaves_every_block_to_the_caller(monkeypatch, target, name, call):
+    files = _files()
+    _force_fork(monkeypatch)
+    calls = fail_on_call(monkeypatch, target, name, call)
+    formatted = _caller_formats(monkeypatch)
+    before = open_fds()
+    assert _written(files) == _reference(files)
+    assert len(calls) == call
+    assert formatted == list(range(7))
+    assert open_fds() == before
+    assert_no_child_left()
+
+
+def test_a_csv_worker_that_fails_leaves_every_block_to_the_caller(monkeypatch):
+    files = _files()
+    _force_fork(monkeypatch)
+    forks = count_forks(monkeypatch)
+    caller, real_format = os.getpid(), csvformat._Kernel.format
+
+    def failing_in_the_worker(kernel, block):
+        if os.getpid() != caller:
+            raise RuntimeError("the worker's first block fails")
+        return real_format(kernel, block)
+
+    monkeypatch.setattr(csvformat._Kernel, "format", failing_in_the_worker)
+    formatted = _caller_formats(monkeypatch)
+    assert _written(files) == _reference(files)
+    assert forks == [1]
+    assert formatted == list(range(7))
+    assert_no_child_left()
+
+
+def test_a_guard_rejected_odd_block_is_formatted_by_percent_in_the_worker(monkeypatch):
+    files = _files()
+    data = files[0][0][1].copy()
+    # Blocks 1 and 3 hold a NaN and a subnormal, which the guard rejects.
+    data[1365 + 7, 1] = np.nan
+    files[0][0] = (files[0][0][0], data)
+    xy = files[1][0][1].copy()
+    xy[5, 0] = 5e-324
+    files[1][0] = (files[1][0][0], xy)
+    _force_fork(monkeypatch)
+    forks = count_forks(monkeypatch)
+    formatted = _caller_formats(monkeypatch)
+    written = _written(files)
+    assert written == _reference(files)
+    assert b"nan" in written[0] and b"4.9406564584124654e-324" in written[1]
+    assert forks == [1]
+    assert formatted == [0, 2, 4, 6]
+    assert_no_child_left()
+
+
+def test_a_block_too_long_for_its_slot_stops_the_worker(monkeypatch):
+    # A slot has room for `%.17g` fields only; `%d` of 1e300 prints 301 bytes.
+    table = np.full((3 * csvformat.BLOCK_CELLS, 1), 1e300)
+    files = [[("%d\n", table)]]
+    _force_fork(monkeypatch)
+    forks = count_forks(monkeypatch)
+    formatted = _caller_formats(monkeypatch)
+    assert _written(files) == _reference(files)
+    assert forks == [1]
+    assert formatted == [0, 1, 2]
+    assert_no_child_left()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import error_step
+from conftest import assert_no_child_left, count_forks, error_step, fail_on_call, open_fds
 
 import satreach as sr
 from satreach import Ellipsoid, PreconditionError, SimulationConfig
@@ -431,7 +431,7 @@ def test_ensemble_bitwise_invariant_to_block_size_when_saturated(monkeypatch):
 def _force_processes(monkeypatch, cpus):
     # Forks at any ensemble size, as if `cpus` CPUs were free.
     monkeypatch.setattr(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0)
-    monkeypatch.setattr(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 # Platform, Python threads, blocks, trajectory-steps and CPUs, and whether
@@ -451,14 +451,11 @@ FORK_TABLE = [
 def test_at_most_two_processes_step_an_ensemble(monkeypatch):
     assert sr.montecarlo._FORK_MIN_TRAJ_STEPS == 30_000
     for platform, threads, blocks, traj_steps, cpus, forks in FORK_TABLE:
-        monkeypatch.setattr(sr.montecarlo, "platform", platform)
-        monkeypatch.setattr(sr.montecarlo.threading, "active_count", lambda: threads)
-        monkeypatch.setattr(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert sr.montecarlo._forks(blocks, traj_steps) is forks, (platform, threads, blocks, traj_steps, cpus)
-
-
-def _fds():
-    return sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(sr.forked, "platform", platform)
+        monkeypatch.setattr(sr.forked.threading, "active_count", lambda: threads)
+        monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        decided = sr.forked.may_fork(blocks, traj_steps, sr.montecarlo._FORK_MIN_TRAJ_STEPS)
+        assert decided is forks, (platform, threads, blocks, traj_steps, cpus)
 
 
 def _alone_then_forced_to_fork(monkeypatch, sys_, gain):
@@ -473,20 +470,6 @@ def _alone_then_forced_to_fork(monkeypatch, sys_, gain):
     return lambda: sr.simulate_ensemble(sys_, gain, cfg, ellipsoid=ell), alone
 
 
-def _fail_on_call(monkeypatch, target, name, call):
-    # `target.name` raises OSError on its call-th call and runs as usual before.
-    real, calls = getattr(target, name), []
-
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == call:
-            raise OSError("refused")
-        return real(*args)
-
-    monkeypatch.setattr(target, name, failing)
-    return calls
-
-
 @pytest.mark.parametrize(
     "target, name, call",
     [(mmap, "mmap", 1), (os, "pipe", 1), (os, "pipe", 2), (os, "fork", 1)],
@@ -494,18 +477,18 @@ def _fail_on_call(monkeypatch, target, name, call):
 )
 def test_a_refused_fork_leaves_every_block_to_the_caller(monkeypatch, ref_sys, ref_gain, target, name, call):
     run, alone = _alone_then_forced_to_fork(monkeypatch, ref_sys, ref_gain)
-    calls = _fail_on_call(monkeypatch, target, name, call)
-    before = _fds()
+    calls = fail_on_call(monkeypatch, target, name, call)
+    before = open_fds()
     refused = run()
     assert len(calls) == call
-    assert _fds() == before
-    _assert_no_child_left()
+    assert open_fds() == before
+    assert_no_child_left()
     _assert_bitwise_equal([alone, refused])
 
 
 def test_a_killed_worker_leaves_its_later_blocks_to_the_caller(monkeypatch, ref_sys, ref_gain):
     run, alone = _alone_then_forced_to_fork(monkeypatch, ref_sys, ref_gain)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     caller, real_write, real_draw = os.getpid(), os.write, sr.montecarlo._draw_block
     drawn = []
 
@@ -521,38 +504,20 @@ def test_a_killed_worker_leaves_its_later_blocks_to_the_caller(monkeypatch, ref_
             drawn.append(start)
         real_draw(kind, seed, start, rng, block)
 
-    monkeypatch.setattr(sr.montecarlo.os, "write", dying_write)
+    monkeypatch.setattr(sr.forked.os, "write", dying_write)
     monkeypatch.setattr(sr.montecarlo, "_draw_block", counted_draw)
     killed = run()
     assert forks == [1]
     # Blocks of 4 start at 0, 4, ..., 20; the worker stepped only block 1.
     assert drawn == [0, 8, 12, 16, 20]
-    _assert_no_child_left()
+    assert_no_child_left()
     _assert_bitwise_equal([alone, killed])
-
-
-def _assert_no_child_left():
-    # Neither a running child nor an unreaped zombie.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _count_forks(monkeypatch):
-    forks = []
-    real_fork = os.fork
-
-    def counting():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(sr.montecarlo.os, "fork", counting)
-    return forks
 
 
 def test_forks_only_without_a_thread_on_several_cpus_and_reaps(monkeypatch, ref_sys, ref_gain):
     cfg = SimulationConfig(horizon=30, num_traj=23, seed=17)
     _force_block_size(monkeypatch, ref_sys, cfg, 4)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     _force_processes(monkeypatch, 1)
     sr.simulate_ensemble(ref_sys, ref_gain, cfg)
     _force_processes(monkeypatch, 2)
@@ -568,7 +533,7 @@ def test_forks_only_without_a_thread_on_several_cpus_and_reaps(monkeypatch, ref_
     assert forks == []
     sr.simulate_ensemble(ref_sys, ref_gain, cfg)
     assert forks == [1]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _overflowing_plant():
@@ -632,7 +597,7 @@ def _diverge_in_one_and_two_processes(monkeypatch, failing, blocks):
             with pytest.raises(ValueError) as raised:
                 sr.simulate_ensemble(plant, gain, cfg)
             errors.append(str(raised.value))
-            _assert_no_child_left()
+            assert_no_child_left()
     assert first // size == failing
     assert errors == ["u must be finite"] * 2
 
@@ -641,7 +606,7 @@ def test_an_interrupted_caller_leaves_no_child(monkeypatch, ref_sys, ref_gain):
     cfg = SimulationConfig(horizon=30, num_traj=23, seed=17)
     _force_block_size(monkeypatch, ref_sys, cfg, 4)
     _force_processes(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     caller = os.getpid()
     real_saturate = sr.montecarlo.saturate
     calls = []
@@ -658,7 +623,7 @@ def test_an_interrupted_caller_leaves_no_child(monkeypatch, ref_sys, ref_gain):
     with pytest.raises(KeyboardInterrupt):
         sr.simulate_ensemble(ref_sys, ref_gain, cfg)
     assert forks == [1]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # Run with OpenBLAS's thread pool alive, as NumPy starts it unless

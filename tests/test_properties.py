@@ -307,7 +307,7 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
     runs = []
     with (
         mock.patch.object(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0),
-        mock.patch.object(sr.montecarlo.os, "sched_getaffinity", lambda pid: set(range(workers))),
+        mock.patch.object(sr.forked.os, "sched_getaffinity", lambda pid: set(range(workers))),
     ):
         for size in (1, block, num_traj):
             with mock.patch.object(sr.montecarlo, "_BLOCK_DOUBLES", size * per_trajectory):

@@ -62,6 +62,13 @@ def test_area_diagonal_shape():
     )
 
 
+def test_area_is_finite_where_pi_r_overflows():
+    # pi * 1e308 overflows, but the area pi * 1e308 / 100 does not.
+    assert sr.area(Ellipsoid(P=100.0 * np.eye(2), r=1e308)) == pytest.approx(np.pi * 1e306, rel=1e-14)
+    with pytest.raises(ValueError, match="not finite"):
+        sr.area(Ellipsoid(P=1e-4 * np.eye(2), r=1e308))
+
+
 def test_area_requires_planar():
     with pytest.raises(ValueError):
         sr.area(Ellipsoid(P=np.eye(3), r=1.0))

@@ -11,6 +11,7 @@ decides which rate applies, and evaluates the resulting bound sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ def linear_region_scaling(P, K, ubar, vbar) -> float | np.ndarray:
     Row i stays linear while (K_i e)^2 <= (ubar_i - vbar_i)^2, and the worst
     of K_i e over {e' P e <= r} is sqrt(r * K_i inv(P) K_i'), so the scaling
     is min_i (ubar_i - vbar_i)^2 / (K_i inv(P) K_i').  Rows with K_i = 0
-    never saturate and contribute +inf; K = 0 therefore returns +inf.
+    never saturate and contribute +inf; K = 0 therefore returns +inf, and
+    so does a scaling too large for a double.
 
     `ubar` and `vbar` may also be (G, m) grids of budgets, broadcast against
     each other; the result is then an array of G scalings, each equal to
@@ -93,10 +95,12 @@ def linear_region_scaling(P, K, ubar, vbar) -> float | np.ndarray:
     if ubar.shape[-1:] != quad.shape or vbar.shape[-1:] != quad.shape:
         raise ValueError(f"ubar and vbar must have length {quad.size}")
     check_budgets(ubar, vbar)
-    margins = (ubar - vbar) ** 2
-    ratios = np.full(margins.shape, np.inf)
-    active = quad > 0.0
-    ratios[..., active] = margins[..., active] / quad[active]
+    # A scaling beyond the largest double is +inf, without a warning.
+    with np.errstate(over="ignore"):
+        margins = (ubar - vbar) ** 2
+        ratios = np.full(margins.shape, np.inf)
+        active = quad > 0.0
+        ratios[..., active] = margins[..., active] / quad[active]
     scaling = ratios.min(axis=-1)
     return float(scaling) if scaling.ndim == 0 else scaling
 
@@ -240,10 +244,32 @@ def select_rate(rate: float, rate_linear: float, noise: float, r_lin) -> Contrac
     )
 
 
+def converged_from(rate: float) -> int:
+    """A step from which rate^k < 2^-55 for every k, so that 1 - rate^k is 1.
+
+    A computed power of at most 2^-54 leaves 1 - rate^k rounded to exactly
+    1 (the tie at 2^-54 rounds to even, which is 1), so the factor 2 below
+    that absorbs any pow error short of 100 %, one ulp among them.  The
+    step is ceil(56 / -log2 rate): aiming at 2^-56 covers the few ulps of
+    error in the logarithm and the quotient, so rate^k < 2^-55 holds in
+    exact arithmetic at that step and, as rate < 1, at every later one.
+    Rate 0 has converged from step 1 (0^0 = 1); as rate tends to 1 the
+    step grows without bound.
+    """
+    if rate == 0.0:
+        return 1
+    return math.ceil(56.0 / -math.log2(rate))
+
+
 def expectation_bound_sequence(rate: float, noise: float, k_max: int) -> np.ndarray:
     """Geometric bound b_k = (1 - rate^k) / (1 - rate) * noise for k = 0..k_max.
 
-    Nondecreasing, b_0 = 0, and converging to noise / (1 - rate).
+    Nondecreasing, b_0 = 0, and converging to noise / (1 - rate).  From
+    step converged_from(rate) on, rate^k < 2^-55, half of the 2^-54 at or
+    below which 1 - rate^k rounds to exactly 1, so a pow error of an ulp
+    cannot move it; those steps are filled with 1.0 / (1.0 - rate) * noise,
+    the same operations in the same order, with the same bits as the
+    formula, and rate^k is computed for the earlier steps alone.
 
     Raises:
         ValueError: unless 0 <= rate < 1, noise >= 0 and k_max >= 0.
@@ -251,5 +277,7 @@ def expectation_bound_sequence(rate: float, noise: float, k_max: int) -> np.ndar
     check_rate(rate)
     check_noise(noise)
     check_k_max(k_max)
-    k = np.arange(k_max + 1)
-    return (1.0 - rate ** k) / (1.0 - rate) * noise
+    bounds = np.full(k_max + 1, 1.0 / (1.0 - rate) * noise)
+    k = np.arange(min(k_max + 1, converged_from(rate)))
+    bounds[: k.size] = (1.0 - rate**k) / (1.0 - rate) * noise
+    return bounds

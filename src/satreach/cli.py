@@ -4,16 +4,18 @@ Every command reads one JSON config, writes machine-readable artifacts
 into the output directory, and prints a JSON summary to stdout.  All CSV
 numbers are written at `%.17g`, 17 significant digits, so a reader
 recovers the in-memory doubles exactly; runs with identical configs are
-byte identical.  A CSV is written in blocks of csvformat.BLOCK_CELLS
-cells, with the same bytes as one `format(x, ".17g")` per cell through
-csv.writer.  Tables of csvformat.KERNEL_MIN_CELLS cells or more are
-formatted by a NumPy kernel that computes each cell's 17 digits exactly;
-a smaller table, or a block the kernel's guard rejects (a non-finite,
-subnormal or huge cell, or a rounding too close to a tie to prove), is
-formatted by one `%` operation per block.  The blocks of every CSV a
-command writes form one csvformat.Blocks stream: when its kernel tables
-are large enough, one forked worker formats the odd blocks beside the
-command, which writes every block in order, with the same bytes.
+byte identical.  A CSV is written in blocks of at most
+csvformat.BLOCK_CELLS cells, fewer where a template's literal text
+widens the kernel's slots, with the same bytes as one
+`format(x, ".17g")` per cell through csv.writer.  Tables of
+csvformat.KERNEL_MIN_CELLS cells or more are formatted by a NumPy kernel
+that computes each cell's 17 digits exactly; a smaller table, or a block
+the kernel's guard rejects (a non-finite, subnormal or huge cell, or a
+rounding too close to a tie to prove), is formatted by one `%` operation
+per block.  The blocks of every CSV a command writes form one
+csvformat.Blocks stream: when its kernel tables are large enough, one
+forked worker formats the odd blocks beside the command, which writes
+every block in order, with the same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .bounds import (
     ContractionProfile,
     check_budgets,
     check_k_max,
+    converged_from,
     expectation_bound_sequence,
     linear_region_budget,
     linear_region_scaling,
@@ -454,6 +457,11 @@ def _rate_profile(cfg: AnalysisConfig, ubar) -> tuple[np.ndarray, ContractionPro
         raise SynthesisError(failure)
     noise = noise_energy(P, cfg.system.W)
     r_lin = linear_region_scaling(P, cfg.gain.K, ubar, cfg.vbar)
+    if not np.all(np.isfinite(r_lin)):
+        raise PreconditionError(
+            f"linear region scaling r_L is not finite at budgets up to {np.max(ubar):.6g}: "
+            "(ubar - vbar)^2 / (K_i inv(P) K_i') overflows"
+        )
     return P, select_rate(certificate["lambda"], certificate["lambda_L"], noise, r_lin)
 
 
@@ -472,23 +480,33 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
     Every table is built before the first file is replaced, so a table
     that cannot be built leaves the directory's earlier CSVs as they were.
     The files are written by _write_csvs, one block stream for all of them.
+
+    From the largest bounds.converged_from of its three rates on, every
+    bound of data.csv equals its limit in every bit, so the rows the
+    ensemble does not cover from there are a one-field k table whose
+    template holds the three limits, each written as format(x, ".17g"),
+    which is what `%.17g` prints for it.  lell and lbell share one unit
+    boundary of their common P, which each scales by sqrt(r), as
+    boundary_polyline does: scaling by sqrt(1.0) = 1.0 changes no bit.
     """
     files = []
     if "data" in cfg.emit:
         profile = state.profile
-        bounds = [
-            expectation_bound_sequence(rate, profile.noise_energy, cfg.k_max)
-            for rate in (profile.rate, profile.rate_linear, profile.rate_selected)
-        ]
+        rates = (profile.rate, profile.rate_linear, profile.rate_selected)
+        bounds = [expectation_bound_sequence(rate, profile.noise_energy, cfg.k_max) for rate in rates]
         q_mean = np.empty(0) if stats is None else stats.q_mean
         # Steps the ensemble covers carry e; later ones leave it empty.
-        # The writer formats and writes the table in blocks of rows.
-        table = np.column_stack([np.arange(cfg.k_max + 1), *bounds])
+        # The writer formats and writes the tables in blocks of rows.
         filled = min(len(q_mean), cfg.k_max + 1)
+        tail = max(filled, min(cfg.k_max + 1, max(map(converged_from, rates))))
+        table = np.column_stack([np.arange(tail), *(bound[:tail] for bound in bounds)])
         covered = np.insert(table[:filled], 1, q_mean[:filled], axis=1)
+        # The last bounds are the limits whenever the tail has rows.
+        limits = ",".join(format(bound[-1], ".17g") for bound in bounds)
         tables = [
             ("%.17g,%.17g,%.17g,%.17g,%.17g\n", covered),
             ("%.17g,,%.17g,%.17g,%.17g\n", table[filled:]),
+            (f"%.17g,,{limits}\n", np.arange(tail, cfg.k_max + 1, dtype=float)[:, None]),
         ]
         files.append(("data", ["k", "e", "l", "ll", "lb"], tables))
     curves = {"lell": state.pub_rate, "lbell": state.pub_selected}
@@ -497,11 +515,11 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
     if cfg.system.n != 2 and wanted:
         print(f"{', '.join(wanted)} need a planar system; skipped", file=sys.stderr)
         wanted = []
+    unit = None
+    if set(curves) & set(wanted):
+        unit = boundary_polyline(replace(state.pub_rate, r=1.0), cfg.boundary_points)
     for name in wanted:
-        if name == "states":
-            pts = stats.final_states
-        else:
-            pts = boundary_polyline(curves[name], cfg.boundary_points)
+        pts = stats.final_states if name == "states" else np.sqrt(curves[name].r) * unit
         files.append((name, ["x", "y"], [("%.17g,%.17g\n", pts)]))
     _write_csvs(cfg.out_dir, files)
 

@@ -39,9 +39,14 @@ import numpy as np
 
 from .forked import Worker, may_fork
 
-# Cells per block, on either path.  The kernel's work arrays take some
-# 100 bytes per cell: blocks of 8192 cells raised the peak memory of a
-# 2e4-row export by 2.5-3 MB.
+# Cells per block, on either path, of a template whose literals fit the
+# narrowest slot (_slot_width of 48 bytes); a template with longer literals
+# gets proportionally fewer rows per block, so every block's byte grid
+# holds at most BLOCK_CELLS narrowest slots.  The kernel's work arrays take
+# some 100 bytes per cell: blocks of 8192 cells raised the peak memory of a
+# 2e4-row export by 2.5-3 MB, and rows cut by field count alone, 4096 per
+# block of data.csv's one-field tail, whose 59-byte literal makes 104-byte
+# slots, raised it by 0.8 MB.
 BLOCK_CELLS = 4096
 
 # Tables of fewer cells are formatted by `%` alone.  Below about 700
@@ -94,7 +99,10 @@ class Blocks:
 
     `files` holds, per file, its (line, table) pairs: `line` is the
     %-template of one row and `table` a 2-D array with one column per
-    field.  Each table is cut into blocks of at most BLOCK_CELLS cells,
+    field.  Each table is cut into blocks of rows whose kernel slots take
+    at most BLOCK_CELLS narrowest slots' bytes, so a template with a long
+    literal, such as data.csv's converged tail, whose one field carries
+    the three bound limits, gets fewer rows per block.  The blocks are
     numbered across every file in write order; file(i) yields file i's
     bytes, block by block.  Entered as a context, once the tables of at
     least KERNEL_MIN_CELLS cells hold _FORK_MIN_CELLS cells or more and
@@ -116,7 +124,8 @@ class Blocks:
         for tables in files:
             first = len(self.index)
             for line, table in tables:
-                rows = max(1, BLOCK_CELLS // max(1, table.shape[1]))
+                row_bytes = max(1, table.shape[1]) * _slot_width(line.split("%.17g")[1:])
+                rows = max(1, BLOCK_CELLS * _slot_width([]) // row_bytes)
                 self.index += [(len(self.tables), start) for start in range(0, len(table), rows)]
                 self.tables.append((line, table, rows))
                 # A `%.17g` field prints at most 24 bytes, 19 more than its own 5.
@@ -172,12 +181,18 @@ class Blocks:
         return end
 
 
+def _slot_width(literals) -> int:
+    """Bytes of one cell in the kernel's grid: its _SLOT bytes and the
+    template's longest literal, rounded up to whole 8-byte words."""
+    return -(-(_SLOT + max(map(len, literals), default=0)) // 8) * 8
+
+
 class _Kernel:
     """The kernel for one template, with a byte grid for up to `rows` rows."""
 
     def __init__(self, literals: list[bytes], rows: int):
         fields = len(literals)
-        width = -(-(_SLOT + max(map(len, literals))) // 8) * 8
+        width = _slot_width(literals)
         self.grid = np.zeros((rows, fields, width), dtype=np.uint8)
         self.grid[:, :, 0] = ord("-")
         self.grid[:, :, 1:_DIGITS] = np.frombuffer(b"0.000", dtype=np.uint8)

@@ -54,6 +54,13 @@ def test_linear_region_zero_rows_never_saturate():
     assert sr.linear_region_scaling(np.eye(2), [[0.0, 0.0]], [1.0], [0.0]) == np.inf
 
 
+def test_a_linear_region_beyond_the_largest_double_is_infinite_without_a_warning(ref_gain, ref_shape):
+    # pytest turns a RuntimeWarning into an error; the grid's first row
+    # squares without overflow, and its quotient overflows.
+    budgets = [[1e154], [1e300]]
+    assert list(sr.linear_region_scaling(ref_shape, ref_gain.K, budgets, [0.0])) == [np.inf, np.inf]
+
+
 def test_linear_region_nominal_budget_checked():
     with pytest.raises(PreconditionError):
         sr.linear_region_scaling(np.eye(2), [[1.0, 0.0]], [1.0], [1.5])

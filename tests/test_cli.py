@@ -234,6 +234,9 @@ def test_analyze_boundary_files(tmp_path):
         for row in rows:
             x = np.array([float(row[0]), float(row[1])])
             assert x @ P @ x == pytest.approx(radius, rel=1e-10)
+        # Both curves scale one unit boundary, with the bytes of each curve's own polyline.
+        polyline = sr.boundary_polyline(sr.Ellipsoid(P, radius), 16)
+        assert (out / f"{name}.csv").read_bytes() == reference_csv(header, map(cells, polyline))
 
 
 def test_analyze_fallback_duplicates_rate_column(tmp_path):
@@ -682,6 +685,33 @@ def test_an_overflowing_area_exits_4(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# A budget of 1e154 or more makes (ubar - vbar)^2 / (K_i inv(P) K_i')
+# overflow; the run used to warn, write the CSVs and then fail on an
+# infinite r_L in the JSON artifact.
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("analyze", "system", "ubar", [1e154]),
+        ("analyze", "system", "ubar", [1e300]),
+        ("simulate", "system", "ubar", [1e300]),
+        ("sweep", "sweep", "ubar_max", 1e300),
+    ],
+    ids=["analyze-ubar-1e154", "analyze-ubar-1e300", "simulate-ubar-1e300", "sweep-ubar_max-1e300"],
+)
+def test_an_overflowing_linear_region_replaces_no_artifact(tmp_path, capsys, command, section, key, value):
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep=dict(SWEEP))
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    cfg[section][key] = value
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violation: linear region scaling r_L is not finite")
+    assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_a_covariance_symmetric_to_rounding_is_accepted(tmp_path):
     # diag(3e8, 1e8) rotated by about 0.1237 rad: its off-diagonals are
     # 7.45e-9 apart, 2.5e-17 of its largest entry; it used to exit 2.
@@ -905,7 +935,10 @@ def test_kernel_formats_every_cli_template(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "kernel" / "convergence.csv")[1]) > 10_000
 
 
-@pytest.mark.parametrize("horizon, k_max", [(25, 40), (40, 25), (25, 0)])
+# The demo's bounds equal their limits in every bit from step 1932 on
+# (bounds.converged_from of its hull-wide rate), where data.csv's
+# one-field tail starts; None analyzes without an ensemble.
+@pytest.mark.parametrize("horizon, k_max", [(25, 40), (40, 25), (25, 0), (2000, 2100), (None, 20_000)])
 def test_simulated_data_csv_matches_csv_writer(tmp_path, monkeypatch, horizon, k_max):
     ensembles = []
     real = sr.cli.simulate_ensemble
@@ -917,17 +950,19 @@ def test_simulated_data_csv_matches_csv_writer(tmp_path, monkeypatch, horizon, k
     monkeypatch.setattr(sr.cli, "simulate_ensemble", recording)
     out = tmp_path / "out"
     cfg = base_config(out)
-    cfg["simulation"]["horizon"] = horizon
+    cfg["simulation"]["horizon"] = horizon or 25
     cfg["prs"]["k_max"] = k_max
-    assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
-    payload = json.loads((out / "simulation.json").read_text(encoding="utf-8"))
+    command, artifact = ("simulate", "simulation") if horizon else ("analyze", "analysis")
+    assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    payload = json.loads((out / f"{artifact}.json").read_text(encoding="utf-8"))
+    # The formula at every step, not expectation_bound_sequence's tail rule.
     bounds = [
-        sr.expectation_bound_sequence(payload[rate], payload["trace_PW"], k_max)
+        (1.0 - payload[rate] ** np.arange(k_max + 1)) / (1.0 - payload[rate]) * payload["trace_PW"]
         for rate in ("lambda", "lambda_L", "lambda_hat")
     ]
-    q_mean = ensembles[0].q_mean
+    q_mean = ensembles[0].q_mean if ensembles else []
     rows = (
-        [str(k), format(float(q_mean[k]), ".17g") if k <= horizon else ""] + cells(b[k] for b in bounds)
+        [str(k), format(float(q_mean[k]), ".17g") if k < len(q_mean) else ""] + cells(b[k] for b in bounds)
         for k in range(k_max + 1)
     )
     assert (out / "data.csv").read_bytes() == reference_csv(["k", "e", "l", "ll", "lb"], rows)

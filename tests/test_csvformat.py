@@ -161,6 +161,19 @@ def test_other_templates_use_percent(line):
     assert csvformat._Kernel.for_template(line, line.count("%") - line.count("%%") * 2, 4) is None
 
 
+def test_a_template_with_a_long_literal_gets_fewer_rows_per_block():
+    # data.csv's converged tail: one k field, then the three bound limits,
+    # a 59-byte literal that widens each slot from 48 to 104 bytes.
+    tail = "%.17g,,354.30819168363246,30.456231775567129,32.438091218802597\n"
+    k = np.arange(20_000.0)[:, None]
+    files = [[(tail, k), ("%.17g,%.17g,%.17g\n", np.hstack([k, k / 3.0, -k]))]]
+    blocks = csvformat.Blocks(files)
+    (_, _, tail_rows), (_, _, rows) = blocks.tables
+    assert rows == csvformat.BLOCK_CELLS // 3
+    assert tail_rows * 104 <= csvformat.BLOCK_CELLS * 48 < (tail_rows + 1) * 104
+    assert b"".join(blocks.file(0)) == _reference(files)[0]
+
+
 # ------------------------------------------------- the forked block worker
 
 

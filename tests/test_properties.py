@@ -6,7 +6,8 @@ spectral floor when its probe succeeds, active-vertex synthesis that
 ships the exact rate of its shape and matches the all-vertex probe within
 bisect_tol, probes that return only strictly
 certifying shapes, slacks that move affinely along a Newton step, a
-constant-size verification record equal to a per-vertex loop's,
+constant-size verification record equal to a per-vertex loop's, an
+expectation bound sequence equal to its formula bit for bit,
 block-size and process-count invariance of the ensemble, and ensembles
 that respect the probabilistic ultimate bound and the expectation bound of
 the pipeline's own certificate."""
@@ -24,6 +25,7 @@ import satreach as sr
 from satreach import ContractionCertificate, Ellipsoid, FeedbackGain, SimulationConfig, SystemSpec
 from satreach.bounds import (
     BRANCH_TOL,
+    converged_from,
     expectation_bound_sequence,
     linear_region_budget,
     linear_region_scaling,
@@ -150,6 +152,38 @@ def test_broadcast_select_rate_matches_scalar_calls(rate, fraction, noise, stret
         else:
             assert _bits(profile.rate_effective[i]) == _bits(one.rate_effective)
         assert profile.condition_lhs == one.condition_lhs
+
+
+# Rates at 0, subnormal, in (0, 1) and next to 1, where the bound never
+# converges within k_max; noise up to the largest finite noise mass.
+BOUND_RATES = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.just(1.0 - 2.0**-40),
+)
+
+
+@given(rate=BOUND_RATES, mass=st.floats(0.0, 1.7976931348623157e308), k_max=st.integers(0, 30_000))
+@example(rate=0.980102068861295, mass=354.30819168363246, k_max=20_000)
+@example(rate=0.0, mass=1.0, k_max=0)
+def test_the_expectation_bound_sequence_is_the_formula_bit_for_bit(rate, mass, k_max):
+    noise = mass * (1.0 - rate)
+    with np.errstate(over="ignore"):
+        direct = (1.0 - rate ** np.arange(k_max + 1)) / (1.0 - rate) * noise
+        bounds = expectation_bound_sequence(rate, noise, k_max)
+    assert bounds.tobytes() == direct.tobytes()
+
+
+@given(rate=st.floats(0.0, 0.98, exclude_min=True))
+@example(rate=5e-324)
+@example(rate=0.98)
+def test_the_bound_has_converged_from_the_stated_step(rate):
+    # In exact arithmetic rate^k < 2^-55 at that step, and two steps
+    # earlier rate^k is still at least 2^-56, so the step is not late.
+    step = converged_from(rate)
+    assert Fraction(rate) ** step < Fraction(1, 2**55)
+    assert step == 1 or Fraction(rate) ** (step - 2) >= Fraction(1, 2**56)
 
 
 @given(n=st.integers(2, 4), m=st.integers(1, 3), seed=SEEDS)

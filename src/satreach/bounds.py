@@ -151,9 +151,9 @@ def _condition(rate: float, rate_linear: float, noise: float, r_lin) -> tuple:
 _WALK_STEPS = 4
 
 # Relative rounding bound on the computed balance.  The share
-# (x - rate_linear) * r_lin / (rate - rate_linear) carries four roundings
-# and the tail noise / (1 - x) two, so each is within 4u of its exact value
-# (u = 2^-53).  A computed balance above 8 eps = 16u times share + tail is
+# (x - rate_linear) * r_lin / (rate - rate_linear), in either order of its
+# operations, carries at most four roundings and the tail noise / (1 - x)
+# two, so each is within 4u of its exact value (u = 2^-53).  A computed balance above 8 eps = 16u times share + tail is
 # therefore positive in exact arithmetic on the same float inputs.
 _BALANCE_ROUNDING = 8.0 * np.finfo(float).eps
 
@@ -168,10 +168,13 @@ def effective_rate(rate: float, rate_linear: float, noise: float, r_lin):
     The root is taken in the cancellation-free form 2c / (b + sqrt(b^2 - 4c))
     and raised one ulp at a time until the balance is nonnegative, so the
     certified side is kept; a start still short after _WALK_STEPS ulps (near
-    a double root) is bisected on its bit pattern up to `rate`.  Zero noise
-    or an infinite r_lin leaves the linear regime in force everywhere and
-    returns rate_linear.  An array `r_lin` gives an array whose entries
-    equal the scalar calls.
+    a double root) is bisected on its bit pattern up to `rate`.  Only the
+    entries still short take each step.  An r_lin near the largest double,
+    whose r_lin / (rate - rate_linear) overflows, gets its share as
+    (x - rate_linear) / (rate - rate_linear) * r_lin.  Zero noise or an
+    infinite r_lin leaves the linear regime in force everywhere and returns
+    rate_linear.  An array `r_lin` gives an array whose entries equal the
+    scalar calls.
 
     Raises:
         NotApplicableError: when noise / (1 - rate) >= r_lin, i.e. the
@@ -190,25 +193,39 @@ def effective_rate(rate: float, rate_linear: float, noise: float, r_lin):
     discriminant = (1.0 - rate_linear) ** 2 - 4.0 * share
     root = 2.0 * (rate_linear + share) / (1.0 + rate_linear + np.sqrt(np.maximum(discriminant, 0.0)))
     root = np.minimum(root, rate)
-    slope = r_lin[live] / (rate - rate_linear)
+    # The share is (x - rate_linear) * slope.  Where r_lin / (rate - rate_linear)
+    # overflows it is (x - rate_linear) / (rate - rate_linear) * r_lin: those
+    # entries divide by `over` first, every other entry by 1.0, which
+    # changes no bit.
+    with np.errstate(over="ignore"):
+        slope = r_lin[live] / (rate - rate_linear)
+    wide = np.isinf(slope)
+    over = np.where(wide, rate - rate_linear, 1.0) if wide.any() else None
+    slope[wide] = r_lin[live][wide]
 
-    def short(x, slope):
+    def short(x, at):
         # The balance at `rate` is positive up to rounding, so stop there.
-        share = (x - rate_linear) * slope
+        share = x - rate_linear
+        if over is not None:
+            share /= over[at]
+        share *= slope[at]
         tail = noise / (1.0 - x)
         return (x < rate) & (share - tail <= _BALANCE_ROUNDING * (share + tail))
 
-    low = short(root, slope)
+    # Only the entries still short take the next ulp step.
+    low = np.flatnonzero(short(root, slice(None)))
     for _ in range(_WALK_STEPS):
-        root = np.where(low, np.nextafter(root, 1.0), root)
-        low = short(root, slope)
+        if not low.size:
+            break
+        root[low] = np.nextafter(root[low], 1.0)
+        low = low[short(root[low], low)]
     # Positive doubles order like their bit patterns: bisect those between
     # the last failing float and `rate`.
     lo = root[low].view(np.int64)
     hi = np.full_like(lo, np.float64(rate).view(np.int64))
     while np.any(hi - lo > 1):
         mid = lo + (hi - lo) // 2
-        fails = short(mid.view(np.float64), slope[low])
+        fails = short(mid.view(np.float64), low)
         lo, hi = np.where(fails, mid, lo), np.where(fails, hi, mid)
     root[low] = hi.view(np.float64)
     mu[live] = root

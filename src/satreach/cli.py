@@ -3,19 +3,27 @@
 Every command reads one JSON config, writes machine-readable artifacts
 into the output directory, and prints a JSON summary to stdout.  All CSV
 numbers are written at `%.17g`, 17 significant digits, so a reader
-recovers the in-memory doubles exactly; runs with identical configs are
-byte identical.  A CSV is written in blocks of at most
-csvformat.BLOCK_CELLS cells, fewer where a template's literal text
-widens the kernel's slots, with the same bytes as one
-`format(x, ".17g")` per cell through csv.writer.  Tables of
-csvformat.KERNEL_MIN_CELLS cells or more are formatted by a NumPy kernel
-that computes each cell's 17 digits exactly; a smaller table, or a block
-the kernel's guard rejects (a non-finite, subnormal or huge cell, or a
-rounding too close to a tie to prove), is formatted by one `%` operation
-per block.  The blocks of every CSV a command writes form one
-csvformat.Blocks stream: when its kernel tables are large enough, one
-forked worker formats the odd blocks beside the command, which writes
-every block in order, with the same bytes.
+recovers the in-memory doubles exactly.  Runs with identical configs on
+one machine are byte identical, whether or not a worker forks and on any
+set of CPUs.  Across machines data.csv's bound cells follow NumPy's
+float64 `power`, whose SIMD dispatch differs between CPUs: on an AVX-512
+VM 4 cells of the demo at k_max 2e4 differ from libm's `pow`.
+
+A CSV is written in blocks of at most csvformat.BLOCK_CELLS cells, fewer
+where a template's literal text widens the kernel's slots, with the same
+bytes as one `format(x, ".17g")` per cell through csv.writer.  Tables of
+csvformat.KERNEL_MIN_CELLS cells or more are formatted by a NumPy
+kernel.  A one-field table of nondecreasing integers, data.csv's
+converged tail of k values, prints as integer rows: each k's digits,
+then the three limits, with nothing to compact.  Any other table gets
+each cell's 17 digits computed exactly in a fixed-width slot, compacted
+to the bytes `%` prints; a smaller table, or a block the kernel's guard
+rejects (a non-finite, subnormal or huge cell, or a rounding too close
+to a tie to prove), is formatted by one `%` operation per block.  The
+blocks of every CSV a command writes form one csvformat.Blocks stream:
+when its kernel tables are large enough, one forked worker formats the
+odd blocks beside the command, which writes every block in order, with
+the same bytes.
 """
 
 from __future__ import annotations
@@ -485,9 +493,10 @@ def _emit(cfg: AnalysisConfig, state: AnalysisState, stats=None) -> None:
     bound of data.csv equals its limit in every bit, so the rows the
     ensemble does not cover from there are a one-field k table whose
     template holds the three limits, each written as format(x, ".17g"),
-    which is what `%.17g` prints for it.  lell and lbell share one unit
-    boundary of their common P, which each scales by sqrt(r), as
-    boundary_polyline does: scaling by sqrt(1.0) = 1.0 changes no bit.
+    which is what `%.17g` prints for it; the kernel prints that table as
+    integer rows.  lell and lbell share one unit boundary of their common
+    P, which each scales by sqrt(r), as boundary_polyline does: scaling by
+    sqrt(1.0) = 1.0 changes no bit.
     """
     files = []
     if "data" in cfg.emit:

@@ -13,9 +13,19 @@ cells and forked.may_fork allows, one forked worker formats the odd
 blocks into a shared ring while the caller formats the even ones and
 writes every block in order; either process formats a block with the
 same code, so the bytes are the same whichever process formats it, and
-the same as in one process.
+the same as in one process.  Consecutive tables with the same template
+and row capacity, such as lell's and lbell's, share one kernel.
 
-The kernel computes each `%.17g` cell's 17 significant digits exactly.
+The kernel prints a block one of two ways.  A block of a one-field
+template whose cells are nondecreasing integers in [0, 1e16), never
+-0.0, such as data.csv's converged tail of k values, prints as integer
+rows: each cell's digits, from integer division, then the template's
+literal, one byte grid per run of cells with the same number of digits,
+taken whole.  Any other block goes through slots of fixed width, one
+per cell: a mask per layout class zeroes the bytes `%` does not print,
+and bytes.translate deletes the zeros, as no printed byte is NUL.
+
+The slots hold each `%.17g` cell's 17 significant digits, computed exactly.
 For x with decimal exponent X = floor(log10 |x|) they are the integer
 N = round-half-even(|x| 10^(16 - X)); `%g` then prints N in fixed point
 for -4 <= X < 17 and as d.ddd...e±XX otherwise, trailing zeros stripped.
@@ -88,6 +98,9 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 # exponent and 23 scientific with three digits.
 _CLASSES = 24 * 17 * 2
 
+# 10^1 .. 10^16: an integer below 10^d has at most d digits.
+_TENS = 10 ** np.arange(1, 17, dtype=np.int64)
+
 
 def percent_block(line: str, block: np.ndarray) -> bytes:
     """The rows of `block` through the `%`-template `line`, as ASCII bytes."""
@@ -104,14 +117,16 @@ class Blocks:
     literal, such as data.csv's converged tail, whose one field carries
     the three bound limits, gets fewer rows per block.  The blocks are
     numbered across every file in write order; file(i) yields file i's
-    bytes, block by block.  Entered as a context, once the tables of at
-    least KERNEL_MIN_CELLS cells hold _FORK_MIN_CELLS cells or more and
-    forked.may_fork allows, a forked.Worker formats the odd blocks into
-    its ring while the caller formats the even ones, and file(i) yields
-    an odd block straight from its slot.  Either process formats a block
-    with the same code, so the bytes do not depend on which one did.  A
-    slot has room for a block of `%.17g` fields; a block of wider fields
-    stops the worker, and the caller formats the rest.
+    bytes, block by block.  A table takes the kernel its template and row
+    capacity need, kept from the table before when they match.  Entered
+    as a context, once the tables of at least KERNEL_MIN_CELLS cells hold
+    _FORK_MIN_CELLS cells or more and forked.may_fork allows, a
+    forked.Worker formats the odd blocks into its ring while the caller
+    formats the even ones, and file(i) yields an odd block straight from
+    its slot.  Either process formats a block with the same code, so the
+    bytes do not depend on which one did.  A slot has room for a block of
+    `%.17g` fields; a block of wider fields stops the worker, and the
+    caller formats the rest.
     """
 
     def __init__(self, files: list[list[tuple[str, np.ndarray]]]):
@@ -131,7 +146,7 @@ class Blocks:
                 # A `%.17g` field prints at most 24 bytes, 19 more than its own 5.
                 slot_bytes = max(slot_bytes, min(rows, len(table)) * (len(line) + 19 * line.count("%.17g")))
             self.files.append(range(first, len(self.index)))
-        # The table whose kernel was built last, and that kernel.
+        # The (line, fields, rows) of the kernel built last, and that kernel.
         self.kernel = (None, None)
         self.worker = Worker(self._produce, len(self.index), slot_bytes)
 
@@ -163,12 +178,13 @@ class Blocks:
         t, start = self.index[b]
         line, table, rows = self.tables[t]
         block = table[start : start + rows]
-        if self.kernel[0] != t:
-            kernel = None
-            if table.size >= KERNEL_MIN_CELLS and table.dtype == np.float64:
-                kernel = _Kernel.for_template(line, table.shape[1], min(rows, len(table)))
-            self.kernel = (t, kernel)
-        pieces = None if self.kernel[1] is None else self.kernel[1].format(block)
+        pieces = None
+        if table.size >= KERNEL_MIN_CELLS and table.dtype == np.float64:
+            key = (line, table.shape[1], min(rows, len(table)))
+            if self.kernel[0] != key:
+                self.kernel = (key, _Kernel.for_template(*key))
+            if self.kernel[1] is not None:
+                pieces = self.kernel[1].format(block)
         return [percent_block(line, block)] if pieces is None else pieces
 
     def _produce(self, b: int, slot: memoryview) -> int:
@@ -188,19 +204,32 @@ def _slot_width(literals) -> int:
 
 
 class _Kernel:
-    """The kernel for one template, with a byte grid for up to `rows` rows."""
+    """The kernel for one template, with a byte grid for up to `rows` rows.
+
+    Each cell's slot is filled in place, its unprinted bytes are zeroed by
+    the mask of its layout class, and the block's bytes go out with every
+    zero deleted.  Every field's slot is as wide as the template's longest
+    literal needs, so one (rows, fields, width) view fills and masks all
+    fields of a block at once.  Slots of per-field widths (72 and 48 bytes
+    instead of 72 and 72 for convergence.csv) were measured slower: the
+    bytes they save are worth less than filling and masking fields of
+    unequal strides costs, where NumPy's inner loops run over a row's two
+    fields instead of a block's cells.
+    """
 
     def __init__(self, literals: list[bytes], rows: int):
         fields = len(literals)
         width = _slot_width(literals)
+        # A one-field template's literal, after which integer rows print.
+        self.literal = literals[0] if fields == 1 else None
         self.grid = np.zeros((rows, fields, width), dtype=np.uint8)
         self.grid[:, :, 0] = ord("-")
         self.grid[:, :, 1:_DIGITS] = np.frombuffer(b"0.000", dtype=np.uint8)
-        masks = np.zeros((fields, _CLASSES, width), dtype=bool)
+        masks = np.zeros((fields, _CLASSES, width), dtype=np.uint8)
         masks[:, :, :_SLOT] = _tables()["masks"]
         for f, text in enumerate(literals):
             self.grid[:, f, _SLOT : _SLOT + len(text)] = np.frombuffer(text, dtype=np.uint8)
-            masks[f, :, _SLOT : _SLOT + len(text)] = True
+            masks[f, :, _SLOT : _SLOT + len(text)] = 0xFF
         # One row of 64-bit words per (field, class), taken whole.
         self.masks = masks.view(np.uint64).reshape(fields * _CLASSES, width // 8)
         self.class_base = np.arange(fields) * _CLASSES
@@ -210,28 +239,26 @@ class _Kernel:
         """The kernel for `line`, or None when the kernel does not cover it."""
         parts = line.split("%.17g")
         literals = [text.encode("ascii") for text in parts[1:]]
-        if parts[0] or len(literals) != fields or any(b"%" in text for text in literals):
+        if parts[0] or len(literals) != fields or any(b"%" in text or b"\0" in text for text in literals):
             return None
         return cls(literals, rows)
 
     def format(self, block: np.ndarray) -> list[bytes] | None:
         """The bytes of `line % row` for every row of `block`, in pieces, or
-        None where the guard fails."""
+        None where the guard fails: as integer rows where they cover the
+        block, else through the slots."""
+        if self.literal is not None:
+            pieces = _integer_rows(block[:, 0], self.literal)
+            if pieces is not None:
+                return pieces
         classes = self._fill(block)
         if classes is None:
             return None
-        grid = self.grid[: len(block)]
-        # A quarter block at a time, so that compress's index array stays
-        # small; compress, not grid[keep], as boolean indexing is several
-        # times slower on masks that alternate like digits and points.
-        step = -(-len(block) // 4)
-        return [
-            np.compress(
-                np.take(self.masks, classes[start : start + step], axis=0).view(bool).ravel(),
-                grid[start : start + step].ravel(),
-            ).tobytes()
-            for start in range(0, len(block), step)
-        ]
+        # Zero every byte `%` does not print, then delete the zeros: no
+        # printed byte is NUL.
+        kept = np.take(self.masks, classes, axis=0)
+        kept &= self.grid[: len(block)].view(np.uint64)
+        return [kept.tobytes().translate(None, b"\0")]
 
     def _fill(self, block: np.ndarray) -> np.ndarray | None:
         """Write each cell's digits and exponent into the grid and return
@@ -260,6 +287,36 @@ class _Kernel:
         grid.view(np.uint32)[:, :, _EXP // 4] = np.take(t["exponent"], x)
         cls += self.class_base
         return cls
+
+
+def _integer_rows(column: np.ndarray, literal: bytes) -> list[bytes] | None:
+    """The bytes of `%.17g` and `literal` for each cell of `column`, one
+    piece per run of cells with the same number of digits, or None unless
+    the column is nondecreasing and every cell an integer in [0, 1e16),
+    never -0.0: such a cell prints as its digits.
+
+    Each run is one byte grid, its digits from integer division and the
+    literal broadcast into every row, taken whole: no byte is compacted.
+    """
+    if not (column[0] >= 0.0 and column[-1] < 1e16 and np.all(column[1:] >= column[:-1])):
+        return None  # also NaN, which fails every comparison
+    k = column.astype(np.int64)
+    if not np.all(k == column) or np.signbit(column).any():
+        return None
+    text = np.frombuffer(literal, dtype=np.uint8)
+    pieces, start = [], 0
+    # The cells of `digits` digits end where the column reaches 10^digits.
+    for digits, end in enumerate(np.searchsorted(k, _TENS).tolist(), 1):
+        if end > start:
+            run = k[start:end]
+            rows = np.empty((end - start, digits + len(text)), dtype=np.uint8)
+            rows[:, digits:] = text
+            for place in range(digits - 1, -1, -1):
+                run, rows[:, place] = np.divmod(run, 10)
+            rows[:, :digits] += ord("0")
+            pieces.append(rows.tobytes())
+            start = end
+    return pieces
 
 
 def _g17(x: np.ndarray):
@@ -383,12 +440,13 @@ def _tables() -> dict:
         # a 4-digit group (8 for 0000).
         "kind": kind * 34 + 32,
         "zeros2": 2 * sum((k % 10**j == 0).astype(np.int8) for j in range(1, 5)),
-        "masks": _class_masks(),
+        "masks": _class_masks() * np.uint8(0xFF),
     }
 
 
 def _class_masks() -> np.ndarray:
-    """Keep mask (_CLASSES, _SLOT) of the slot bytes each layout class prints."""
+    """Keep mask (_CLASSES, _SLOT) of the slot bytes each layout class
+    prints; the kernel's masks hold 0xFF where it is true, 0 elsewhere."""
     col = np.arange(_SLOT)
     odd = col % 2 == 1
     digit = np.where((col >= _DIGITS) & (col < _EXP) & ~odd, (col - _DIGITS) // 2, -1)

@@ -8,6 +8,7 @@ ensemble kernel against one plain matrix-vector step at a time.
 """
 
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ def grid_effective_rate_oracle(
     hits = np.flatnonzero(balance >= 0.0)
     assert hits.size, "balance never crosses zero on the grid"
     return float(mus[hits[0]])
+
+
+def exact_balance(mu, rate, rate_linear, noise, r_lin) -> Fraction:
+    """(mu - rate_linear) r_lin / (rate - rate_linear) - noise / (1 - mu) in
+    exact rational arithmetic on the float inputs; >= 0 on the certified side."""
+    mu, rate, rate_linear = Fraction(mu), Fraction(rate), Fraction(rate_linear)
+    return (mu - rate_linear) * Fraction(r_lin) / (rate - rate_linear) - Fraction(noise) / (1 - mu)
 
 
 def error_step(e, v, w, sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:

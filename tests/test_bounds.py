@@ -1,15 +1,18 @@
 """Region-of-linearity scaling, rate selection, and bound sequences."""
 
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import grid_effective_rate_oracle, random_certifiable_problem
+from conftest import exact_balance, grid_effective_rate_oracle, random_certifiable_problem
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import satreach as sr
 from satreach import NotApplicableError, PreconditionError
-from satreach.bounds import _BALANCE_ROUNDING, linear_region_budget
+from satreach.bounds import _BALANCE_ROUNDING, _WALK_STEPS, linear_region_budget
 
 REF_R_LIN = 485.29192773090068
 REF_RATE = 0.98010206886129503
@@ -190,6 +193,69 @@ def test_effective_rate_near_a_double_root_is_bounded(rate, rate_linear, noise, 
     tail = noise / (1.0 - below)
     assert share - tail <= _BALANCE_ROUNDING * (share + tail)
     assert min(elapsed) < 0.01
+
+
+def test_effective_rate_keeps_the_certified_side_when_the_slope_overflows():
+    # r_lin / (rate - rate_linear) overflows near the largest double: the
+    # demo at system.ubar = 3e153 has r_L = 4.37e307, where the rate used
+    # to come out as rate_linear, below the root, after two warnings.
+    r_lin = np.array([4.3676273495781069e307, 1e308, np.finfo(float).max, REF_R_LIN])
+    mu = sr.effective_rate(REF_RATE, REF_RATE_LINEAR, REF_NOISE, r_lin)
+    for x, r in zip(mu.tolist(), r_lin.tolist()):
+        assert x == sr.effective_rate(REF_RATE, REF_RATE_LINEAR, REF_NOISE, r)
+        assert x == _walked_rate(REF_RATE, REF_RATE_LINEAR, REF_NOISE, r)
+        assert REF_RATE_LINEAR < x <= REF_RATE
+        assert exact_balance(x, REF_RATE, REF_RATE_LINEAR, REF_NOISE, r) >= 0
+
+
+def _walked_rate(rate, rate_linear, noise, r_lin) -> float:
+    """effective_rate's rule for one finite r_lin, in Python floats: the
+    closed-form root, raised an ulp at a time up to _WALK_STEPS times
+    while the balance falls short, then bisected on its bit pattern."""
+    share = noise * (rate - rate_linear) / r_lin
+    discriminant = (1.0 - rate_linear) ** 2 - 4.0 * share
+    root = 2.0 * (rate_linear + share) / (1.0 + rate_linear + math.sqrt(max(discriminant, 0.0)))
+    root = min(root, rate)
+    slope = r_lin / (rate - rate_linear)
+
+    def short(x):
+        share = (x - rate_linear) / (rate - rate_linear) * r_lin if math.isinf(slope) else (x - rate_linear) * slope
+        tail = noise / (1.0 - x)
+        return x < rate and share - tail <= _BALANCE_ROUNDING * (share + tail)
+
+    for _ in range(_WALK_STEPS):
+        if not short(root):
+            return root
+        root = math.nextafter(root, 1.0)
+    if not short(root):
+        return root
+    # Positive doubles order like their bit patterns.
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (root, rate))
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        lo, hi = (mid, hi) if short(float(np.int64(mid).view(np.float64))) else (lo, mid)
+    return float(np.int64(hi).view(np.float64))
+
+
+@settings(max_examples=300)
+@given(
+    rate=st.floats(0.01, 0.999),
+    fraction=st.floats(0.0, 0.99),
+    noise=st.floats(1e-9, 1e4),
+    stretches=st.lists(st.floats(1.0 + 1e-9, 1e4), max_size=6),
+    huge=st.lists(st.floats(1e300, np.finfo(float).max), max_size=3),
+)
+def test_effective_rate_walks_each_entry_by_its_rule(rate, fraction, noise, stretches, huge):
+    # Each entry of an array sees the operations of the scalar rule, in
+    # order, whichever entries beside it still walk; r_lin past 1e300
+    # reaches slopes that overflow, up to the largest double.
+    rate_linear = fraction * rate
+    r_lin = np.array([noise / (1.0 - rate) * stretch for stretch in stretches] + huge)
+    assume(r_lin.size and not np.any(sr.select_rate(rate, rate_linear, noise, r_lin).fallback))
+    mu = sr.effective_rate(rate, rate_linear, noise, r_lin)
+    for x, r in zip(mu.tolist(), r_lin.tolist()):
+        assert x == _walked_rate(rate, rate_linear, noise, r)
+        assert exact_balance(x, rate, rate_linear, noise, r) >= 0
 
 
 def test_effective_rate_not_applicable():

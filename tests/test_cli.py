@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left, count_forks
+from conftest import assert_no_child_left, count_forks, exact_balance
 
 import satreach as sr
 from satreach import csvformat
@@ -710,6 +710,24 @@ def test_an_overflowing_linear_region_replaces_no_artifact(tmp_path, capsys, com
     assert err.startswith("precondition violation: linear region scaling r_L is not finite")
     assert err.count("\n") == 1
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_a_linear_region_near_the_largest_double_keeps_the_certified_side(tmp_path):
+    # At ubar = 3e153, r_L = 4.37e307 is finite but r_L / (lambda - lambda_L)
+    # is not; analyze used to warn twice and ship lambda_hat = lambda_L.
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep={"ubar_min": 4.0, "ubar_max": 3e153, "count": 60})
+    cfg["system"]["ubar"] = [3e153]
+    path = write_config(tmp_path, cfg)
+    assert main(["analyze", "--config", str(path)]) == EXIT_OK
+    assert main(["sweep", "--config", str(path)]) == EXIT_OK
+    analysis = json.loads((out / "analysis.json").read_text())
+    rates = analysis["lambda"], analysis["lambda_L"], analysis["trace_PW"]
+    assert analysis["r_L"] > 4e307 and analysis["lambda_hat"] > analysis["lambda_L"]
+    assert exact_balance(analysis["lambda_hat"], *rates, analysis["r_L"]) >= 0
+    rows = list(csv.reader(io.StringIO((out / "convergence.csv").read_text())))[1:]
+    assert len(rows) > 1 and float(rows[-1][0]) > 4e307
+    assert all(exact_balance(float(lb), *rates, float(r_lin)) >= 0 for r_lin, _, lb in rows)
 
 
 def test_a_covariance_symmetric_to_rounding_is_accepted(tmp_path):

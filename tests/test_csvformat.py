@@ -154,8 +154,9 @@ def test_kernel_blocks_equal_percent_blocks(rows):
                 assert got == percent_block(d_line, cells)
 
 
+# A NUL in a literal would be deleted with the unprinted bytes.
 @pytest.mark.parametrize(
-    "line", ["x%.17g\n", "%.17g,%s\n", "%.17g,%%\n", "%.16g\n", "%d\n", "%5d\n"], ids=repr
+    "line", ["x%.17g\n", "%.17g,%s\n", "%.17g,%%\n", "%.16g\n", "%d\n", "%5d\n", "%.17g,\0\n"], ids=repr
 )
 def test_other_templates_use_percent(line):
     assert csvformat._Kernel.for_template(line, line.count("%") - line.count("%%") * 2, 4) is None
@@ -172,6 +173,63 @@ def test_a_template_with_a_long_literal_gets_fewer_rows_per_block():
     assert rows == csvformat.BLOCK_CELLS // 3
     assert tail_rows * 104 <= csvformat.BLOCK_CELLS * 48 < (tail_rows + 1) * 104
     assert b"".join(blocks.file(0)) == _reference(files)[0]
+
+
+def test_tables_of_one_template_and_capacity_share_one_kernel(monkeypatch):
+    built, real = [], csvformat._Kernel.__init__
+
+    def counting(kernel, literals, rows):
+        built.append(rows)
+        real(kernel, literals, rows)
+
+    monkeypatch.setattr(csvformat._Kernel, "__init__", counting)
+    t = np.linspace(0.0, 2.0 * np.pi, 5000)
+    xy = np.column_stack([np.cos(t), np.sin(t)])
+    # lell and lbell: the same template and capacity, one kernel; a table
+    # of fewer rows than a block has a smaller capacity, and its own.
+    files = [[("%.17g,%.17g\n", 7.3 * xy)], [("%.17g,%.17g\n", 2.1 * xy)], [("%.17g,%.17g\n", xy[:1500])]]
+    assert _written(files) == _reference(files)
+    assert built == [2048, 1500]
+
+
+# ------------------------------------------------------- integer rows
+
+# The last integer of each digit count, up to the largest double below 1e16.
+DIGIT_EDGES = [float(10**d - 1) for d in range(1, 16)] + [float(np.nextafter(1e16, 0.0))]
+TAIL = b",,354.30819168363246,30.456231775567129,32.438091218802597\n"
+
+
+@pytest.mark.parametrize("edge", [0.0, *DIGIT_EDGES], ids=repr)
+def test_integer_rows_print_every_digit_count_edge(edge):
+    # The integers about the edge, up to the largest double below 1e16.
+    column = np.unique(np.clip(edge + np.arange(-3.0, 4.0), 0.0, DIGIT_EDGES[-1]))
+    pieces = csvformat._integer_rows(column, TAIL)
+    assert b"".join(pieces) == percent_block("%.17g" + TAIL.decode(), column[:, None])
+    # One piece per digit count.
+    assert len(pieces) == len({len("%d" % k) for k in column})
+
+
+FALLBACK_COLUMNS = {
+    "non-monotone": [0.0, 2.0, 1.0, 3.0],
+    "negative": [-1.0, 0.0, 1.0, 2.0],
+    "minus zero": [-0.0, 1.0, 2.0, 3.0],
+    "minus zero later": [0.0, -0.0, 1.0, 2.0],
+    "fraction": [0.5, 1.0, 2.0, 3.0],
+    "1e16": [1.0, 2.0, 3.0, 1e16],
+    "nan": [0.0, 1.0, np.nan, 3.0],
+    "infinity": [0.0, 1.0, 2.0, np.inf],
+}
+
+
+@pytest.mark.parametrize("column", FALLBACK_COLUMNS.values(), ids=FALLBACK_COLUMNS.keys())
+def test_columns_other_than_counts_skip_integer_rows(column):
+    # Any column but a nondecreasing one of integers in [0, 1e16) goes
+    # through the %.17g kernel, or `%`, as before.
+    column = np.array(column)
+    assert csvformat._integer_rows(column, TAIL) is None
+    table = np.repeat(column, 512)[:, None]
+    line = "%.17g" + TAIL.decode()
+    assert b"".join(csvformat.Blocks([[(line, table)]]).file(0)) == percent_block(line, table)
 
 
 # ------------------------------------------------- the forked block worker
@@ -328,4 +386,47 @@ def test_a_block_too_long_for_its_slot_stops_the_worker(monkeypatch):
     assert _written(files) == _reference(files)
     assert forks == [1]
     assert formatted == [0, 1, 2]
+    assert_no_child_left()
+
+
+LITERAL = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="%"), max_size=60)
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 0.5, 1e16, -1.0, 2.0**-25]
+# Where a table is broken, if at all: two rows swapped, or one cell of
+# the first, the last or any row replaced by a special value.
+BREAKS = st.none() | st.sampled_from(["swap", "first", "last", "any"])
+
+
+@st.composite
+def csv_tables(draw):
+    """A template of 1-5 fields with literals of 0-60 bytes, and a table of
+    one to three blocks' cells, large enough for the kernel."""
+    counts = draw(st.booleans())  # a one-field column of integers
+    fields = 1 if counts else draw(st.integers(1, 5))
+    literals = draw(st.lists(LITERAL, min_size=fields, max_size=fields))
+    rows = draw(st.integers(1, 3)) * csvformat.BLOCK_CELLS // fields + draw(st.integers(0, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if counts:
+        # A column of integers about a digit-count edge, nondecreasing past 2^53.
+        edge = draw(st.sampled_from([0.0, *DIGIT_EDGES]))
+        table = (max(edge - rows // 2, 0.0) + np.arange(rows, dtype=float))[:, None]
+    else:
+        table = rng.standard_normal((rows, fields)) * 10.0 ** rng.integers(-30, 30, (rows, fields))
+    brk = draw(BREAKS)
+    if brk == "swap":
+        table[[rows // 2, rows // 2 + 1]] = table[[rows // 2 + 1, rows // 2]]
+    elif brk is not None:
+        row = 0 if brk == "first" else rows - 1 if brk == "last" else draw(st.integers(0, rows - 1))
+        table[row, draw(st.integers(0, fields - 1))] = draw(st.sampled_from(SPECIALS))
+    return "".join("%.17g" + text for text in literals), table
+
+
+@settings(max_examples=60)
+@given(csv_tables(), st.booleans())
+def test_blocks_equal_percent_over_any_template(case, forked):
+    line, table = case
+    files = [[(line, table)]]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if forked:
+            _force_fork(monkeypatch)
+        assert _written(files) == _reference(files)
     assert_no_child_left()

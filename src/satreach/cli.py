@@ -22,8 +22,8 @@ rejects (a non-finite, subnormal or huge cell, or a rounding too close
 to a tie to prove), is formatted by one `%` operation per block.  The
 blocks of every CSV a command writes form one csvformat.Blocks stream:
 when its kernel tables are large enough, one forked worker formats the
-odd blocks beside the command, which writes every block in order, with
-the same bytes.
+odd blocks beside the command and sends each down a pipe, and the
+command writes every block in order, with the same bytes.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
     """Write `header`, then each bytes-like block of `blocks`, in order.
 
     `blocks` is one file's csvformat.Blocks.file iterator: each block is
-    written before the next is formatted or taken from the worker's slot.
+    written before the next is formatted or read from the worker.
     """
     with _replacing(path) as handle:
         handle.write((",".join(header) + "\n").encode("ascii"))

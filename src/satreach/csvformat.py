@@ -10,20 +10,21 @@ any block the kernel's guard rejects.
 Blocks numbers the blocks of every table a command writes, across all
 its files, in write order.  Once its kernel tables hold _FORK_MIN_CELLS
 cells and forked.may_fork allows, one forked worker formats the odd
-blocks into a shared ring while the caller formats the even ones and
-writes every block in order; either process formats a block with the
-same code, so the bytes are the same whichever process formats it, and
-the same as in one process.  Consecutive tables with the same template
-and row capacity, such as lell's and lbell's, share one kernel.
+blocks and streams them down a pipe while the caller formats the even
+ones and writes every block in order; either process formats a block
+with the same code, so the bytes are the same whichever process formats
+it, and the same as in one process.  Consecutive tables with the same
+template and row capacity, such as lell's and lbell's, share one kernel.
 
 The kernel prints a block one of two ways.  A block of a one-field
 template whose cells are nondecreasing integers in [0, 1e16), never
 -0.0, such as data.csv's converged tail of k values, prints as integer
 rows: each cell's digits, from integer division, then the template's
 literal, one byte grid per run of cells with the same number of digits,
-taken whole.  Any other block goes through slots of fixed width, one
-per cell: a mask per layout class zeroes the bytes `%` does not print,
-and bytes.translate deletes the zeros, as no printed byte is NUL.
+taken whole; a table all of whose blocks print so builds no slots.  Any
+other block goes through slots of fixed width, one per cell: a mask per
+layout class zeroes the bytes `%` does not print, and bytes.translate
+deletes the zeros, as no printed byte is NUL.
 
 The slots hold each `%.17g` cell's 17 significant digits, computed exactly.
 For x with decimal exponent X = floor(log10 |x|) they are the integer
@@ -117,16 +118,15 @@ class Blocks:
     literal, such as data.csv's converged tail, whose one field carries
     the three bound limits, gets fewer rows per block.  The blocks are
     numbered across every file in write order; file(i) yields file i's
-    bytes, block by block.  A table takes the kernel its template and row
-    capacity need, kept from the table before when they match.  Entered
-    as a context, once the tables of at least KERNEL_MIN_CELLS cells hold
-    _FORK_MIN_CELLS cells or more and forked.may_fork allows, a
-    forked.Worker formats the odd blocks into its ring while the caller
-    formats the even ones, and file(i) yields an odd block straight from
-    its slot.  Either process formats a block with the same code, so the
-    bytes do not depend on which one did.  A slot has room for a block of
-    `%.17g` fields; a block of wider fields stops the worker, and the
-    caller formats the rest.
+    bytes, block by block.  A table's first block that does not print as
+    integer rows takes the kernel its template and row capacity need, kept
+    from the table before when they match.  Entered as a context, once
+    the tables of at least KERNEL_MIN_CELLS cells hold _FORK_MIN_CELLS
+    cells or more and forked.may_fork allows, a forked.Worker formats the
+    odd blocks while the caller formats the even ones, and file(i) yields
+    an odd block as the worker sent it, whatever its length.  Either
+    process formats a block with the same code, so the bytes do not
+    depend on which one did.
     """
 
     def __init__(self, files: list[list[tuple[str, np.ndarray]]]):
@@ -135,7 +135,6 @@ class Blocks:
         # (table number, first row) of every block, and each file's blocks.
         self.index: list[tuple[int, int]] = []
         self.files: list[range] = []
-        slot_bytes = 0
         for tables in files:
             first = len(self.index)
             for line, table in tables:
@@ -143,12 +142,10 @@ class Blocks:
                 rows = max(1, BLOCK_CELLS * _slot_width([]) // row_bytes)
                 self.index += [(len(self.tables), start) for start in range(0, len(table), rows)]
                 self.tables.append((line, table, rows))
-                # A `%.17g` field prints at most 24 bytes, 19 more than its own 5.
-                slot_bytes = max(slot_bytes, min(rows, len(table)) * (len(line) + 19 * line.count("%.17g")))
             self.files.append(range(first, len(self.index)))
-        # The (line, fields, rows) of the kernel built last, and that kernel.
+        # The (literals, rows) of the kernel built last, and that kernel.
         self.kernel = (None, None)
-        self.worker = Worker(self._produce, len(self.index), slot_bytes)
+        self.worker = Worker(self.format, len(self.index))
 
     def __enter__(self):
         cells = sum(table.size for _, table, _ in self.tables if table.size >= KERNEL_MIN_CELLS)
@@ -162,39 +159,41 @@ class Blocks:
 
     def file(self, i: int):
         """Yield the bytes of every row of file i's tables, in order, one
-        block or part of a block at a time; a block from the worker's slot
-        is a memoryview, valid until the next is asked for."""
+        block or part of a block at a time; a block from the worker is a
+        memoryview, valid until the next is asked for."""
         for b in self.files[i]:
-            slot = self.worker.take(b)
-            if slot is None:
-                yield from self.format(b)
-            else:
-                yield slot
-                self.worker.release(b)
+            block = self.worker.take(b)
+            yield from self.format(b) if block is None else (block,)
 
     def format(self, b: int) -> list[bytes]:
-        """The bytes of block b, in pieces: the kernel's where the table
-        and template allow it and the guard passes, else one `%`."""
+        """The bytes of block b, in pieces: as integer rows or through the
+        kernel where the table and template allow it and the guard passes,
+        else one `%`."""
         t, start = self.index[b]
         line, table, rows = self.tables[t]
         block = table[start : start + rows]
         pieces = None
-        if table.size >= KERNEL_MIN_CELLS and table.dtype == np.float64:
-            key = (line, table.shape[1], min(rows, len(table)))
-            if self.kernel[0] != key:
-                self.kernel = (key, _Kernel.for_template(*key))
-            if self.kernel[1] is not None:
+        literals = table.size >= KERNEL_MIN_CELLS and table.dtype == np.float64 and _literals(line, table.shape[1])
+        if literals:
+            if len(literals) == 1:
+                pieces = _integer_rows(block[:, 0], literals[0])
+            if pieces is None:
+                key = (literals, min(rows, len(table)))
+                if self.kernel[0] != key:
+                    self.kernel = (key, _Kernel(*key))
                 pieces = self.kernel[1].format(block)
         return [percent_block(line, block)] if pieces is None else pieces
 
-    def _produce(self, b: int, slot: memoryview) -> int:
-        """Format block b into `slot` and return its length; the worker's
-        side.  A block longer than the slot raises."""
-        end = 0
-        for piece in self.format(b):
-            start, end = end, end + len(piece)
-            slot[start:end] = piece
-        return end
+
+def _literals(line: str, fields: int) -> list[bytes] | None:
+    """The literal text after each of `line`'s `fields` `%.17g` fields, or
+    None when the kernel does not cover the template: text before its first
+    field, another field, or a NUL, which the kernel would delete."""
+    parts = line.split("%.17g")
+    literals = [text.encode("ascii") for text in parts[1:]]
+    if parts[0] or len(literals) != fields or any(b"%" in text or b"\0" in text for text in literals):
+        return None
+    return literals
 
 
 def _slot_width(literals) -> int:
@@ -220,8 +219,6 @@ class _Kernel:
     def __init__(self, literals: list[bytes], rows: int):
         fields = len(literals)
         width = _slot_width(literals)
-        # A one-field template's literal, after which integer rows print.
-        self.literal = literals[0] if fields == 1 else None
         self.grid = np.zeros((rows, fields, width), dtype=np.uint8)
         self.grid[:, :, 0] = ord("-")
         self.grid[:, :, 1:_DIGITS] = np.frombuffer(b"0.000", dtype=np.uint8)
@@ -234,23 +231,9 @@ class _Kernel:
         self.masks = masks.view(np.uint64).reshape(fields * _CLASSES, width // 8)
         self.class_base = np.arange(fields) * _CLASSES
 
-    @classmethod
-    def for_template(cls, line: str, fields: int, rows: int):
-        """The kernel for `line`, or None when the kernel does not cover it."""
-        parts = line.split("%.17g")
-        literals = [text.encode("ascii") for text in parts[1:]]
-        if parts[0] or len(literals) != fields or any(b"%" in text or b"\0" in text for text in literals):
-            return None
-        return cls(literals, rows)
-
     def format(self, block: np.ndarray) -> list[bytes] | None:
-        """The bytes of `line % row` for every row of `block`, in pieces, or
-        None where the guard fails: as integer rows where they cover the
-        block, else through the slots."""
-        if self.literal is not None:
-            pieces = _integer_rows(block[:, 0], self.literal)
-            if pieces is not None:
-                return pieces
+        """The bytes of `line % row` for every row of `block`, through the
+        slots, or None where the guard fails."""
         classes = self._fill(block)
         if classes is None:
             return None

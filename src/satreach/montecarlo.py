@@ -31,16 +31,16 @@ An ensemble of at least _FORK_MIN_TRAJ_STEPS trajectory-steps is shared
 out with the one worker forked.may_fork allows: the block count is
 rounded up to an even one, the caller steps the even blocks and the
 worker the odd ones.  The worker calls no BLAS routine, only elementwise
-ufuncs, its generator and reads and writes of its pipes.  It writes each
-block's q_k rows and final states into a slot of the forked.Worker ring;
-the caller copies them out and folds them into the sums in block order,
-as it folds its own blocks.  A worker that fails leaves its blocks to
-the caller, which steps them again and so raises whatever one process
-would; the caller kills and reaps the worker before it returns or
-raises.  No option sets the process count: the command line's
-`simulation.workers` is still accepted and ignored.  The worker's calls,
-such as those to model.saturate, are made in its own process, so a
-tracer in the caller sees only the caller's blocks.
+ufuncs, its generator and writes to its pipe.  It sends each block's
+q_k rows and final states down the forked.Worker pipe; the caller copies
+them out and folds them into the sums in block order, as it folds its
+own blocks.  A worker that fails leaves its blocks to the caller, which
+steps them again and so raises whatever one process would; the caller
+kills and reaps the worker before it returns or raises.  No option sets
+the process count: the command line's `simulation.workers` is still
+accepted and ignored.  The worker's calls, such as those to
+model.saturate, are made in its own process, so a tracer in the caller
+sees only the caller's blocks.
 
 No block outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES +
 num_traj x n) doubles while one trajectory fits the budget.  Past
@@ -336,13 +336,13 @@ def simulate_ensemble(
     size = -(-total // blocks)
     step = _block_stepper(sys, gain, cfg, P, size)
     starts = range(0, total, size)
-    # A block in a slot is, per trajectory, its q_k row and then its final state.
+    # A block from the worker is, per trajectory, its q_k row and then its final state.
     width = steps + 1 + n
 
-    def produce(b: int, slot: memoryview) -> int:
-        rows = np.frombuffer(slot, count=min(size, total - starts[b]) * width).reshape(-1, width)
+    def produce(b: int) -> list[np.ndarray]:
+        rows = np.empty((min(size, total - starts[b]), width))
         step(starts[b], rows[:, : steps + 1], rows[:, steps + 1 :])
-        return rows.nbytes
+        return [rows]
 
     finals = np.empty((total, n))
     # Rows 1.. hold a block's q_k (q_k^2) and row 0 their running sum over
@@ -354,19 +354,18 @@ def simulate_ensemble(
     inside = np.zeros(steps + 1, dtype=np.int64)
     # Overflow is caught once, in the statistics; the worker, forked in this
     # context, inherits it.
-    with np.errstate(over="ignore", invalid="ignore"), Worker(produce, len(starts), size * width * 8) as worker:
+    with np.errstate(over="ignore", invalid="ignore"), Worker(produce, len(starts)) as worker:
         if forks:
             worker.fork()
         for b, start in enumerate(starts):
             count = min(size, total - start)
             q = sums[1 : count + 1]
-            slot = worker.take(b)
-            if slot is None:
+            block = worker.take(b)
+            if block is None:
                 step(start, q, finals[start : start + count])
             else:
-                rows = np.frombuffer(slot).reshape(count, width)
+                rows = np.frombuffer(block).reshape(count, width)
                 q[...], finals[start : start + count] = rows[:, : steps + 1], rows[:, steps + 1 :]
-                worker.release(b)
             np.square(q, out=squares[1 : count + 1])
             sums[0] = sums[: count + 1].sum(axis=0)
             squares[0] = squares[: count + 1].sum(axis=0)

@@ -2,8 +2,8 @@
 `line % row` for each row, and it hands a block to `%` exactly where its
 guard says no exactness proof holds."""
 
+import fcntl
 import math
-import mmap
 import os
 from fractions import Fraction
 
@@ -23,7 +23,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def kernel_bytes(line: str, table) -> bytes | None:
     """The kernel's bytes for `table`, or None where it hands the block to `%`."""
     table = np.asarray(table, dtype=float).reshape(len(table), -1)
-    pieces = csvformat._Kernel.for_template(line, table.shape[1], len(table)).format(table)
+    pieces = csvformat._Kernel(csvformat._literals(line, table.shape[1]), len(table)).format(table)
     return None if pieces is None else b"".join(pieces)
 
 
@@ -119,7 +119,7 @@ def test_kernel_prints_integers_as_percent_d_does(k):
 def test_kernel_hands_unproven_d_cells_to_percent(x):
     # The kernel has no `%d` field: a `%d` table, however large, goes to `%`
     # whole, which truncates fractions and raises on NaN and infinity.
-    assert csvformat._Kernel.for_template("%d\n", 1, 4) is None
+    assert csvformat._literals("%d\n", 1) is None
     table = np.full((csvformat.KERNEL_MIN_CELLS, 1), x)
     blocks = csvformat.Blocks([[("%d\n", table)]])
     if math.isfinite(x):
@@ -159,7 +159,7 @@ def test_kernel_blocks_equal_percent_blocks(rows):
     "line", ["x%.17g\n", "%.17g,%s\n", "%.17g,%%\n", "%.16g\n", "%d\n", "%5d\n", "%.17g,\0\n"], ids=repr
 )
 def test_other_templates_use_percent(line):
-    assert csvformat._Kernel.for_template(line, line.count("%") - line.count("%%") * 2, 4) is None
+    assert csvformat._literals(line, line.count("%") - line.count("%%") * 2) is None
 
 
 def test_a_template_with_a_long_literal_gets_fewer_rows_per_block():
@@ -232,6 +232,21 @@ def test_columns_other_than_counts_skip_integer_rows(column):
     assert b"".join(csvformat.Blocks([[(line, table)]]).file(0)) == percent_block(line, table)
 
 
+def test_a_table_of_integer_rows_builds_no_kernel(monkeypatch):
+    # data.csv's converged tail prints every block as integer rows, so no
+    # process builds a byte grid and masks for it.
+    built, real = [], csvformat._Kernel.__init__
+
+    def counting(kernel, literals, rows):
+        built.append(rows)
+        real(kernel, literals, rows)
+
+    monkeypatch.setattr(csvformat._Kernel, "__init__", counting)
+    files = [[("%.17g" + TAIL.decode(), np.arange(1932.0, 20_001.0)[:, None])]]
+    assert _written(files) == _reference(files)
+    assert built == []
+
+
 # ------------------------------------------------- the forked block worker
 
 
@@ -255,7 +270,7 @@ def _reference(files) -> list[bytes]:
 
 
 def _written(files) -> list[bytes]:
-    # Each slot's bytes are copied before the next block is asked for.
+    # A block from the worker is copied before the next block is asked for.
     with csvformat.Blocks(files) as blocks:
         return [b"".join(bytes(piece) for piece in blocks.file(i)) for i in range(len(files))]
 
@@ -321,8 +336,8 @@ def test_forked_csv_blocks_equal_percent_and_leave_no_child(monkeypatch):
 
 @pytest.mark.parametrize(
     "target, name, call",
-    [(mmap, "mmap", 1), (os, "pipe", 1), (os, "pipe", 2), (os, "fork", 1)],
-    ids=["mmap", "first-pipe", "second-pipe", "fork"],
+    [(os, "pipe", 1), (os, "fork", 1)],
+    ids=["first-pipe", "fork"],
 )
 def test_a_refused_csv_fork_leaves_every_block_to_the_caller(monkeypatch, target, name, call):
     files = _files()
@@ -376,8 +391,9 @@ def test_a_guard_rejected_odd_block_is_formatted_by_percent_in_the_worker(monkey
     assert_no_child_left()
 
 
-def test_a_block_too_long_for_its_slot_stops_the_worker(monkeypatch):
-    # A slot has room for `%.17g` fields only; `%d` of 1e300 prints 301 bytes.
+def test_a_block_of_any_length_comes_through_the_worker(monkeypatch):
+    # `%d` of 1e300 prints 301 digits: block 1 holds 1.2 MB, more than the
+    # pipe holds, so the worker waits on the caller partway through it.
     table = np.full((3 * csvformat.BLOCK_CELLS, 1), 1e300)
     files = [[("%d\n", table)]]
     _force_fork(monkeypatch)
@@ -385,7 +401,29 @@ def test_a_block_too_long_for_its_slot_stops_the_worker(monkeypatch):
     formatted = _caller_formats(monkeypatch)
     assert _written(files) == _reference(files)
     assert forks == [1]
-    assert formatted == [0, 1, 2]
+    assert formatted == [0, 2]
+    assert_no_child_left()
+
+
+def test_a_pipe_left_at_its_default_size_passes_blocks_larger_than_it(monkeypatch):
+    files = _files()
+    # Block 3, 2048 rows of xy, is larger than a default pipe's 64 KiB.
+    assert len(b"".join(csvformat.Blocks(files).format(3))) > 1 << 16
+    real_fcntl, refused = fcntl.fcntl, []
+
+    def refusing(fd, command, *args):
+        if command == fcntl.F_SETPIPE_SZ:
+            refused.append(1)
+            raise OSError(1, "Operation not permitted")
+        return real_fcntl(fd, command, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refusing)
+    _force_fork(monkeypatch)
+    forks = count_forks(monkeypatch)
+    formatted = _caller_formats(monkeypatch)
+    assert _written(files) == _reference(files)
+    assert forks == [1] and refused == [1]
+    assert formatted == [0, 2, 4, 6]
     assert_no_child_left()
 
 

@@ -1,6 +1,5 @@
 """Determinism, distributional sanity, and containment statistics."""
 
-import mmap
 import os
 import signal
 import subprocess
@@ -472,8 +471,8 @@ def _alone_then_forced_to_fork(monkeypatch, sys_, gain):
 
 @pytest.mark.parametrize(
     "target, name, call",
-    [(mmap, "mmap", 1), (os, "pipe", 1), (os, "pipe", 2), (os, "fork", 1)],
-    ids=["mmap", "first-pipe", "second-pipe", "fork"],
+    [(os, "pipe", 1), (os, "fork", 1)],
+    ids=["first-pipe", "fork"],
 )
 def test_a_refused_fork_leaves_every_block_to_the_caller(monkeypatch, ref_sys, ref_gain, target, name, call):
     run, alone = _alone_then_forced_to_fork(monkeypatch, ref_sys, ref_gain)
@@ -486,32 +485,54 @@ def test_a_refused_fork_leaves_every_block_to_the_caller(monkeypatch, ref_sys, r
     _assert_bitwise_equal([alone, refused])
 
 
-def test_a_killed_worker_leaves_its_later_blocks_to_the_caller(monkeypatch, ref_sys, ref_gain):
-    run, alone = _alone_then_forced_to_fork(monkeypatch, ref_sys, ref_gain)
+def _killed_in_its_write(monkeypatch, sys_, gain, cut):
+    # The forced two-process run, in which the worker's n-th write of a
+    # block's `size` bytes writes only the first cut(n, size) of them and
+    # kills the worker, or, where cut returns None, writes them all and
+    # goes on; returns the first trajectory of each block the caller stepped.
+    run, alone = _alone_then_forced_to_fork(monkeypatch, sys_, gain)
     forks = count_forks(monkeypatch)
-    caller, real_write, real_draw = os.getpid(), os.write, sr.montecarlo._draw_block
-    drawn = []
+    caller, real_writev, real_draw = os.getpid(), os.writev, sr.montecarlo._draw_block
+    writes, drawn = [], []
 
-    def dying_write(fd, data):
-        # The worker announces its first block and is killed.
-        written = real_write(fd, data)
-        if os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return written
+    def dying_writev(fd, buffers):
+        if os.getpid() == caller:
+            return real_writev(fd, buffers)
+        writes.append(1)
+        data = b"".join(buffers)
+        end = cut(len(writes), len(data))
+        if end is None:
+            return real_writev(fd, buffers)
+        os.write(fd, data[:end])
+        os.kill(os.getpid(), signal.SIGKILL)
 
     def counted_draw(kind, seed, start, rng, block):
         if os.getpid() == caller:
             drawn.append(start)
         real_draw(kind, seed, start, rng, block)
 
-    monkeypatch.setattr(sr.forked.os, "write", dying_write)
+    monkeypatch.setattr(sr.forked.os, "writev", dying_writev)
     monkeypatch.setattr(sr.montecarlo, "_draw_block", counted_draw)
     killed = run()
     assert forks == [1]
-    # Blocks of 4 start at 0, 4, ..., 20; the worker stepped only block 1.
-    assert drawn == [0, 8, 12, 16, 20]
     assert_no_child_left()
     _assert_bitwise_equal([alone, killed])
+    return drawn
+
+
+def test_a_killed_worker_leaves_its_later_blocks_to_the_caller(monkeypatch, ref_sys, ref_gain):
+    # The worker writes all of block 1 and is killed.
+    drawn = _killed_in_its_write(monkeypatch, ref_sys, ref_gain, lambda n, size: size)
+    # Blocks of 4 start at 0, 4, ..., 20; the worker stepped only block 1.
+    assert drawn == [0, 8, 12, 16, 20]
+
+
+def test_a_worker_killed_partway_through_a_block_leaves_it_to_the_caller(monkeypatch, ref_sys, ref_gain):
+    # The worker writes all of block 1, then the length word and part of
+    # block 3, and is killed.
+    drawn = _killed_in_its_write(monkeypatch, ref_sys, ref_gain, lambda n, size: None if n == 1 else size // 2)
+    # Block 3, cut short in the pipe, falls to the caller with block 5.
+    assert drawn == [0, 8, 12, 16, 20]
 
 
 def test_forks_only_without_a_thread_on_several_cpus_and_reaps(monkeypatch, ref_sys, ref_gain):
@@ -552,11 +573,11 @@ def _raises(step, start, horizon):
 
 # The block the first raising trajectory falls in, of how many: block 2 is
 # the caller's, block 1 the worker's first, and block 3 the worker's second,
-# which the worker fails after it has stepped block 1 and before the caller
-# hands that slot back; no later block raises, so only the caller's own
-# stepping of the failed block can.  Handing a slot back to a worker that
-# has stopped must not raise SIGPIPE, whose default action would kill the
-# caller; a recording handler stands in for that action.
+# which the worker fails after it has written block 1 and before the caller
+# has read it; no later block raises, so only the caller's own stepping of
+# the failed block can.  A worker that has stopped must not raise SIGPIPE
+# in the caller, whose default action would kill it; a recording handler
+# stands in for that action.
 @pytest.mark.parametrize("failing, blocks", [(2, 4), (1, 2), (3, 6)])
 def test_a_diverging_block_raises_alike_in_one_and_two_processes(monkeypatch, failing, blocks):
     sigpipes = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, SynthesisError
-from .model import FeedbackGain, SystemSpec, _check_gain, _symmetrized, vertex_matrices
+from .model import FeedbackGain, SystemSpec, _symmetrized, vertex_matrices
 
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_BISECT_TOL = 1e-4
@@ -119,6 +119,14 @@ def _shape_and_factor(P) -> tuple[np.ndarray, np.ndarray]:
         raise CertificateError("shape matrix is not positive definite") from exc
 
 
+def _stack_for(P, vertices) -> np.ndarray:
+    """The vertices as a float stack, or ValueError unless it is (V, n, n) for P's n."""
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim != 3 or vertices.shape[1:] != P.shape:
+        raise ValueError("vertex dimension does not match P")
+    return vertices
+
+
 def _vertex_rates(P, vertices) -> np.ndarray:
     """Largest generalized eigenvalue of (M' P M, P) for each M in the stack.
 
@@ -126,10 +134,7 @@ def _vertex_rates(P, vertices) -> np.ndarray:
     G = L' M inv(L)'.
     """
     P, L = _shape_and_factor(P)
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim != 3 or vertices.shape[1:] != P.shape:
-        raise ValueError("vertex dimension does not match P")
-    G = L.T @ vertices @ np.linalg.inv(L).T
+    G = L.T @ _stack_for(P, vertices) @ np.linalg.inv(L).T
     whitened = G.transpose(0, 2, 1) @ G
     return np.linalg.eigvalsh(0.5 * (whitened + whitened.transpose(0, 2, 1)))[:, -1]
 
@@ -147,9 +152,9 @@ def min_contraction_rate(P, vertices) -> float:
 
 
 def closed_loop_rate(P, sys: SystemSpec, gain: FeedbackGain) -> float:
-    """Contraction rate of the fully linear loop A + B K under P."""
-    _check_gain(sys, gain)
-    return float(_vertex_rates(P, (sys.A + sys.B @ gain.K)[None])[0])
+    """Contraction rate of the fully linear loop A + B K under P: the hull
+    whose saturation factors are all 1, a single vertex."""
+    return min_contraction_rate(P, vertex_matrices(sys, gain, np.ones(sys.m)))
 
 
 def _slacks(vertices: np.ndarray, rate: float, P: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -418,10 +423,10 @@ def verify_certificate(
     """
     P, tol = cert.P, cert.feas_tol
     # The blocks are the vertices, then P, then I - P.
-    smallest = np.linalg.eigvalsh(_slacks(vertex_matrices(sys, gain), cert.rate, P))[:, 0]
+    smallest = np.linalg.eigvalsh(_slacks(_stack_for(P, vertex_matrices(sys, gain)), cert.rate, P))[:, 0]
     residuals, shape_min_eig = smallest[:-2], float(smallest[-2])
     worst = int(np.argmin(residuals))
-    linear = _slacks((sys.A + sys.B @ gain.K)[None], cert.rate_linear, P)[0]
+    linear = _slacks(vertex_matrices(sys, gain, np.ones(sys.m)), cert.rate_linear, P)[0]
     linear_residual = float(np.linalg.eigvalsh(linear)[0])
     rate_gap = float(cert.rate - cert.rate_linear)
     passed = (

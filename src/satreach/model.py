@@ -6,10 +6,13 @@ input v and an error feedback K e, which yields the error recursion
 
     e+ = A e + B (sat(K e + v) - v) + w
 
-and the nominal recursion z+ = A z + B v.  The saturated error map lies in
-the convex hull of the 2^m linear vertex maps obtained by replacing any
-subset of the feedback rows with zero, which is the structural fact the
-certification layer builds on.
+and the nominal recursion z+ = A z + B v.  Row i of the saturated
+feedback is a factor theta_i in [0, 1] times (K e)_i, so the saturated
+error map lies in a box of saturation factors: the convex hull of the
+maps A + sum_i theta_i B_i K_i with low_i <= theta_i <= 1.  low = 0 gives
+the 2^m maps that keep or drop each feedback row, the structural fact the
+certification layer builds on, and low = 1 gives the linear loop A + B K
+as one product.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 # the absolute floor below zero that W's smallest eigenvalue may reach.
 SYMMETRY_TOL = 1e-9
 
-# Vertex enumeration is exponential in the input dimension; refuse past this.
+# Vertex enumeration is exponential in the free rows (low_i < 1); refuse past this.
 MAX_INPUT_DIM = 20
 
 
@@ -149,26 +152,33 @@ def saturate(u, ubar) -> np.ndarray:
     return np.minimum(np.maximum(u, -ubar), ubar)
 
 
-def vertex_matrices(sys: SystemSpec, gain: FeedbackGain) -> np.ndarray:
-    """Enumerate the saturation-hull vertices A + sum_{i in J} B_i K_i.
+def vertex_matrices(sys: SystemSpec, gain: FeedbackGain, low=None) -> np.ndarray:
+    """Enumerate the vertices of the box of saturation factors low <= theta <= 1.
 
-    Vertex J keeps the feedback rows indexed by the set bits of J and drops
-    the rest, so the read-only (2^m, n, n) stack is ordered by bitmask:
-    vertex 0 is A and vertex 2^m - 1 is A + B K.  Bit h doubles the stack,
-    adding row h's term to every vertex built from the lower bits, so each
-    vertex sums its terms in ascending bit order.
+    The hull is the set of A + sum_i theta_i B_i K_i with low_i <= theta_i
+    <= 1; low defaults to zeros.  Rows with low_i > 0 enter the base vertex
+    as one product, A + B[:, F] (low_F K_F), and the base is A itself when
+    no row does.  Each free row, one with low_i < 1, then doubles the stack
+    in ascending row order, adding (1 - low_i) B_i K_i to every vertex built
+    so far.  So the read-only (2^f, n, n) stack, f the number of free rows,
+    is ordered by bitmask, bit j standing for the j-th free row at
+    theta = 1: low = 0 gives vertex 0 = A and vertex 2^m - 1 = A + B K
+    summed term by term, and low = 1 gives the single vertex A + B @ K.
 
     Raises:
-        ValueError: on dimension mismatch or m > MAX_INPUT_DIM.
+        ValueError: on dimension mismatch, a low outside [0, 1]^m, or more
+            than MAX_INPUT_DIM free rows.
     """
     _check_gain(sys, gain)
-    if sys.m > MAX_INPUT_DIM:
-        raise ValueError(
-            f"refusing to enumerate 2^{sys.m} vertices (limit m <= {MAX_INPUT_DIM})"
-        )
-    stack = np.empty((2 ** sys.m, sys.n, sys.n))
-    stack[0] = sys.A
-    for h in range(sys.m):
-        stack[2 ** h : 2 ** (h + 1)] = stack[: 2 ** h] + np.outer(sys.B[:, h], gain.K[h])
+    low = _as_float_array(np.zeros(sys.m) if low is None else low, "low", 1)
+    if low.shape != (sys.m,) or not ((low >= 0.0) & (low <= 1.0)).all():
+        raise ValueError(f"low must be a length-{sys.m} vector in [0, 1], got {low}")
+    free, fixed = np.flatnonzero(low < 1.0), low > 0.0
+    if len(free) > MAX_INPUT_DIM:
+        raise ValueError(f"refusing to enumerate 2^{len(free)} vertices (limit {MAX_INPUT_DIM} free rows)")
+    stack = np.empty((2 ** len(free), sys.n, sys.n))
+    stack[0] = sys.A + sys.B[:, fixed] @ (low[fixed, None] * gain.K[fixed]) if fixed.any() else sys.A
+    for j, h in enumerate(free):
+        stack[2**j : 2 ** (j + 1)] = stack[: 2**j] + np.outer(sys.B[:, h], (1.0 - low[h]) * gain.K[h])
     stack.setflags(write=False)
     return stack

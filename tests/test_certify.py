@@ -138,6 +138,20 @@ def test_closed_loop_rate_equals_full_vertex(ref_sys, ref_gain, ref_shape):
     )
 
 
+def test_a_shape_of_another_size_is_refused_by_every_rate_and_check(ref_sys, ref_gain):
+    # The demo plant is planar; a 3 x 3 P fits none of its vertices.
+    P = np.eye(3)
+    cert = ContractionCertificate(P=P, rate=0.99, rate_linear=0.5)
+    calls = (
+        lambda: sr.min_contraction_rate(P, sr.vertex_matrices(ref_sys, ref_gain)),
+        lambda: sr.closed_loop_rate(P, ref_sys, ref_gain),
+        lambda: sr.verify_certificate(cert, ref_sys, ref_gain),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^vertex dimension does not match P$"):
+            call()
+
+
 def test_closed_loop_rate_deadbeat():
     sys_d = SystemSpec(A=0.6 * np.eye(2), B=np.eye(2), W=np.eye(2), ubar=[1.0, 1.0])
     gain_d = FeedbackGain(K=-0.6 * np.eye(2))

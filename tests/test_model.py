@@ -112,9 +112,15 @@ def test_vertex_bitmask_order_two_inputs():
     assert np.allclose(verts[1], [[0.6, 0.0], [0.0, 0.4]])
     assert np.allclose(verts[2], [[0.5, 0.0], [0.0, 0.6]])
     assert np.allclose(verts[3], [[0.6, 0.0], [0.0, 0.6]])
+    # Row 0's factor runs over [0.5, 1] and row 1's is pinned at 1, so bit 0
+    # toggles row 0 between half and all of its term.
+    box = sr.vertex_matrices(sys2, gain2, [0.5, 1.0])
+    assert len(box) == 2
+    assert np.allclose(box[0], [[0.55, 0.0], [0.0, 0.6]])
+    assert np.allclose(box[1], [[0.6, 0.0], [0.0, 0.6]])
 
 
-def test_vertex_enumeration_guard():
+def test_vertex_enumeration_guard(monkeypatch):
     m = 21
     sys_wide = SystemSpec(
         A=0.5 * np.eye(2),
@@ -123,8 +129,31 @@ def test_vertex_enumeration_guard():
         ubar=np.ones(m),
     )
     gain = FeedbackGain(K=np.zeros((m, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="refusing to enumerate 2\\^21"):
         sr.vertex_matrices(sys_wide, gain)
+    with pytest.raises(ValueError, match="refusing to enumerate 2\\^21"):
+        sr.vertex_matrices(sys_wide, gain, np.zeros(m))
+    # The linear loop has no free row: one vertex, so its rate still answers.
+    assert sr.vertex_matrices(sys_wide, gain, np.ones(m)).shape == (1, 2, 2)
+    assert sr.closed_loop_rate(np.eye(2), sys_wide, gain) == 0.25
+    # Only the free rows, low_i < 1, count towards the limit.
+    sys4 = SystemSpec(A=0.5 * np.eye(2), B=np.ones((2, 4)), W=np.eye(2), ubar=np.ones(4))
+    gain = FeedbackGain(K=np.ones((4, 2)))
+    monkeypatch.setattr(sr.model, "MAX_INPUT_DIM", 3)
+    assert sr.vertex_matrices(sys4, gain, [0.0, 0.5, 1.0, 0.25]).shape == (8, 2, 2)
+    with pytest.raises(ValueError, match="refusing to enumerate 2\\^4"):
+        sr.vertex_matrices(sys4, gain, [0.0, 0.5, 0.99, 0.25])
+
+
+@pytest.mark.parametrize(
+    "low",
+    [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0, [-0.1, 0.0], [0.0, 1.1], [np.nan, 0.0], [0.0, np.inf]],
+    ids=["short", "long", "matrix", "scalar", "below-0", "above-1", "nan", "inf"],
+)
+def test_a_box_must_be_one_factor_per_row_in_the_unit_interval(low):
+    sys2 = SystemSpec(A=0.5 * np.eye(2), B=np.eye(2), W=np.eye(2), ubar=[1.0, 1.0])
+    with pytest.raises(ValueError, match="low"):
+        sr.vertex_matrices(sys2, FeedbackGain(K=np.eye(2)), low)
 
 
 def test_vertex_matrices_are_read_only(ref_sys, ref_gain):

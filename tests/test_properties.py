@@ -1,6 +1,8 @@
-"""Property tests: hull membership, the certified side of the effective
-rate, entry-wise equality of the broadcast linear-region scaling and
-rate selection with their scalar calls, synthesized rates that bound the
+"""Property tests: hull membership, boxes of saturation factors and the
+local box on a level set of P, a linear rate equal bit for bit to that of
+one A + B K product, the certified side of the effective rate,
+entry-wise equality of the broadcast linear-region scaling and rate
+selection with their scalar calls, synthesized rates that bound the
 exact hull rate of their shape matrix and stop within bisect_tol of the
 spectral floor when its probe succeeds, active-vertex synthesis that
 ships the exact rate of its shape and matches the all-vertex probe within
@@ -47,6 +49,17 @@ def _random_plant(n: int, m: int, seed: int):
     return sys_r, FeedbackGain(K=rng.normal(size=(m, n))), rng
 
 
+def _box_blend(stack: np.ndarray, low: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The multilinear blend of a vertex_matrices(..., low) stack at the
+    saturation factors theta, low <= theta <= 1: free row j (the j-th with
+    low < 1) weighs bit j of each vertex by its share s_j of [low_j, 1]."""
+    free = np.flatnonzero(low < 1.0)
+    share = (theta[free] - low[free]) / (1.0 - low[free])
+    bits = (np.arange(len(stack))[:, None] >> np.arange(len(free))) & 1
+    weights = np.prod(np.where(bits, share, 1.0 - share), axis=1)
+    return np.tensordot(weights, stack, axes=1)
+
+
 @given(n=DIMS, m=DIMS, seed=SEEDS)
 def test_vertex_stack_is_the_hull_of_the_saturated_step(n, m, seed):
     sys_r, gain, rng = _random_plant(n, m, seed)
@@ -58,16 +71,73 @@ def test_vertex_stack_is_the_hull_of_the_saturated_step(n, m, seed):
             if mask >> i & 1:
                 expected += np.outer(sys_r.B[:, i], gain.K[i])
         assert np.array_equal(vertex, expected)
-    # Per-row scalings theta blend the vertices with multilinear weights.
-    theta = rng.uniform(0.0, 1.0, m)
-    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-    weights = np.prod(np.where(bits, theta, 1.0 - theta), axis=1)
-    blend = np.tensordot(weights, stack, axes=1)
-    assert np.allclose(blend, sys_r.A + (sys_r.B * theta) @ gain.K, rtol=1e-12, atol=1e-12)
+    # low = 0 is the default box; low = 1 is the linear loop, one product.
+    assert np.array_equal(sr.vertex_matrices(sys_r, gain, np.zeros(m)), stack)
+    linear = sr.vertex_matrices(sys_r, gain, np.ones(m))
+    assert np.array_equal(linear, (sys_r.A + sys_r.B @ gain.K)[None])
+    # A random box: rows pinned at 0 or 1, the others strictly between.
+    low = np.where(rng.random(m) < 0.4, rng.choice([0.0, 1.0], m), rng.uniform(0.0, 1.0, m))
+    free = np.flatnonzero(low < 1.0)
+    box = sr.vertex_matrices(sys_r, gain, low)
+    assert box.shape == (2 ** len(free), n, n)
+    for mask, vertex in enumerate(box):
+        theta = low.copy()
+        theta[free[(mask >> np.arange(len(free))) & 1 == 1]] = 1.0
+        assert np.allclose(vertex, sys_r.A + (sys_r.B * theta) @ gain.K, rtol=1e-12, atol=1e-12)
+    # Per-row factors theta in a box blend its vertices with multilinear weights.
+    for low, stack in ((np.zeros(m), stack), (low, box)):
+        theta = low + (1.0 - low) * rng.uniform(0.0, 1.0, m)
+        blend = _box_blend(stack, low, theta)
+        assert np.allclose(blend, sys_r.A + (sys_r.B * theta) @ gain.K, rtol=1e-12, atol=1e-12)
     for _ in range(20):
         e = rng.normal(scale=5.0, size=n)
         v = rng.uniform(-1.0, 1.0, m) * sys_r.ubar
         hull_membership_check(sys_r, gain, e, v, rng.normal(size=n))
+
+
+@given(n=DIMS, m=DIMS, seed=SEEDS, stretch=st.floats(0.5, 100.0))
+def test_the_local_box_holds_the_saturated_step_on_a_level_set(n, m, seed, stretch):
+    # On {e'Pe <= r}, |K_i e| <= sqrt(r K_i inv(P) K_i'), so with
+    # |v_i| <= vbar_i a clipped row keeps at least the share
+    # low_i = min(1, sqrt(rho_i / r)) of K_i e, where
+    # rho_i = (ubar_i - vbar_i)^2 / (K_i inv(P) K_i').
+    sys_r, gain, rng = _random_plant(n, m, seed)
+    F = rng.normal(size=(n, n))
+    P = F @ F.T + 0.1 * np.eye(n)
+    vbar = rng.uniform(0.0, 0.9, m) * sys_r.ubar
+    rho = (sys_r.ubar - vbar) ** 2 / np.einsum("ij,ji->i", gain.K, np.linalg.solve(P, gain.K.T))
+    r = stretch * rho.min()
+    low = np.minimum(1.0, np.sqrt(rho / r))
+    box = sr.vertex_matrices(sys_r, gain, low)
+    L = np.linalg.cholesky(P)
+    for radius in (*rng.uniform(0.0, 1.0, 19), 1.0):
+        # e'Pe = |L'e|^2 = r radius^2.
+        direction = rng.normal(size=n)
+        e = np.sqrt(r) * radius * np.linalg.solve(L.T, direction / np.linalg.norm(direction))
+        v = rng.uniform(-1.0, 1.0, m) * vbar
+        u = gain.K @ e
+        step = sr.saturate(u + v, sys_r.ubar) - v
+        theta = np.ones(m)
+        clipped = np.abs(u + v) > sys_r.ubar
+        theta[clipped] = step[clipped] / u[clipped]
+        assert np.all(theta >= low * (1.0 - 1e-9)) and np.all(theta <= 1.0)
+        theta = np.maximum(theta, low)
+        blend = _box_blend(box, low, theta)
+        assert np.allclose(blend, sys_r.A + (sys_r.B * theta) @ gain.K, rtol=1e-12, atol=1e-12)
+        expected = sys_r.A @ e + sys_r.B @ step
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(blend @ e - expected)) <= 1e-9 * scale
+
+
+@given(n=st.integers(1, 8), m=st.integers(1, 12), seed=SEEDS)
+def test_the_linear_rate_is_the_rate_of_one_closed_loop_product(n, m, seed):
+    # The linear loop's bits are A + B @ K's, not those of the full hull's
+    # last vertex, which sums the B_i K_i term by term.
+    sys_r, gain, rng = _random_plant(n, m, seed)
+    F = rng.normal(size=(n, n))
+    P = F @ F.T + np.eye(n)
+    closed = (sys_r.A + sys_r.B @ gain.K)[None]
+    assert sr.closed_loop_rate(P, sys_r, gain) == sr.min_contraction_rate(P, closed)
 
 
 @given(
@@ -292,6 +362,10 @@ def test_the_verification_record_matches_a_per_vertex_loop(n, m, seed, rate):
         assert report.worst_vertex == worst
         assert report.worst_residual == residuals[worst]
         assert report.tight_vertices == sum(abs(r) <= cert.feas_tol for r in residuals)
+        # The linear loop is one A + B @ K product, here at rate_linear = 0.
+        M = sys_r.A + sys_r.B @ gain.K
+        S = -M.T @ P @ M
+        assert report.linear_residual == np.linalg.eigvalsh(0.5 * (S + S.T))[0]
 
 
 # Seeds across the whole 64-bit range; 2**32 - 1 and 2**32, where the seed

@@ -9,21 +9,10 @@ set of CPUs.  Across machines data.csv's bound cells follow NumPy's
 float64 `power`, whose SIMD dispatch differs between CPUs: on an AVX-512
 VM 4 cells of the demo at k_max 2e4 differ from libm's `pow`.
 
-A CSV is written in blocks of at most csvformat.BLOCK_CELLS cells, fewer
-where a template's literal text widens the kernel's slots, with the same
-bytes as one `format(x, ".17g")` per cell through csv.writer.  Tables of
-csvformat.KERNEL_MIN_CELLS cells or more are formatted by a NumPy
-kernel.  A one-field table of nondecreasing integers, data.csv's
-converged tail of k values, prints as integer rows: each k's digits,
-then the three limits, with nothing to compact.  Any other table gets
-each cell's 17 digits computed exactly in a fixed-width slot, compacted
-to the bytes `%` prints; a smaller table, or a block the kernel's guard
-rejects (a non-finite, subnormal or huge cell, or a rounding too close
-to a tie to prove), is formatted by one `%` operation per block.  The
-blocks of every CSV a command writes form one csvformat.Blocks stream:
-when its kernel tables are large enough, one forked worker formats the
-odd blocks beside the command and sends each down a pipe, and the
-command writes every block in order, with the same bytes.
+The CSVs a command writes form one csvformat.Blocks stream, in blocks of
+at most csvformat.BLOCK_CELLS cells: each cell's bytes are those of
+`format(x, ".17g")` through csv.writer, whether or not a worker forks to
+format some of the blocks (csvformat's docstring says how).
 """
 
 from __future__ import annotations

@@ -900,9 +900,9 @@ def cells(values) -> list[str]:
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -7.0, 2.0**53 + 2, 1.0 / 3.0, -2.5e-300]
-# The edge values the kernel's guard passes, so large tables of them
+# The edge values %.17g prints in fixed point, so large tables of them
 # are formatted by the kernel.
-KERNEL_VALUES = [x for x in EDGE_VALUES if x == 0.0 or 1e-280 <= abs(x) <= 1e280]
+KERNEL_VALUES = [x for x in EDGE_VALUES if x == 0.0 or 1e-4 <= abs(x) < 1e17]
 
 
 # Three columns: tables on either side of the kernel's crossover, and
@@ -940,13 +940,26 @@ def test_kernel_formats_every_cli_template(tmp_path, monkeypatch):
         patched.setattr(csvformat, "KERNEL_MIN_CELLS", math.inf)
         reference = run(tmp_path / "percent")
 
-    def no_fallback(line, block):
-        raise AssertionError(f"the kernel handed {len(block)} rows of {line!r} to %")
+    fallbacks, real_percent = [], csvformat.percent_block
 
-    monkeypatch.setattr(csvformat, "percent_block", no_fallback)
+    def recording(line, block):
+        fallbacks.append((line, block.copy()))
+        return real_percent(line, block)
+
+    # In one process, so that every `%` call is recorded here.
+    monkeypatch.setattr(csvformat, "_FORK_MIN_CELLS", math.inf)
+    monkeypatch.setattr(csvformat, "percent_block", recording)
     written = run(tmp_path / "kernel")
     assert sorted(written) == ["convergence.csv", "data.csv", "lbell.csv", "lell.csv", "states.csv"]
     assert written == reference
+    # The kernel prints every table but one row of each boundary file: the
+    # y cell at angle pi, row n / 2, some 1e-15 from sin(pi), which %.17g
+    # prints in e-notation.
+    assert [(line, len(block)) for line, block in fallbacks] == [("%.17g,%.17g\n", 1)] * 2
+    for name, (line, block) in zip(["lell", "lbell"], fallbacks):
+        rows = read_csv(tmp_path / "kernel" / f"{name}.csv")[1]
+        assert rows[10_000] == [format(x, ".17g") for x in block[0]]
+        assert [(i, j) for i, row in enumerate(rows) for j, cell in enumerate(row) if "e" in cell] == [(10_000, 1)]
     header, rows = read_csv(tmp_path / "kernel" / "data.csv")
     assert rows[300][1] != "" and rows[301][1] == ""
     assert [row[0] for row in rows] == [str(k) for k in range(20_001)]

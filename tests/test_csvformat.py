@@ -1,11 +1,11 @@
 """The CSV kernel against `%`: every block it formats has the bytes of
-`line % row` for each row, and it hands a block to `%` exactly where its
-guard says no exactness proof holds."""
+`line % row` for each row, and exactly the rows that hold a cell `%.17g`
+prints in e-notation, or NaN or an infinity, go to `%`."""
 
 import fcntl
+import itertools
 import math
 import os
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,41 +15,28 @@ from hypothesis import strategies as st
 
 import satreach as sr
 from satreach import csvformat
-from satreach.csvformat import GUARD_MAX, GUARD_MIN, GUARD_TIE, percent_block
+from satreach.csvformat import percent_block
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def kernel_bytes(line: str, table) -> bytes | None:
-    """The kernel's bytes for `table`, or None where it hands the block to `%`."""
+def kernel_bytes(line: str, table) -> bytes:
+    """The kernel's bytes for `table`, every cell of which it prints."""
     table = np.asarray(table, dtype=float).reshape(len(table), -1)
-    pieces = csvformat._Kernel(csvformat._literals(line, table.shape[1]), len(table)).format(table)
-    return None if pieces is None else b"".join(pieces)
+    return b"".join(csvformat._Kernel(csvformat._literals(line, table.shape[1]), len(table)).format(table))
 
 
-def needs_percent(x: float) -> bool:
-    """Whether the guard must reject x, from exact rational arithmetic."""
-    if not math.isfinite(x):
-        return True
-    a = Fraction(abs(x))
-    if a == 0:
-        return False
-    if not GUARD_MIN <= abs(x) <= GUARD_MAX:
-        return True
-    X = math.floor(math.log10(abs(x)))
-    X += (a >= Fraction(10) ** (X + 1)) - (a < Fraction(10) ** X)
-    scaled = a * Fraction(10) ** (16 - X)
-    if 0 <= 16 - X <= 22:
-        return False  # 10^(16 - X) is a double: the kernel's arithmetic is exact
-    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < GUARD_TIE
+def fixed_point(x: float) -> bool:
+    """Whether `%.17g` prints x in fixed point, which must be exactly
+    where x is zero or 1e-4 <= |x| < 1e17, the cells the kernel prints."""
+    fixed = math.isfinite(x) and "e" not in "%.17g" % x
+    assert fixed == (x == 0.0 or 1e-4 <= abs(x) < 1e17), x
+    return fixed
 
 
 def check_g17(x: float) -> None:
-    got = kernel_bytes("%.17g\n", [x])
-    if needs_percent(x):
-        assert got is None
-    else:
-        assert got == ("%.17g\n" % x).encode()
+    if fixed_point(x):
+        assert kernel_bytes("%.17g\n", [x]) == ("%.17g\n" % x).encode()
 
 
 @settings(max_examples=1000)
@@ -58,8 +45,9 @@ def test_kernel_prints_every_finite_double_as_percent_does(x):
     check_g17(x)
 
 
+# Every decimal exponent the kernel prints, -4 to 16, and one beyond each.
 @settings(max_examples=1000)
-@given(st.floats(min_value=1e-300, max_value=1e300))
+@given(st.floats(min_value=1e-5, max_value=1e18))
 def test_kernel_prints_doubles_of_any_exponent_as_percent_does(x):
     check_g17(x)
 
@@ -73,10 +61,10 @@ def test_kernel_prints_short_mantissas_as_percent_does(m, e):
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
 EDGES += [1e-5, 1e-4, 1e16, 1e17, 1000000000000000.25, 1000000000000000.75]
-# Exact ties where 10^(16 - X) is no double: the guard must reject them.
+# Exact ties in e-notation, which `%` prints.
 EDGES += [2.0**-25, 3 * 2.0**-24]
 # Doubles within 5e-18 below a power of ten: their 17 digits round up to
-# the next decade, 1e-14 included.
+# the next decade, 1e-14 included; all print in e-notation.
 EDGES += [1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14]
 EDGES += [1e98, 1e129, 1e153, 1e220]
 EDGES += [
@@ -95,6 +83,22 @@ def test_kernel_prints_edge_values_as_percent_does(x):
     check_g17(x)
 
 
+# Each side of the fixed-point range: the kernel prints 1e-4 and the
+# largest double below 1e17, `%` the double below 1e-4 and 1e17.
+BOUNDS = [(1e-4, True), (float(np.nextafter(1e17, 0.0)), True), (float(np.nextafter(1e-4, 0.0)), False), (1e17, False)]
+
+
+@pytest.mark.parametrize("x, kernel", [(s * x, kernel) for x, kernel in BOUNDS for s in (1.0, -1.0)], ids=repr)
+def test_the_fixed_point_bounds_split_kernel_and_percent(monkeypatch, x, kernel):
+    assert fixed_point(x) == kernel
+    table = np.full((csvformat.KERNEL_MIN_CELLS, 2), 0.5)
+    table[7, 1] = x
+    files = [[("%.17g,%.17g\n", table)]]
+    percent = _spy_paths(monkeypatch, table)
+    assert _written(files) == _reference(files)
+    assert percent == ([] if kernel else [(7, 8)])
+
+
 def test_exact_ties_round_half_even_in_the_kernel():
     # 1e15 + 0.25 scales by 10 to 10000000000000002.5 exactly.
     ties = [1000000000000000.25, 1000000000000000.75, -118571980500523.375]
@@ -105,14 +109,12 @@ def test_exact_ties_round_half_even_in_the_kernel():
 @example(10**17 - 16)
 @example(10**17)
 def test_kernel_prints_integers_as_percent_d_does(k):
-    # Up to and past 2^53, where doubles stop holding every integer, and
-    # past 1e17, where %.17g turns to scientific notation.
+    # Up to and past 2^53, where doubles stop holding every integer; from
+    # 1e17 on %.17g turns to scientific notation, which only `%` prints.
     x = float(k)
-    got = kernel_bytes("%.17g\n", [x])
+    assert fixed_point(x) == (abs(x) < 1e17)
     if abs(x) < 1e17:
-        assert got == ("%d\n" % x).encode()
-    else:
-        assert got == ("%.17g\n" % x).encode()
+        assert kernel_bytes("%.17g\n", [x]) == ("%d\n" % x).encode()
 
 
 @pytest.mark.parametrize("x", [0.5, -2.5, 1e16, -1e16, float("nan"), float("inf")])
@@ -145,13 +147,14 @@ def test_kernel_blocks_equal_percent_blocks(rows):
     # A constant between two fields, as in convergence.csv.
     cases.append(("%.17g,0.76852028012028373,%.17g\n", None, table[:, 3:]))
     for line, d_line, cells in cases:
+        # The kernel prints the rows all of whose cells are in fixed point.
+        cells = cells[[all(map(fixed_point, row)) for row in cells.tolist()]]
+        if not len(cells):
+            continue
         got = kernel_bytes(line, cells)
-        if any(needs_percent(x) for x in cells.ravel()):
-            assert got is None
-        else:
-            assert got == percent_block(line, cells)
-            if d_line is not None:
-                assert got == percent_block(d_line, cells)
+        assert got == percent_block(line, cells)
+        if d_line is not None:
+            assert got == percent_block(d_line, cells)
 
 
 # A NUL in a literal would be deleted with the unprinted bytes.
@@ -169,7 +172,7 @@ def test_a_template_with_a_long_literal_gets_fewer_rows_per_block():
     k = np.arange(20_000.0)[:, None]
     files = [[(tail, k), ("%.17g,%.17g,%.17g\n", np.hstack([k, k / 3.0, -k]))]]
     blocks = csvformat.Blocks(files)
-    (_, _, tail_rows), (_, _, rows) = blocks.tables
+    (_, _, tail_rows, _), (_, _, rows, _) = blocks.tables
     assert rows == csvformat.BLOCK_CELLS // 3
     assert tail_rows * 104 <= csvformat.BLOCK_CELLS * 48 < (tail_rows + 1) * 104
     assert b"".join(blocks.file(0)) == _reference(files)[0]
@@ -275,6 +278,28 @@ def _written(files) -> list[bytes]:
         return [b"".join(bytes(piece) for piece in blocks.file(i)) for i in range(len(files))]
 
 
+def _spy_paths(monkeypatch, table) -> list[tuple[int, int]]:
+    """The (first, end) rows of `table` this process hands to `%`, in
+    order; the kernel, in either process, fails on a cell `%.17g` does
+    not print in fixed point."""
+    caller, real_percent, real_kernel = os.getpid(), csvformat.percent_block, csvformat._Kernel.format
+    percent = []
+
+    def recording(line, block):
+        if os.getpid() == caller:
+            offset = block.__array_interface__["data"][0] - table.__array_interface__["data"][0]
+            percent.append((offset // table.strides[0], offset // table.strides[0] + len(block)))
+        return real_percent(line, block)
+
+    def checking(kernel, block):
+        assert all(map(fixed_point, block.ravel().tolist()))
+        return real_kernel(kernel, block)
+
+    monkeypatch.setattr(csvformat, "percent_block", recording)
+    monkeypatch.setattr(csvformat._Kernel, "format", checking)
+    return percent
+
+
 def _force_fork(monkeypatch, cpus=2):
     monkeypatch.setattr(csvformat, "_FORK_MIN_CELLS", 0)
     monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -356,14 +381,14 @@ def test_a_csv_worker_that_fails_leaves_every_block_to_the_caller(monkeypatch):
     files = _files()
     _force_fork(monkeypatch)
     forks = count_forks(monkeypatch)
-    caller, real_format = os.getpid(), csvformat._Kernel.format
+    caller, real_format = os.getpid(), csvformat.Blocks.format
 
-    def failing_in_the_worker(kernel, block):
+    def failing_in_the_worker(blocks, b):
         if os.getpid() != caller:
             raise RuntimeError("the worker's first block fails")
-        return real_format(kernel, block)
+        return real_format(blocks, b)
 
-    monkeypatch.setattr(csvformat._Kernel, "format", failing_in_the_worker)
+    monkeypatch.setattr(csvformat.Blocks, "format", failing_in_the_worker)
     formatted = _caller_formats(monkeypatch)
     assert _written(files) == _reference(files)
     assert forks == [1]
@@ -374,7 +399,7 @@ def test_a_csv_worker_that_fails_leaves_every_block_to_the_caller(monkeypatch):
 def test_a_guard_rejected_odd_block_is_formatted_by_percent_in_the_worker(monkeypatch):
     files = _files()
     data = files[0][0][1].copy()
-    # Blocks 1 and 3 hold a NaN and a subnormal, which the guard rejects.
+    # Blocks 1 and 3 hold a NaN and a subnormal, which `%` prints.
     data[1365 + 7, 1] = np.nan
     files[0][0] = (files[0][0][0], data)
     xy = files[1][0][1].copy()
@@ -467,4 +492,52 @@ def test_blocks_equal_percent_over_any_template(case, forked):
         if forked:
             _force_fork(monkeypatch)
         assert _written(files) == _reference(files)
+    assert_no_child_left()
+
+
+# Cells `%.17g` prints in e-notation, or NaN or an infinity.
+OUTSIDE = [np.nan, np.inf, -np.inf, 5e-324, -1e-5, float(np.nextafter(1e-4, 0.0)), 1e17, -1e300, 2.0**-25]
+
+
+@st.composite
+def mixed_tables(draw):
+    """A template of 1-4 fields and a kernel table of one to three blocks
+    of fixed-point cells, with runs of ±0.0 and of OUTSIDE cells written
+    over random rows of random columns."""
+    fields = draw(st.integers(1, 4))
+    literals = draw(st.lists(LITERAL, min_size=fields, max_size=fields))
+    rows = draw(st.integers(csvformat.KERNEL_MIN_CELLS // fields + 1, 3 * csvformat.BLOCK_CELLS // fields))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.choice([-1.0, 1.0], (rows, fields)) * 10.0 ** rng.uniform(-4.0, 17.0, (rows, fields))
+    for value in draw(st.lists(st.sampled_from([0.0, -0.0, *OUTSIDE]), max_size=8)):
+        start = draw(st.integers(0, rows - 1))
+        table[start : start + draw(st.integers(1, 40)), draw(st.integers(0, fields - 1))] = value
+    return "".join("%.17g" + text for text in literals), table
+
+
+@settings(max_examples=40)
+@given(mixed_tables(), st.booleans())
+def test_percent_prints_exactly_the_runs_of_rows_out_of_fixed_point(case, forked):
+    line, table = case
+    files = [[(line, table)]]
+    reference = _reference(files)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if forked:
+            _force_fork(monkeypatch)
+        percent = _spy_paths(monkeypatch, table)
+        blocks = csvformat.Blocks(files)
+        assert _written(files) == reference
+    rows, count = blocks.tables[0][2], len(blocks.index)
+    # Within each block this process formats, every maximal run of rows
+    # that hold a cell out of fixed point, and nothing else, went to `%`.
+    outside = [not all(map(fixed_point, row)) for row in table.tolist()]
+    runs = []
+    for b in range(0, count, 2 if forked and count > 1 else 1):
+        start = b * rows
+        for out, run in itertools.groupby(outside[start : start + rows]):
+            size = len(list(run))
+            if out:
+                runs.append((start, start + size))
+            start += size
+    assert percent == runs
     assert_no_child_left()

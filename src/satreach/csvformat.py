@@ -51,9 +51,9 @@ from .forked import Worker, may_fork
 # most 4 bytes long; _block_rows gives a template with longer literals
 # proportionally fewer rows per block.  The kernel's work arrays take
 # some 100 bytes per cell: blocks of 8192 cells raised the peak memory of a
-# 2e4-row export by 2.5-3 MB, and rows cut by field count alone, 4096 per
-# block of data.csv's one-field tail, whose 59-byte literal makes 104-byte
-# slots, raised it by 0.8 MB.
+# 2e4-row export by 2.5-3 MB, and rows cut by field count alone (4096, not
+# 1890, per block of data.csv's integer-row tail; 2048, not 1365, of
+# convergence.csv) raised it by 1.2-1.9 MB, in the caller and its worker.
 BLOCK_CELLS = 4096
 
 # Tables of fewer cells are formatted by `%` alone.  Below about 700

@@ -34,6 +34,14 @@ REF_RATE_LINEAR = 0.76852028012028373
 REF_EFFECTIVE = 0.78266292246021862
 
 
+@pytest.fixture(autouse=True)
+def without_scipy(monkeypatch):
+    """Block every SciPy import, so each test also shows that its path
+    needs only the runtime."""
+    for name in ["scipy", *(name for name in sys.modules if name.startswith("scipy."))]:
+        monkeypatch.setitem(sys.modules, name, None)
+
+
 def base_config(out_dir: Path, **tweaks) -> dict:
     cfg = {
         "system": {
@@ -613,11 +621,13 @@ def test_a_nested_config_is_a_config_error(tmp_path, capsys):
 )
 def test_unallocatable_sizes_exit_4_with_one_line(tmp_path, capsys, command, section, key):
     # 10^13 elements, 72 TiB, pass validation but no allocator grants them.
-    cfg = base_config(tmp_path / "out", sweep=dict(SWEEP))
+    out = tmp_path / "out"
+    cfg = base_config(out, sweep=dict(SWEEP))
     cfg[section][key] = 10**13
     assert main([command, "--config", str(write_config(tmp_path, cfg))]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith("cannot allocate: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["certify", "analyze"])
@@ -653,18 +663,15 @@ def test_finite_configs_give_finite_artifacts_or_none(tmp_path, capsys, command,
     cfg[section][key] = value
     exit_code = main([command, "--config", str(write_config(tmp_path, cfg))])
     err = capsys.readouterr().err
-    if command == "sweep" and (key == "epsilon" or value[0][0] == 1e305):
-        # The sweep reads no epsilon, no area and no ensemble: its
-        # artifacts are finite.
+    # The sweep reads no epsilon, no area and no ensemble; analyze runs no
+    # ensemble, and the areas pi r / sqrt(det P) ~ 1.6e308 are finite.
+    if (command == "sweep" and (key == "epsilon" or value[0][0] == 1e305)) or (
+        command == "analyze" and key == "W" and value[0][0] == 1e305
+    ):
         assert exit_code == EXIT_OK
-        assert "Infinity" not in (out / "sweep.json").read_text(encoding="utf-8")
-        assert "inf" not in (out / "convergence.csv").read_text(encoding="utf-8")
-        return
-    if command == "analyze" and key == "W" and value[0][0] == 1e305:
-        # No ensemble runs, and the areas pi r / sqrt(det P) ~ 1.6e308 are finite.
-        assert exit_code == EXIT_OK
-        assert "Infinity" not in (out / "analysis.json").read_text(encoding="utf-8")
-        assert "inf" not in (out / "data.csv").read_text(encoding="utf-8")
+        for path in out.iterdir():
+            text = path.read_text(encoding="utf-8")
+            assert "Infinity" not in text and "inf" not in text
         return
     assert exit_code == code
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -712,7 +719,8 @@ def test_an_overflowing_linear_region_replaces_no_artifact(tmp_path, capsys, com
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_a_linear_region_near_the_largest_double_keeps_the_certified_side(tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_a_linear_region_near_the_largest_double_keeps_the_certified_side(tmp_path, capsys):
     # At ubar = 3e153, r_L = 4.37e307 is finite but r_L / (lambda - lambda_L)
     # is not; analyze used to warn twice and ship lambda_hat = lambda_L.
     out = tmp_path / "out"
@@ -721,6 +729,7 @@ def test_a_linear_region_near_the_largest_double_keeps_the_certified_side(tmp_pa
     path = write_config(tmp_path, cfg)
     assert main(["analyze", "--config", str(path)]) == EXIT_OK
     assert main(["sweep", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
     analysis = json.loads((out / "analysis.json").read_text())
     rates = analysis["lambda"], analysis["lambda_L"], analysis["trace_PW"]
     assert analysis["r_L"] > 4e307 and analysis["lambda_hat"] > analysis["lambda_L"]
@@ -1010,6 +1019,15 @@ def synthesized_config(out_dir: Path) -> dict:
     return cfg
 
 
+def bisected_config(out_dir: Path) -> dict:
+    """A plant whose floor probe fails, so synthesis bisects its rate."""
+    cfg = synthesized_config(out_dir)
+    cfg["system"].update(A=[[0.5, -0.5], [1.0, -0.5]], B=[[0.0, 0.5], [-1.0, 1.0]], ubar=[1.0, 1.0])
+    cfg["gain"]["K"] = [[0.0, 0.5], [-1.0, 1.0]]
+    cfg["prs"]["vbar"] = [0.0, 0.0]
+    return cfg
+
+
 @pytest.fixture
 def synthesis_calls(monkeypatch):
     """Count the CLI's calls of synthesize_contraction."""
@@ -1039,15 +1057,19 @@ def fresh_artifacts(tmp_path: Path, cfg: dict, command: str = "analyze") -> dict
 
 @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
 def test_reuse_writes_the_same_bytes_as_synthesis(tmp_path, synthesis_calls, command):
-    out = tmp_path / "out"
-    cfg = synthesized_config(out)
-    expected = fresh_artifacts(tmp_path, cfg, command)
-    assert len(synthesis_calls) == 1
-    path = write_config(tmp_path, cfg)
-    assert main(["certify", "--config", str(path)]) == EXIT_OK
-    assert main([command, "--config", str(path)]) == EXIT_OK
-    assert len(synthesis_calls) == 2
-    assert artifacts(out) == expected
+    for make_config in (synthesized_config, bisected_config):
+        base = tmp_path / make_config.__name__
+        base.mkdir()
+        del synthesis_calls[:]
+        out = base / "out"
+        cfg = make_config(out)
+        expected = fresh_artifacts(base, cfg, command)
+        assert len(synthesis_calls) == 1
+        path = write_config(base, cfg)
+        assert main(["certify", "--config", str(path)]) == EXIT_OK
+        assert main([command, "--config", str(path)]) == EXIT_OK
+        assert len(synthesis_calls) == 2
+        assert artifacts(out) == expected
 
 
 def test_certificate_carries_the_synthesis_digest(tmp_path):

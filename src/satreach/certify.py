@@ -127,28 +127,21 @@ def _stack_for(P, vertices) -> np.ndarray:
     return vertices
 
 
-def _vertex_rates(P, vertices) -> np.ndarray:
-    """Largest generalized eigenvalue of (M' P M, P) for each M in the stack.
-
-    With P = L L', that eigenvalue is the top eigenvalue of G' G for
-    G = L' M inv(L)'.
-    """
-    P, L = _shape_and_factor(P)
-    G = L.T @ _stack_for(P, vertices) @ np.linalg.inv(L).T
-    whitened = G.transpose(0, 2, 1) @ G
-    return np.linalg.eigvalsh(0.5 * (whitened + whitened.transpose(0, 2, 1)))[:, -1]
-
-
 def min_contraction_rate(P, vertices) -> float:
     """Smallest rate certified by a fixed shape matrix over a vertex stack.
 
     For each vertex this is the largest generalized eigenvalue of
-    (A_J' P A_J, P); the result is tight on at least one vertex.
+    (A_J' P A_J, P); the result is tight on at least one vertex.  With
+    P = L L', that eigenvalue is the top eigenvalue of G' G for
+    G = L' A_J inv(L)'.
 
     Raises:
         CertificateError: if P is not symmetric positive definite.
     """
-    return float(_vertex_rates(P, vertices).max())
+    P, L = _shape_and_factor(P)
+    G = L.T @ _stack_for(P, vertices) @ np.linalg.inv(L).T
+    whitened = G.transpose(0, 2, 1) @ G
+    return float(np.linalg.eigvalsh(0.5 * (whitened + whitened.transpose(0, 2, 1)))[:, -1].max())
 
 
 def closed_loop_rate(P, sys: SystemSpec, gain: FeedbackGain) -> float:

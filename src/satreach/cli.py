@@ -161,13 +161,13 @@ def _parse_simulation(raw: dict) -> SimulationConfig:
     # Older configs set a worker count; it is still checked, then dropped.
     if _int(block, "workers", 1) < 1:
         raise ConfigError("the simulation worker count must be positive")
-    v_policy = block.get("v_policy")
+    v_policy = block.get("v_policy", "zero")
     return SimulationConfig(
         horizon=_int(block, "horizon", SimulationConfig.horizon),
         num_traj=_int(block, "num_traj", SimulationConfig.num_traj),
         seed=_int(block, "seed", SimulationConfig.seed),
         noise_kind=block.get("noise_kind", SimulationConfig.noise_kind),
-        v_policy=None if v_policy in (None, "zero") else _numeric(v_policy, "v_policy"),
+        v_policy=None if v_policy == "zero" else _numeric(v_policy, "v_policy"),
     )
 
 
@@ -234,7 +234,7 @@ def load_config(path) -> AnalysisConfig:
         _check_gain(system, gain)
         rates = _block(raw, "rates")
         fixed_shape = None
-        if rates.get("P") is not None:
+        if "P" in rates:
             fixed_shape = _valid_shape(_numeric(rates["P"], "P"), system.n)
         prs_block = _block(raw, "prs")
         epsilon = _number(prs_block, "epsilon", 0.2)

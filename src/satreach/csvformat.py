@@ -8,13 +8,11 @@ table, a template with other fields or text before its first field, and
 the rows of a block that hold a cell the kernel does not print.
 
 Blocks numbers the blocks of every table a command writes, across all
-its files, in write order.  Once its kernel tables hold _FORK_MIN_CELLS
-cells and forked.may_fork allows, one forked worker formats the odd
-blocks and streams them down a pipe while the caller formats the even
-ones and writes every block in order; either process formats a block
-with the same code, so the bytes are the same whichever process formats
-it, and the same as in one process.  Consecutive tables with the same
-template and row capacity, such as lell's and lbell's, share one kernel.
+its files, in write order, and takes them from one forked.Worker, whose
+work is the cells of its kernel tables (_FORK_MIN_CELLS repays a fork).
+Either process formats a block with the same code, so the bytes are the
+same as in one process.  Consecutive tables with the same template and
+row capacity, such as lell's and lbell's, share one kernel.
 
 The kernel prints a block one of two ways.  A block of a one-field
 template whose cells are nondecreasing integers in [0, 1e16), never
@@ -45,7 +43,7 @@ import functools
 
 import numpy as np
 
-from .forked import Worker, may_fork
+from .forked import Worker
 
 # Cells per block, on either path, of a template whose literals are at
 # most 4 bytes long; _block_rows gives a template with longer literals
@@ -99,13 +97,9 @@ class Blocks:
     numbered across every file in write order; file(i) yields file i's
     bytes, block by block.  A table's first block that does not print as
     integer rows takes the kernel its template and row capacity need, kept
-    from the table before when they match.  Entered as a context, once
-    the tables of at least KERNEL_MIN_CELLS cells hold _FORK_MIN_CELLS
-    cells or more and forked.may_fork allows, a forked.Worker formats the
-    odd blocks while the caller formats the even ones, and file(i) yields
-    an odd block as the worker sent it, whatever its length.  Either
-    process formats a block with the same code, so the bytes do not
-    depend on which one did.
+    from the table before when they match.  Entered as a context, it
+    enters its forked.Worker, whose work is the cells of the tables of at
+    least KERNEL_MIN_CELLS cells.
     """
 
     def __init__(self, files: list[list[tuple[str, np.ndarray]]]):
@@ -127,13 +121,13 @@ class Blocks:
             self.files.append(range(first, len(self.index)))
         # The (literals, rows) of the kernel built last, and that kernel.
         self.kernel = (None, None)
-        self.worker = Worker(self.format, len(self.index))
+        cells = sum(table.size for _, table, _, _ in self.tables if table.size >= KERNEL_MIN_CELLS)
+        self.worker = Worker(self.format, len(self.index), cells, _FORK_MIN_CELLS)
 
     def __enter__(self):
-        cells = sum(table.size for _, table, _, _ in self.tables if table.size >= KERNEL_MIN_CELLS)
-        if may_fork(len(self.index), cells, _FORK_MIN_CELLS):
+        if self.worker.forks:
             _tables()  # built once, for both processes
-            self.worker.fork()
+        self.worker.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -144,8 +138,7 @@ class Blocks:
         block or part of a block at a time; a block from the worker is a
         memoryview, valid until the next is asked for."""
         for b in self.files[i]:
-            block = self.worker.take(b)
-            yield from self.format(b) if block is None else (block,)
+            yield from self.worker.take(b)
 
     def format(self, b: int) -> list[bytes]:
         """The bytes of block b, in pieces: as integer rows or through the

@@ -1,15 +1,15 @@
 """One forked worker that produces the odd blocks of a block sequence.
 
 The Monte Carlo ensemble and the CSV writer both split their work into
-numbered blocks that the caller takes in order.  On Linux, once a job is
-large enough to repay a fork (may_fork), one forked process produces the
-odd blocks 1, 3, ... while the caller produces the even ones.  The
-worker streams its blocks down one pipe, each as a length word followed
-by the block's bytes, and the caller reads each block whole into one
-reused buffer.  Until fork() starts the worker, and after the worker
-stops, the caller produces every block itself, so whoever produces a
-block, the caller sees the same bytes, and an error surfaces as it would
-in one process.
+numbered blocks that the caller takes in order, and both hand it to a
+Worker, the one place that decides whether a second process runs.  The
+block contract: take(b) returns block b's pieces, the same bytes
+whichever process produced them.  On Linux, once a job is large enough
+to repay a fork (may_fork), one forked process produces the odd blocks
+1, 3, ... and streams each down one pipe, a length word followed by the
+block's bytes, which the caller reads whole into one reused buffer.
+Every other block, and every block once the worker has stopped, the
+caller produces itself, so an error surfaces as it would in one process.
 
 Native threads, such as the pool OpenBLAS starts when NumPy loads, do not
 stop the fork: OpenBLAS shuts its pool down across a fork, and neither
@@ -52,21 +52,24 @@ def may_fork(blocks: int, work: int, minimum: int) -> bool:
 
 
 class Worker:
-    """A forked process that produces blocks 1, 3, ... of `blocks` beside the caller.
+    """Blocks 0 .. blocks - 1 of `produce`, with a forked process producing
+    the odd ones beside the caller when may_fork(blocks, work, minimum).
 
     produce(b) returns block b's bytes as a list of bytes-like pieces.  The
-    worker produces its blocks in order and writes each down its pipe, a
-    length word and then the pieces, in one call; the caller reads a block
-    whole (take).  A worker that stops early, by an error or a signal,
-    closes its end of the pipe, so take() reads it short, and from the
-    block it was writing on, the caller produces the worker's blocks.  The
-    caller only reads the pipe, so a worker that stops raises no SIGPIPE
-    in it.  Leaving the context kills and reaps the worker and closes
-    every pipe end the caller holds.
+    worker forks when the context is entered, produces its blocks in order
+    and writes each down its pipe, a length word and then the pieces, in
+    one call.  A worker that stops early, by an error or a signal, closes
+    its end of the pipe, so take() reads it short, and from the block it
+    was writing on, the caller produces the worker's blocks.  The caller
+    only reads the pipe, so a worker that stops raises no SIGPIPE in it.
+    Leaving the context kills and reaps the worker and closes every pipe
+    end the caller holds.
     """
 
-    def __init__(self, produce, blocks: int):
+    def __init__(self, produce, blocks: int, work: int, minimum: int):
         self.produce, self.blocks = produce, blocks
+        # Whether entering the context forks the worker.
+        self.forks = may_fork(blocks, work, minimum)
         # The worker's pid, and a reader of its pipe, None while the caller
         # produces every block.
         self.pid, self.pipe = 0, None
@@ -76,6 +79,8 @@ class Worker:
         self.buffer = bytearray()
 
     def __enter__(self):
+        if self.forks:
+            self.fork()
         return self
 
     def fork(self) -> None:
@@ -108,18 +113,17 @@ class Worker:
             if os.writev(pipe, [length.to_bytes(_LENGTH, "little"), *pieces]) < _LENGTH + length:
                 return  # cut short by a signal: the caller takes the block over
 
-    def take(self, b: int) -> memoryview | None:
-        """Block b's bytes from the worker, valid until the next take, or
-        None when the caller produces block b itself: an even block, or any
-        block once no worker runs."""
-        if b % 2 == 0 or self.pipe is None:
-            return None
-        head = self._read(_LENGTH)
-        block = None if head is None else self._read(int.from_bytes(head, "little"))
-        if block is None:
+    def take(self, b: int) -> list:
+        """Block b's pieces: the worker's bytes, valid until the next take,
+        for an odd block while the worker runs, else produce(b), run here."""
+        if b % 2 and self.pipe is not None:
+            head = self._read(_LENGTH)
+            block = None if head is None else self._read(int.from_bytes(head, "little"))
+            if block is not None:
+                return [block]
             # The worker stopped early: its blocks fall to the caller.
             self.pipe = None
-        return block
+        return self.produce(b)
 
     def _read(self, size: int) -> memoryview | None:
         """The pipe's next `size` bytes, in the buffer, or None where the

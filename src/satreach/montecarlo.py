@@ -27,20 +27,16 @@ statistics take each block's trajectories in index order, so results are
 bitwise reproducible no matter how the trajectory set is split into
 blocks or which process steps a block.
 
-An ensemble of at least _FORK_MIN_TRAJ_STEPS trajectory-steps is shared
-out with the one worker forked.may_fork allows: the block count is
-rounded up to an even one, the caller steps the even blocks and the
-worker the odd ones.  The worker calls no BLAS routine, only elementwise
-ufuncs, its generator and writes to its pipe.  It sends each block's
-q_k rows and final states down the forked.Worker pipe; the caller copies
-them out and folds them into the sums in block order, as it folds its
-own blocks.  A worker that fails leaves its blocks to the caller, which
-steps them again and so raises whatever one process would; the caller
-kills and reaps the worker before it returns or raises.  No option sets
-the process count: the command line's `simulation.workers` is still
-accepted and ignored.  The worker's calls, such as those to
-model.saturate, are made in its own process, so a tracer in the caller
-sees only the caller's blocks.
+The blocks are taken from one forked.Worker, whose work is the
+ensemble's trajectory-steps (_FORK_MIN_TRAJ_STEPS repays a fork); an
+ensemble that large is cut into an even number of blocks, so that a
+worker steps as many as the caller.  Whichever process steps a block
+steps it straight into rows 1.. of the fold buffer, one row per
+trajectory holding its q_k and then its final state; a block from the
+worker is copied there from the pipe.  The worker calls no BLAS routine,
+only elementwise ufuncs and its generator.  No option sets the process
+count: the command line's `simulation.workers` is still accepted and
+ignored.
 
 No block outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES +
 num_traj x n) doubles while one trajectory fits the budget.  Past
@@ -57,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .forked import Worker, may_fork
+from .forked import Worker
 from .model import FeedbackGain, SystemSpec, _check_gain, saturate
 from .sets import Ellipsoid
 
@@ -306,10 +302,10 @@ def simulate_ensemble(
 
     The quadratic form is measured against the shape of `ellipsoid`, or
     against the identity when none is given.  The trajectories are stepped
-    in blocks of at most _BLOCK_DOUBLES doubles, by this process alone or
-    beside the one worker forked.may_fork allows, and every trajectory's
-    arithmetic runs in a fixed order, so the statistics are bitwise
-    independent of the block size and of whether a worker forks.
+    in blocks of at most _BLOCK_DOUBLES doubles, taken from a forked.Worker,
+    and every trajectory's arithmetic runs in a fixed order, so the
+    statistics are bitwise independent of the block size and of whether a
+    worker forks.
 
     Every returned statistic is finite: q_k is summed under
     np.errstate(over="ignore", invalid="ignore"), and a mean or standard
@@ -328,53 +324,49 @@ def simulate_ensemble(
         raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
     n, steps, total = sys.n, cfg.horizon, cfg.num_traj
     blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, sys.m, steps)))
-    forks = may_fork(blocks, total * steps, _FORK_MIN_TRAJ_STEPS)
-    if forks:
+    if blocks > 1 and total * steps >= _FORK_MIN_TRAJ_STEPS:
         # An even number of equal blocks, so that neither process is left
         # stepping a longer share while the other waits.
         blocks += blocks % 2
     size = -(-total // blocks)
     step = _block_stepper(sys, gain, cfg, P, size)
     starts = range(0, total, size)
-    # A block from the worker is, per trajectory, its q_k row and then its final state.
-    width = steps + 1 + n
+    w = steps + 1
+    finals = np.empty((total, n))
+    # Rows 1.. hold a block, one trajectory per row: its q_k, then its
+    # final state.  Row 0 holds the running sum of q_k (q_k^2) over the
+    # earlier blocks, so one reduction down the rows adds the trajectories
+    # one at a time in index order, the order in which a mean over all the
+    # samples at once would add them.
+    sums = np.zeros((size + 1, w + n))
+    squares = np.zeros((size + 1, w))
+    inside = np.zeros(w, dtype=np.int64)
 
     def produce(b: int) -> list[np.ndarray]:
-        rows = np.empty((min(size, total - starts[b]), width))
-        step(starts[b], rows[:, : steps + 1], rows[:, steps + 1 :])
+        rows = sums[1 : min(size, total - starts[b]) + 1]
+        step(starts[b], rows[:, :w], rows[:, w:])
         return [rows]
 
-    finals = np.empty((total, n))
-    # Rows 1.. hold a block's q_k (q_k^2) and row 0 their running sum over
-    # the earlier blocks, so one reduction down the rows adds the
-    # trajectories one at a time in index order, the order in which a mean
-    # over all the samples at once would add them.
-    sums = np.zeros((size + 1, steps + 1))
-    squares = np.zeros((size + 1, steps + 1))
-    inside = np.zeros(steps + 1, dtype=np.int64)
+    worker = Worker(produce, len(starts), total * steps, _FORK_MIN_TRAJ_STEPS)
     # Overflow is caught once, in the statistics; the worker, forked in this
     # context, inherits it.
-    with np.errstate(over="ignore", invalid="ignore"), Worker(produce, len(starts)) as worker:
-        if forks:
-            worker.fork()
+    with np.errstate(over="ignore", invalid="ignore"), worker:
         for b, start in enumerate(starts):
             count = min(size, total - start)
-            q = sums[1 : count + 1]
-            block = worker.take(b)
-            if block is None:
-                step(start, q, finals[start : start + count])
-            else:
-                rows = np.frombuffer(block).reshape(count, width)
-                q[...], finals[start : start + count] = rows[:, : steps + 1], rows[:, steps + 1 :]
+            rows, q = sums[1 : count + 1], sums[1 : count + 1, :w]
+            # A block from the worker is copied into place; the caller's own
+            # is there already, and NumPy skips copying an array onto itself.
+            rows[...] = np.frombuffer(worker.take(b)[0]).reshape(rows.shape)
+            finals[start : start + count] = rows[:, w:]
             np.square(q, out=squares[1 : count + 1])
-            sums[0] = sums[: count + 1].sum(axis=0)
+            sums[0, :w] = sums[: count + 1, :w].sum(axis=0)
             squares[0] = squares[: count + 1].sum(axis=0)
             if ellipsoid is not None:
                 inside += np.count_nonzero(q <= ellipsoid.threshold, axis=0)
-        q_mean = sums[0] / total
-        q_stderr = np.zeros(steps + 1)
+        q_mean = sums[0, :w] / total
+        q_stderr = np.zeros(w)
         if total > 1:
-            spread = np.maximum(squares[0] - sums[0] * q_mean, 0.0)
+            spread = np.maximum(squares[0] - sums[0, :w] * q_mean, 0.0)
             q_stderr = np.sqrt(spread / (total - 1) / total)
     if not (np.isfinite(q_mean).all() and np.isfinite(q_stderr).all()):
         raise ValueError("the ensemble's q_k overflows: its mean or standard error is not finite")

@@ -69,6 +69,12 @@ def test_linear_region_nominal_budget_checked():
         sr.linear_region_scaling(np.eye(2), [[1.0, 0.0]], [1.0], [1.5])
     with pytest.raises(PreconditionError):
         sr.linear_region_scaling(np.eye(2), [[1.0, 0.0]], [1.0], [-0.1])
+    # A budget of another length than K's rows, or a K of another width than P.
+    for ubar, vbar in (([1.0, 1.0], [0.0]), ([1.0], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="length 1"):
+            sr.linear_region_scaling(np.eye(2), [[1.0, 0.0]], ubar, vbar)
+    with pytest.raises(ValueError, match="2 columns"):
+        sr.linear_region_scaling(np.eye(2), [[1.0, 0.0, 0.0]], [1.0], [0.0])
 
 
 def test_linear_region_shrinks_with_tighter_bounds(ref_gain, ref_shape):
@@ -94,6 +100,8 @@ def test_noise_energy_zero_and_identity(ref_shape):
     assert sr.noise_energy(ref_shape, np.zeros((2, 2))) == 0.0
     W = np.array([[2.0, 0.3], [0.3, 1.0]])
     assert sr.noise_energy(np.eye(2), W) == pytest.approx(np.trace(W), rel=1e-15)
+    with pytest.raises(ValueError, match="shape"):
+        sr.noise_energy(np.eye(2), np.eye(3))
 
 
 def test_noise_energy_clamped_at_zero():

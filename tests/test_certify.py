@@ -102,6 +102,9 @@ def test_min_rate_rejects_bad_shape(ref_sys, ref_gain):
         sr.min_contraction_rate([[1.0, 0.5], [0.0, 1.0]], verts)
     with pytest.raises(CertificateError):
         sr.min_contraction_rate([[1.0, 0.0], [0.0, -1.0]], verts)
+    # A P that is not square is refused before it is symmetrized.
+    with pytest.raises(CertificateError, match="square"):
+        ContractionCertificate(P=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], rate=0.9, rate_linear=0.5)
 
 
 @pytest.mark.parametrize(

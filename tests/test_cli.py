@@ -103,8 +103,9 @@ def test_certify_synthesizes_when_shape_missing(tmp_path):
 
 def test_config_errors_use_their_own_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["certify", "--config", str(bad)]) == EXIT_CONFIG
+    for text in ("{not json", "[]"):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["certify", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     cfg = base_config(tmp_path / "out")
     del cfg["system"]
@@ -1253,6 +1254,10 @@ def test_every_command_rejects_a_certificate_that_fails_verification(
         ("prs", "vbar", "[1" + "0" * 400 + "]"),
         ("prs", "vbar", "[12.0]"),
         ("prs", "vbar", "[-1.0]"),
+        ("prs", "vbar", "[0.0, 0.0]"),
+        ("prs", "epsilon", "[0.2]"),
+        ("rates", "P", "null"),
+        ("simulation", "v_policy", "null"),
         ("rates", "feas_tol", "true"),
         ("rates", "trace_scale", "true"),
         ("prs", "epsilon", "true"),
@@ -1292,8 +1297,9 @@ def test_malformed_configs_exit_before_synthesis(tmp_path, synthesis_calls, sect
     # 4 once the work had started, and a singular or barely indefinite P
     # was perturbed by 1e-12 I and exited 3.  A vbar outside [0, ubar]
     # exited 4 only after the certificate was resolved.  trace_scale is no
-    # longer a key.  A null simulation or sweep section loaded as if it
-    # were absent; a null section is now an error, as prs's always was.
+    # longer a key.  A null simulation or sweep section, P or v_policy
+    # loaded as if it were absent; each is now an error, as a null prs
+    # section always was.
     cfg = synthesized_config(tmp_path / "out")
     if key is None:
         cfg[section] = "<literal>"

@@ -11,6 +11,21 @@ block's bytes, which the caller reads whole into one reused buffer.
 Every other block, and every block once the worker has stopped, the
 caller produces itself, so an error surfaces as it would in one process.
 
+The worker runs on another CPU than the caller.  Just before the fork
+the caller reads the CPU it runs on (/proc/self/stat; Python 3.11 has no
+os.sched_getcpu), and right after it sets the worker's affinity mask to
+its own without that CPU.  Left alone, Linux 6.18 with autogrouping puts
+a forked child on its parent's CPU and keeps it there while both are
+busy: 60 of 60 probed children, each spinning 10 ms beside its spinning
+parent on a 2-CPU VM, never left the parent's CPU, so the two processes
+time-shared one core (BENCH_worker_placement.json).  The caller moves
+the worker rather than the worker itself, as a worker on the caller's
+CPU first runs only once the caller yields it, which cost each fork 1-2
+ms more.  Where /proc cannot be read, no other CPU is in the mask or
+the kernel refuses the mask, the worker runs where the kernel put it.
+The caller's own mask is never changed, and only the CPU that produces
+a block changes, never its bytes.
+
 Native threads, such as the pool OpenBLAS starts when NumPy loads, do not
 stop the fork: OpenBLAS shuts its pool down across a fork, and neither
 consumer's worker calls a BLAS routine.  Python 3.12 and later warn of
@@ -44,11 +59,23 @@ def may_fork(blocks: int, work: int, minimum: int) -> bool:
     It does on Linux, when no other Python thread is alive to be cut off
     by a fork, there are two blocks or more, the job's `work` is at least
     the `minimum` that repays a fork, and this process may run on a
-    second CPU.
+    second CPU.  The worker then runs on this affinity mask without the
+    caller's CPU, where the kernel would otherwise leave it time-sharing
+    the caller's CPU.
     """
     if platform != "linux" or threading.active_count() > 1:
         return False
     return blocks >= 2 and work >= minimum and len(os.sched_getaffinity(0)) >= 2
+
+
+def _cpu() -> int | None:
+    """The CPU this process last ran on, field 39 (`processor`) of
+    /proc/self/stat, or None where /proc cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rpartition(b")")[2].split()[36])
+    except OSError:
+        return None
 
 
 class Worker:
@@ -92,6 +119,7 @@ class Worker:
             self.fds += os.pipe()
             with contextlib.suppress(OSError):
                 fcntl.fcntl(self.fds[1], fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            here = _cpu()
             self.pid = os.fork()
         except OSError:
             self.__exit__()
@@ -102,6 +130,11 @@ class Worker:
                 self._serve(self.fds[1])
             finally:
                 os._exit(0)
+        # Off the caller's CPU, before the worker first runs.
+        with contextlib.suppress(OSError):
+            others = os.sched_getaffinity(0) - {here}
+            if here is not None and others:
+                os.sched_setaffinity(self.pid, others)
         os.close(self.fds.pop())
         self.pipe = open(self.fds[0], "rb", closefd=False)
 

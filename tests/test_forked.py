@@ -64,3 +64,53 @@ def test_a_worker_may_fork_refuses_forks_nothing(monkeypatch, blocks, work, cpus
     assert not worker.forks
     assert forks == []
     assert taken == [(os.getpid(), b) for b in range(blocks)]
+
+
+def test_cpu_reads_the_cpu_this_process_runs_on():
+    mask = os.sched_getaffinity(0)
+    try:
+        for cpu in sorted(mask):
+            os.sched_setaffinity(0, {cpu})
+            assert sr.forked._cpu() == cpu
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs in the affinity mask")
+def test_the_worker_leaves_the_cpu_the_caller_ran_on_at_the_fork(monkeypatch):
+    caller_mask, real_cpu, at_fork = os.sched_getaffinity(0), sr.forked._cpu, []
+    monkeypatch.setattr(sr.forked, "_cpu", lambda: at_fork.append(real_cpu()) or at_fork[-1])
+
+    def mask(b):
+        # Block b is the affinity mask of the process that produced it.
+        return [",".join(map(str, sorted(os.sched_getaffinity(0)))).encode()]
+
+    with sr.forked.Worker(mask, 2, 1, 1) as worker:
+        masks = [set(map(int, bytes(worker.take(b)[0]).split(b","))) for b in range(2)]
+    assert worker.pid and len(at_fork) == 1 and at_fork[0] in caller_mask
+    assert masks == [caller_mask, caller_mask - set(at_fork)]
+    assert os.sched_getaffinity(0) == caller_mask
+    assert_no_child_left()
+
+
+def test_a_refused_affinity_leaves_the_worker_where_it_was_put(two_cpus, monkeypatch):
+    refused = []
+
+    def refusing(pid, mask):
+        refused.append(pid)
+        raise OSError(22, "Invalid argument")
+
+    def payload(b):
+        return (b * 7919).to_bytes(4, "little") * 1000
+
+    def named(b):
+        # Block b names the process that produced it, then its payload.
+        return [f"{os.getpid()}:".encode(), payload(b)]
+
+    monkeypatch.setattr(sr.forked.os, "sched_setaffinity", refusing)
+    with sr.forked.Worker(named, 7, 1, 1) as worker:
+        taken = [bytes(b"".join(worker.take(b))).split(b":", 1) for b in range(7)]
+    assert refused == [worker.pid]
+    assert [int(pid) for pid, _ in taken] == [worker.pid if b % 2 else os.getpid() for b in range(7)]
+    assert [block for _, block in taken] == [payload(b) for b in range(7)]
+    assert_no_child_left()

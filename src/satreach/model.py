@@ -17,6 +17,7 @@ as one product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,15 @@ def _symmetrized(M, name: str) -> np.ndarray:
 
 
 def _saturation_bounds(ubar) -> np.ndarray:
-    """ubar as a finite vector of strictly positive saturation magnitudes."""
+    """ubar as a finite vector of strictly positive saturation magnitudes.
+
+    One pass over its entries accepts a valid ubar, as every step of an
+    ensemble passes one: NaN, +-inf and values <= 0 all fail 0 < x < inf.
+    Anything else is checked again, one rule at a time, for its message.
+    """
+    arr = np.asarray(ubar, dtype=float)
+    if arr.ndim == 1 and all(0.0 < x < math.inf for x in arr.tolist()):
+        return arr
     ubar = _as_float_array(ubar, "ubar", 1)
     if (ubar <= 0.0).any():
         raise ValueError("saturation magnitudes must be strictly positive")

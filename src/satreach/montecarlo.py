@@ -25,18 +25,25 @@ the ensemble runs, in the caller and in the worker alike.  Every matrix
 product adds its terms in a fixed order, and the per-step sums behind the
 statistics take each block's trajectories in index order, so results are
 bitwise reproducible no matter how the trajectory set is split into
-blocks or which process steps a block.
+blocks or which process steps a block.  A product's terms are formed as
+one copy of the factor's rows into the term array and one multiply by the
+matrix's columns, repeated across the block once per block: each term is
+the one IEEE product of the same two doubles, and both operands of the
+multiply are contiguous.  A noise factor that is diagonal with no zero on
+its diagonal, as W = I gives, shapes each draw by its diagonal entry
+alone, once per block; the terms it drops are +-0 and leave every sum's
+bits alone.
 
 The blocks are taken from one forked.Worker, whose work is the
-ensemble's trajectory-steps (_FORK_MIN_TRAJ_STEPS repays a fork); an
-ensemble that large is cut into an even number of blocks, so that a
-worker steps as many as the caller.  Whichever process steps a block
-steps it straight into rows 1.. of the fold buffer, one row per
-trajectory holding its q_k and then its final state; a block from the
-worker is copied there from the pipe.  The worker calls no BLAS routine,
-only elementwise ufuncs and its generator.  No option sets the process
-count: the command line's `simulation.workers` is still accepted and
-ignored.
+ensemble's trajectory-steps weighted by the terms of one step
+(_FORK_MIN_WORK repays a fork); an ensemble that large is cut into an
+even number of blocks, so that a worker steps as many as the caller.
+Whichever process steps a block steps it straight into rows 1.. of the
+fold buffer, one row per trajectory holding its q_k and then its final
+state; a block from the worker is copied there from the pipe.  The
+worker calls no BLAS routine, only elementwise ufuncs and its generator.
+No option sets the process count: the command line's `simulation.workers`
+is still accepted and ignored.
 
 No block outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES +
 num_traj x n) doubles while one trajectory fits the budget.  Past
@@ -47,7 +54,6 @@ rows each of the per-step sums of q_k and q_k^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,24 +68,44 @@ NOISE_KINDS = ("gaussian", "uniform", "rademacher_scaled")
 _UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
 
 
+def _term_doubles(n: int, m: int) -> int:
+    """Doubles of the term array per trajectory: the stacked [A; K; P]
+    product's n (2n + m) terms, or its summed first row and, after it, the
+    largest of the B, noise and q term arrays that reuse the rest."""
+    r = 2 * n + m
+    return max(n * r, r + n * max(n, m))
+
+
 def _doubles_per_trajectory(n: int, m: int, horizon: int) -> int:
     """Doubles a block holds per trajectory: its draws, its q_k and q_k^2
-    rows, and its column of the step's state and term arrays."""
-    return horizon * n + 2 * (horizon + 1) + n * (3 * n + 2 * m + 2)
+    rows, its column of the state and of the term array, and its column of
+    each product's matrix, [A; K; P], B and the noise factor, repeated
+    across the block.  The noise factor's is counted also where a diagonal
+    factor needs none, so a block's width depends on n, m and the horizon
+    alone."""
+    return horizon * n + 2 * (horizon + 1) + n + _term_doubles(n, m) + n * (2 * n + m) + m * n + n * n
 
 
-# Doubles a block of trajectories may hold, 1.9 MiB: a block of 256 for
+# Doubles a block of trajectories may hold, 2.0 MiB: a block of 256 for
 # 100 steps of n = 6, m = 3.  Stepping all 1000 trajectories of the
 # mc-demo benchmark as one block was faster but raised its peak resident
 # memory by 5 %.
 _BLOCK_DOUBLES = 256 * _doubles_per_trajectory(6, 3, 100)
 
-# Trajectory-steps below which an ensemble is stepped in one process.
-# Forking and reaping a worker costs ~1.8 ms on a 2-CPU Xeon VM, where
-# demo ensembles split into two equal blocks stepped as fast forked as in
-# one process at ~11 000 (horizon 5), ~18 000 (horizon 100) and ~28 000
-# (horizon 20) trajectory-steps.
-_FORK_MIN_TRAJ_STEPS = 30_000
+# A trajectory-step's work, in terms of the stacked product: its products
+# form n (2n + m) terms, and its n draws and its share of each step's
+# fixed cost weigh about as much as 40 more.
+_STEP_OVERHEAD_TERMS = 40
+
+# Work below which an ensemble is stepped in one process.  A Worker round
+# trip with trivial blocks takes ~2.1 ms on a 2-CPU Xeon VM, and with the
+# copy-on-write faults and the pipe a fork cost ~5 ms more than one
+# process there: two blocks stepped as fast forked as in one process at
+# ~70 000 trajectory-steps of an n = 2, m = 1 plant, ~55 000 of n = 4,
+# m = 2 and ~30 000 of n = 6, m = 3, each ~4e6 of this work
+# (BENCH_ensemble_products.json).  Counted in trajectory-steps alone,
+# those break-evens differ by more than 2x.
+_FORK_MIN_WORK = 4_000_000
 
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
@@ -153,9 +179,13 @@ def _draw_block(kind: str, seed: int, start: int, rng: np.random.Generator, bloc
     uniform draw is rng.uniform(-sqrt(3), sqrt(3)), computed as NumPy
     computes it, low + (high - low) * rng.random().
     """
-    bitgen = rng.bit_generator
+    # The Philox state setter copies what it reads, so one state dict,
+    # re-keyed in place, serves every trajectory.
+    bitgen, state = rng.bit_generator, _keyed_state([seed, start])
+    key = state["state"]["key"]
     for t, draws in enumerate(block):
-        bitgen.state = _keyed_state([seed, start + t])
+        key[1] = start + t
+        bitgen.state = state
         if kind == "gaussian":
             rng.standard_normal(out=draws)
         elif kind == "uniform":
@@ -227,6 +257,18 @@ def _term_sum(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _diagonal(F: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a noise factor F that is diagonal with no zero on
+    its diagonal, else None.
+
+    Row i of F w is then F[i, i] w_i plus terms that are +-0, which cannot
+    change a nonzero sum: the product is that one term, bit for bit, unless
+    a draw is exactly -0.0, which no noise kind draws.
+    """
+    diagonal = np.diagonal(F)
+    return diagonal.copy() if diagonal.all() and np.array_equal(F, np.diag(diagonal)) else None
+
+
 def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P: np.ndarray, size: int):
     """The function that steps one block of at most `size` trajectories.
 
@@ -241,20 +283,30 @@ def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P
     """
     n, m, steps = sys.n, sys.m, cfg.horizon
     inputs = _nominal_inputs(cfg.v_policy, steps, sys.ubar)[:, :, None]
+    F = _noise_factor(sys.W)
+    diagonal = _diagonal(F)
     # One product with the stacked [A; K; P] gives A e, K e and P e of the
     # same state, each summed in the order of its own product.
-    Mc, Bc, Fc = (
-        _columns(M) for M in (np.vstack([sys.A, gain.K, P]), sys.B, _noise_factor(sys.W))
-    )
+    r = 2 * n + m
+    columns = [_columns(np.vstack([sys.A, gain.K, P])), _columns(sys.B)]
+    if diagonal is None:
+        columns.append(_columns(F))
     # The state is held transposed, one row per component and one column per
     # trajectory, so every product runs on contiguous rows.  The draws are
     # held one (horizon, n) row per trajectory, as the generator writes them.
     draws = np.empty((size, steps, n))
-    shapes = ((n,), (n, 2 * n + m), (m, n), (n, n), (n,))
     # A narrower block takes the head of each buffer, so its arrays are as
     # contiguous as a full block's; column slices of full-width arrays made
-    # a 232-trajectory block of n = 6 step 1.5x slower than a 256 one.
-    buffers = [np.empty(math.prod(shape) * size) for shape in shapes]
+    # a 232-trajectory block of n = 6 step 1.5x slower than a 256 one.  The
+    # term buffer holds the stacked product's terms; once they are summed
+    # into its first row, the B, noise and q terms reuse the rows after it.
+    e_buffer = np.empty(n * size)
+    t_buffer = np.empty(_term_doubles(n, m) * size)
+    # Each product's matrix, its columns repeated across the block, so that
+    # a product's terms are one copy of the factor's rows and one multiply
+    # of two contiguous arrays: NumPy's broadcast loop over a stride-0
+    # column took twice as long.
+    full_buffers = [np.empty(M.size * size) for M in columns]
     # One generator is re-keyed to each trajectory's stream in turn.
     rng = np.random.Generator(np.random.Philox(key=0))
 
@@ -262,19 +314,31 @@ def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P
         count = len(q)
         block = draws[:count]
         _draw_block(cfg.noise_kind, cfg.seed, start, rng, block)
-        e, m_terms, b_terms, f_terms, q_terms = (
-            buffer[: math.prod(shape) * count].reshape(shape + (count,))
-            for buffer, shape in zip(buffers, shapes)
-        )
+        if diagonal is not None:
+            # F[i, i] w_i, the one term of row i of a diagonal factor's F w.
+            block *= diagonal
+        e = e_buffer[: n * count].reshape(n, count)
+        terms = t_buffer[: len(t_buffer) // size * count]
+        m_terms = terms[: n * r * count].reshape(n, r, count)
+        rest = terms[r * count :]
+        b_terms, f_terms = (rest[: k * n * count].reshape(k, n, count) for k in (m, n))
+        q_terms = rest[: n * count].reshape(n, count)
+        Mf, Bf, *Ff = fulls = [
+            buffer[: M.size * count].reshape(M.shape[:2] + (count,))
+            for buffer, M in zip(full_buffers, columns)
+        ]
+        for full, M in zip(fulls, columns):
+            np.copyto(full, M)
         e.fill(0.0)
         m_list, b_list, f_list, q_list = (list(a) for a in (m_terms, b_terms, f_terms, q_terms))
         Ae, u, Pe = m_terms[0, :n], m_terms[0, n : n + m], m_terms[0, n + m :]
         e_rows, u_rows = e[:, None, :], u[:, None, :]
-        noise = block.transpose(1, 2, 0)[:, :, None, :]
+        noise = block.transpose(1, 2, 0)
         q_steps = q.T
         # Pass k takes q_k from e_k and, before the horizon, steps to e_k+1.
         for k in range(steps + 1):
-            np.multiply(Mc, e_rows, out=m_terms)
+            np.copyto(m_terms, e_rows)
+            np.multiply(m_terms, Mf, out=m_terms)
             _term_sum(m_list)
             np.multiply(Pe, e, out=q_terms)
             q_steps[k] = _term_sum(q_list)
@@ -283,9 +347,14 @@ def _block_stepper(sys: SystemSpec, gain: FeedbackGain, cfg: SimulationConfig, P
             v = inputs[k]
             u += v
             np.subtract(saturate(u.T, sys.ubar).T, v, out=u)
-            np.multiply(Bc, u_rows, out=b_terms)
+            np.copyto(b_terms, u_rows)
+            np.multiply(b_terms, Bf, out=b_terms)
             np.add(Ae, _term_sum(b_list), out=e)
-            np.multiply(Fc, noise[k], out=f_terms)
+            if diagonal is not None:
+                e += noise[k]
+                continue
+            np.copyto(f_terms, noise[k][:, None, :])
+            np.multiply(f_terms, Ff[0], out=f_terms)
             e += _term_sum(f_list)
         finals[...] = e.T
 
@@ -322,9 +391,10 @@ def simulate_ensemble(
     P = np.eye(sys.n) if ellipsoid is None else ellipsoid.P
     if P.shape != (sys.n, sys.n):
         raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
-    n, steps, total = sys.n, cfg.horizon, cfg.num_traj
-    blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, sys.m, steps)))
-    if blocks > 1 and total * steps >= _FORK_MIN_TRAJ_STEPS:
+    n, m, steps, total = sys.n, sys.m, cfg.horizon, cfg.num_traj
+    blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, m, steps)))
+    work = total * steps * (n * (2 * n + m) + _STEP_OVERHEAD_TERMS)
+    if blocks > 1 and work >= _FORK_MIN_WORK:
         # An even number of equal blocks, so that neither process is left
         # stepping a longer share while the other waits.
         blocks += blocks % 2
@@ -347,7 +417,7 @@ def simulate_ensemble(
         step(starts[b], rows[:, :w], rows[:, w:])
         return [rows]
 
-    worker = Worker(produce, len(starts), total * steps, _FORK_MIN_TRAJ_STEPS)
+    worker = Worker(produce, len(starts), work, _FORK_MIN_WORK)
     # Overflow is caught once, in the statistics; the worker, forked in this
     # context, inherits it.
     with np.errstate(over="ignore", invalid="ignore"), worker:

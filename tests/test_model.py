@@ -1,5 +1,7 @@
 """Plant validation, saturation, step maps, and the vertex enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import error_step, hull_membership_check
@@ -35,6 +37,40 @@ def test_saturate_rejects_bad_inputs():
         sr.saturate([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         sr.saturate([1.0], [0.0])
+
+
+# Each malformed ubar and the message it is refused with, by saturate and
+# by SystemSpec alike; a valid ubar is accepted in one pass over its
+# entries, and anything else is checked again for its message.
+BAD_UBAR = [
+    ([1.0, np.nan], "ubar must be finite"),
+    ([1.0, np.inf], "ubar must be finite"),
+    ([-np.inf, 1.0], "ubar must be finite"),
+    ([1.0, 0.0], "saturation magnitudes must be strictly positive"),
+    ([-1.0, 1.0], "saturation magnitudes must be strictly positive"),
+    ([[1.0, 1.0]], re.escape("ubar must be 1-dimensional, got shape (1, 2)")),
+]
+
+
+@pytest.mark.parametrize("ubar, message", BAD_UBAR)
+def test_a_malformed_ubar_is_refused_with_its_message(ubar, message):
+    with pytest.raises(ValueError, match=message):
+        sr.saturate([0.5, 0.5], ubar)
+    with pytest.raises(ValueError, match=message):
+        SystemSpec(A=0.5 * np.eye(2), B=np.eye(2), W=np.eye(2), ubar=ubar)
+
+
+def test_a_ubar_of_the_wrong_length_is_refused_with_its_message():
+    with pytest.raises(ValueError, match=re.escape("u must end in a dimension of 3, got shape (2,)")):
+        sr.saturate([0.5, 0.5], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape("ubar must have length 2, got 3")):
+        SystemSpec(A=0.5 * np.eye(2), B=np.eye(2), W=np.eye(2), ubar=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_saturate_refuses_a_non_finite_input(bad):
+    with pytest.raises(ValueError, match="u must be finite"):
+        sr.saturate(np.array([[0.5, bad], [0.5, 0.5]]).T, [1.0, 1.0])
 
 
 def test_saturate_stack_matches_per_row_calls():

@@ -10,9 +10,11 @@ bisect_tol, probes that return only strictly
 certifying shapes, slacks that move affinely along a Newton step, a
 constant-size verification record equal to a per-vertex loop's, an
 expectation bound sequence equal to its formula bit for bit,
-block-size and process-count invariance of the ensemble, and ensembles
-that respect the probabilistic ultimate bound and the expectation bound of
-the pipeline's own certificate."""
+block-size and process-count invariance of the ensemble, an ensemble
+equal bit for bit to a reference that forms every product by broadcasting
+and the noise as the full F w, and ensembles that respect the
+probabilistic ultimate bound and the expectation bound of the pipeline's
+own certificate."""
 
 import math
 from fractions import Fraction
@@ -34,6 +36,7 @@ from satreach.bounds import (
     noise_energy,
     select_rate,
 )
+from satreach.montecarlo import _noise_factor, _term_sum
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(1, 4)
@@ -414,7 +417,7 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
     reference = sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid)
     runs = []
     with (
-        mock.patch.object(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0),
+        mock.patch.object(sr.montecarlo, "_FORK_MIN_WORK", 0),
         mock.patch.object(sr.forked.os, "sched_getaffinity", lambda pid: set(range(workers))),
     ):
         for size in (1, block, num_traj):
@@ -424,6 +427,122 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
         for name in ("q_mean", "q_stderr", "final_states", "containment"):
             ours, theirs = getattr(stats, name), getattr(reference, name)
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name
+
+
+def _reference_ensemble(sys_r, gain, cfg, ellipsoid):
+    """The ensemble as one block, each product's terms formed by a broadcast
+    multiply of the matrix's columns and summed by _term_sum, the noise as
+    the full F w product, and the draws taken from the public samplers."""
+    n, m, steps, total = sys_r.n, sys_r.m, cfg.horizon, cfg.num_traj
+    columns = sr.montecarlo._columns
+    Mc, Bc, Fc = (
+        columns(M) for M in (np.vstack([sys_r.A, gain.K, ellipsoid.P]), sys_r.B, _noise_factor(sys_r.W))
+    )
+    draws = np.empty((total, steps, n))
+    for i in range(total):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
+        draws[i] = {
+            "gaussian": lambda: rng.standard_normal((steps, n)),
+            "uniform": lambda: rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (steps, n)),
+            "rademacher_scaled": lambda: rng.integers(0, 2, (steps, n)) * 2.0 - 1.0,
+        }[cfg.noise_kind]()
+    noise = draws.transpose(1, 2, 0)[:, :, None, :]
+    policy = np.zeros(m) if cfg.v_policy is None else cfg.v_policy
+    inputs = np.broadcast_to(policy, (steps, m))[:, :, None]
+    ubar = sys_r.ubar[:, None]
+    e, q = np.zeros((n, total)), np.empty((steps + 1, total))
+    for k in range(steps + 1):
+        stacked = _term_sum(list(Mc * e[:, None, :]))
+        Ae, u, Pe = stacked[:n], stacked[n : n + m], stacked[n + m :]
+        q[k] = _term_sum(list(Pe * e))
+        if k == steps:
+            break
+        v = inputs[k]
+        phi = np.minimum(np.maximum(u + v, -ubar), ubar) - v
+        e = Ae + _term_sum(list(Bc * phi[:, None, :]))
+        e = e + _term_sum(list(Fc * noise[k]))
+    # The trajectories are summed one at a time in index order.
+    sums, squares = np.zeros(steps + 1), np.zeros(steps + 1)
+    for row in q.T:
+        sums, squares = sums + row, squares + row * row
+    q_mean = sums / total
+    spread = np.maximum(squares - sums * q_mean, 0.0)
+    q_stderr = np.sqrt(spread / (total - 1) / total) if total > 1 else np.zeros(steps + 1)
+    containment = np.count_nonzero(q <= ellipsoid.threshold, axis=1) / total
+    return {"q_mean": q_mean, "q_stderr": q_stderr, "final_states": e.T, "containment": containment}
+
+
+def _covariance(kind: str, n: int, rng) -> np.ndarray:
+    """A noise covariance of the named kind: the identity, a diagonal, a
+    diagonal with one zero variance, a dense or a singular matrix."""
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.1, 2.0, n))
+    if kind == "zero variance":
+        variances = rng.uniform(0.1, 2.0, n)
+        variances[rng.integers(n)] = 0.0
+        return np.diag(variances)
+    F = rng.normal(size=(n, n))
+    if kind == "singular":
+        F[:, rng.integers(n)] = 0.0
+    return F @ F.T
+
+
+# The kernel forms each product as a copy of the factor's rows and one
+# contiguous multiply, and shapes the noise by a nonzero diagonal factor's
+# diagonal alone; the reference does neither.  `workers` is the CPU count
+# the kernel sees, with forking forced at any size, and `block` a block
+# size that leaves a narrower last block whenever it does not divide
+# num_traj.
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 3),
+    plant_seed=SEEDS,
+    seed=STREAM_SEEDS,
+    covariance=st.sampled_from(["identity", "diagonal", "zero variance", "dense", "singular"]),
+    kind=st.sampled_from(sr.montecarlo.NOISE_KINDS),
+    policy=st.sampled_from(["zero", "constant", "per-step"]),
+    horizon=st.integers(1, 8),
+    num_traj=st.integers(1, 12),
+    block=st.integers(1, 12),
+    workers=st.sampled_from([1, 2]),
+)
+@example(
+    n=6, m=3, plant_seed=0, seed=5, covariance="identity", kind="uniform", policy="constant",
+    horizon=8, num_traj=11, block=4, workers=2,
+)
+@example(
+    n=3, m=2, plant_seed=0, seed=5, covariance="zero variance", kind="gaussian", policy="per-step",
+    horizon=8, num_traj=11, block=4, workers=2,
+)
+def test_the_ensemble_equals_a_reference_of_broadcast_products(
+    n, m, plant_seed, seed, covariance, kind, policy, horizon, num_traj, block, workers
+):
+    sys_r, gain, rng = _random_plant(n, m, plant_seed)
+    sys_r = SystemSpec(A=sys_r.A, B=sys_r.B, W=_covariance(covariance, n, rng), ubar=sys_r.ubar)
+    F = _noise_factor(sys_r.W)
+    # Only a diagonal factor with no zero on its diagonal is shaped alone.
+    diagonal = covariance in ("identity", "diagonal") or (covariance == "dense" and n == 1)
+    assert (sr.montecarlo._diagonal(F) is not None) == diagonal
+    v_policy = {
+        "zero": None,
+        "constant": rng.uniform(-1.0, 1.0, m) * sys_r.ubar,
+        "per-step": rng.uniform(-1.0, 1.0, (horizon, m)) * sys_r.ubar,
+    }[policy]
+    cfg = SimulationConfig(horizon=horizon, num_traj=num_traj, seed=seed, noise_kind=kind, v_policy=v_policy)
+    shape = rng.normal(size=(n, n))
+    ellipsoid = Ellipsoid(P=shape @ shape.T + np.eye(n), r=float(n))
+    per_trajectory = sr.montecarlo._doubles_per_trajectory(n, m, horizon)
+    with (
+        mock.patch.object(sr.montecarlo, "_FORK_MIN_WORK", 0),
+        mock.patch.object(sr.forked.os, "sched_getaffinity", lambda pid: set(range(workers))),
+        mock.patch.object(sr.montecarlo, "_BLOCK_DOUBLES", block * per_trajectory),
+    ):
+        stats = sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid)
+    for name, theirs in _reference_ensemble(sys_r, gain, cfg, ellipsoid).items():
+        ours = getattr(stats, name)
+        assert ours.shape == theirs.shape and np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), name
 
 
 @settings(max_examples=25)

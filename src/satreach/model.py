@@ -60,17 +60,18 @@ def _symmetrized(M, name: str) -> np.ndarray:
 def _saturation_bounds(ubar) -> np.ndarray:
     """ubar as a finite vector of strictly positive saturation magnitudes.
 
-    One pass over its entries accepts a valid ubar, as every step of an
-    ensemble passes one: NaN, +-inf and values <= 0 all fail 0 < x < inf.
-    Anything else is checked again, one rule at a time, for its message.
+    Checked in one pass over its entries, as every step of an ensemble
+    passes one: NaN, +-inf and values <= 0 all fail 0 < x < inf.
     """
     arr = np.asarray(ubar, dtype=float)
-    if arr.ndim == 1 and all(0.0 < x < math.inf for x in arr.tolist()):
-        return arr
-    ubar = _as_float_array(ubar, "ubar", 1)
-    if (ubar <= 0.0).any():
-        raise ValueError("saturation magnitudes must be strictly positive")
-    return ubar
+    if arr.ndim != 1:
+        raise ValueError(f"ubar must be 1-dimensional, got shape {arr.shape}")
+    values = arr.tolist()
+    if not all(0.0 < x < math.inf for x in values):
+        if all(math.isfinite(x) for x in values):
+            raise ValueError("saturation magnitudes must be strictly positive")
+        raise ValueError("ubar must be finite")
+    return arr
 
 
 @dataclass(frozen=True)

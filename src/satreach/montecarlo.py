@@ -31,19 +31,20 @@ matrix's columns, repeated across the block once per block: each term is
 the one IEEE product of the same two doubles, and both operands of the
 multiply are contiguous.  A noise factor that is diagonal with no zero on
 its diagonal, as W = I gives, shapes each draw by its diagonal entry
-alone, once per block; the terms it drops are +-0 and leave every sum's
-bits alone.
+alone, once per block; the terms it drops are +-0 and cannot change a
+nonzero sum, so the bits can differ only where the kept term and the
+state it is added to are both exactly -0.0 (see _diagonal).
 
 The blocks are taken from one forked.Worker, whose work is the
-ensemble's trajectory-steps weighted by the terms of one step
-(_FORK_MIN_WORK repays a fork); an ensemble that large is cut into an
-even number of blocks, so that a worker steps as many as the caller.
-Whichever process steps a block steps it straight into rows 1.. of the
-fold buffer, one row per trajectory holding its q_k and then its final
-state; a block from the worker is copied there from the pipe.  The
-worker calls no BLAS routine, only elementwise ufuncs and its generator.
-No option sets the process count: the command line's `simulation.workers`
-is still accepted and ignored.
+ensemble's trajectory-steps (_FORK_MIN_TRAJ_STEPS repays a fork); an
+ensemble that large is cut into an even number of blocks, so that a
+worker steps as many as the caller.  Whichever process steps a block
+steps it straight into rows 1.. of the fold buffer, one row per
+trajectory holding its q_k and then its final state; a block from the
+worker is copied there from the pipe.  The worker calls no BLAS routine,
+only elementwise ufuncs and its generator.  No option sets the process
+count: the command line's `simulation.workers` is still accepted and
+ignored.
 
 No block outlives its step loop: the ensemble holds O(_BLOCK_DOUBLES +
 num_traj x n) doubles while one trajectory fits the budget.  Past
@@ -92,20 +93,14 @@ def _doubles_per_trajectory(n: int, m: int, horizon: int) -> int:
 # memory by 5 %.
 _BLOCK_DOUBLES = 256 * _doubles_per_trajectory(6, 3, 100)
 
-# A trajectory-step's work, in terms of the stacked product: its products
-# form n (2n + m) terms, and its n draws and its share of each step's
-# fixed cost weigh about as much as 40 more.
-_STEP_OVERHEAD_TERMS = 40
-
-# Work below which an ensemble is stepped in one process.  A Worker round
-# trip with trivial blocks takes ~2.1 ms on a 2-CPU Xeon VM, and with the
-# copy-on-write faults and the pipe a fork cost ~5 ms more than one
-# process there: two blocks stepped as fast forked as in one process at
-# ~70 000 trajectory-steps of an n = 2, m = 1 plant, ~55 000 of n = 4,
-# m = 2 and ~30 000 of n = 6, m = 3, each ~4e6 of this work
-# (BENCH_ensemble_products.json).  Counted in trajectory-steps alone,
-# those break-evens differ by more than 2x.
-_FORK_MIN_WORK = 4_000_000
+# Trajectory-steps below which an ensemble is stepped in one process.
+# A Worker round trip with trivial blocks takes ~2.1 ms on a 2-CPU Xeon
+# VM, where two blocks stepped as fast forked as in one process at
+# ~65 000 trajectory-steps of an n = 2, m = 1 plant (horizon 100), under
+# ~26 000 of n = 6, m = 3 (horizon 100) and ~32 000 of n = 6, m = 3
+# (horizon 20); an n = 4, m = 2 plant of horizon 20 was still slower
+# forked at 50 000 (BENCH_ensemble_products.json).
+_FORK_MIN_TRAJ_STEPS = 30_000
 
 # Two-sided 95 % standard normal quantile of the Wilson score interval.
 _WILSON_Z = 1.96
@@ -262,8 +257,12 @@ def _diagonal(F: np.ndarray) -> np.ndarray | None:
     its diagonal, else None.
 
     Row i of F w is then F[i, i] w_i plus terms that are +-0, which cannot
-    change a nonzero sum: the product is that one term, bit for bit, unless
-    a draw is exactly -0.0, which no noise kind draws.
+    change a nonzero sum or a +0.0: the product is that one term, bit for
+    bit, unless the term is -0.0, where the full sum may be +0.0.  Adding
+    it to e then differs only where that step's e is itself exactly -0.0
+    on the same row.  A gaussian draw can be -0.0 (NumPy's ziggurat
+    negates a zero, about once in 2**53 draws), as can a term that
+    underflows; uniform and Rademacher draws never are.
     """
     diagonal = np.diagonal(F)
     return diagonal.copy() if diagonal.all() and np.array_equal(F, np.diag(diagonal)) else None
@@ -393,8 +392,7 @@ def simulate_ensemble(
         raise ValueError(f"ellipsoid must be {sys.n}-dimensional, got {len(P)}")
     n, m, steps, total = sys.n, sys.m, cfg.horizon, cfg.num_traj
     blocks = -(-total // max(1, _BLOCK_DOUBLES // _doubles_per_trajectory(n, m, steps)))
-    work = total * steps * (n * (2 * n + m) + _STEP_OVERHEAD_TERMS)
-    if blocks > 1 and work >= _FORK_MIN_WORK:
+    if blocks > 1 and total * steps >= _FORK_MIN_TRAJ_STEPS:
         # An even number of equal blocks, so that neither process is left
         # stepping a longer share while the other waits.
         blocks += blocks % 2
@@ -417,7 +415,7 @@ def simulate_ensemble(
         step(starts[b], rows[:, :w], rows[:, w:])
         return [rows]
 
-    worker = Worker(produce, len(starts), work, _FORK_MIN_WORK)
+    worker = Worker(produce, len(starts), total * steps, _FORK_MIN_TRAJ_STEPS)
     # Overflow is caught once, in the statistics; the worker, forked in this
     # context, inherits it.
     with np.errstate(over="ignore", invalid="ignore"), worker:

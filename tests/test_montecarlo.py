@@ -429,56 +429,32 @@ def test_ensemble_bitwise_invariant_to_block_size_when_saturated(monkeypatch):
 
 def _force_processes(monkeypatch, cpus):
     # Forks at any ensemble size, as if `cpus` CPUs were free.
-    monkeypatch.setattr(sr.montecarlo, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0)
     monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-# Platform, Python threads, blocks, work and CPUs, and whether one worker
-# forks; the threshold is the shipped _FORK_MIN_WORK.
+# Platform, Python threads, blocks, trajectory-steps and CPUs, and whether
+# one worker forks; the threshold is the shipped _FORK_MIN_TRAJ_STEPS.
 FORK_TABLE = [
-    ("linux", 1, 2, 4_000_000, 2, True),
-    ("linux", 1, 3, 10**8, 64, True),
-    ("linux", 1, 64, 10**8, 3, True),
-    ("linux", 1, 1, 10**8, 64, False),
-    ("linux", 1, 2, 3_999_999, 2, False),
-    ("linux", 2, 2, 10**8, 2, False),
-    ("linux", 1, 2, 10**8, 1, False),
-    ("darwin", 1, 2, 10**8, 2, False),
+    ("linux", 1, 2, 30_000, 2, True),
+    ("linux", 1, 3, 10**6, 64, True),
+    ("linux", 1, 64, 10**6, 3, True),
+    ("linux", 1, 1, 10**6, 64, False),
+    ("linux", 1, 2, 29_999, 2, False),
+    ("linux", 2, 2, 10**6, 2, False),
+    ("linux", 1, 2, 10**6, 1, False),
+    ("darwin", 1, 2, 10**6, 2, False),
 ]
 
 
 def test_at_most_two_processes_step_an_ensemble(monkeypatch):
-    assert sr.montecarlo._FORK_MIN_WORK == 4_000_000
-    for platform, threads, blocks, work, cpus, forks in FORK_TABLE:
+    assert sr.montecarlo._FORK_MIN_TRAJ_STEPS == 30_000
+    for platform, threads, blocks, traj_steps, cpus, forks in FORK_TABLE:
         monkeypatch.setattr(sr.forked, "platform", platform)
         monkeypatch.setattr(sr.forked.threading, "active_count", lambda: threads)
         monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        decided = sr.forked.may_fork(blocks, work, sr.montecarlo._FORK_MIN_WORK)
-        assert decided is forks, (platform, threads, blocks, work, cpus)
-
-
-# n, m, horizon and num_traj of a two-block ensemble, and whether it forks
-# at the shipped threshold: its trajectory-steps times n (2n + m) + 40.
-ENSEMBLE_FORKS = [
-    (2, 1, 100, 1000, True),  # the demo, 5.0e6
-    (2, 1, 100, 700, False),  # 3.5e6
-    (6, 3, 100, 320, True),  # 4.16e6
-    (6, 3, 100, 300, False),  # 3.9e6
-]
-
-
-def test_the_work_of_an_ensemble_decides_whether_it_forks(monkeypatch):
-    forks = count_forks(monkeypatch)
-    monkeypatch.setattr(sr.forked.os, "sched_getaffinity", lambda pid: {0, 1})
-    for n, m, horizon, num_traj, fork in ENSEMBLE_FORKS:
-        plant = sr.SystemSpec(A=0.5 * np.eye(n), B=np.ones((n, m)), W=np.eye(n), ubar=np.ones(m))
-        per_block = sr.montecarlo._BLOCK_DOUBLES // sr.montecarlo._doubles_per_trajectory(n, m, horizon)
-        assert -(-num_traj // per_block) == 2
-        before = len(forks)
-        cfg = SimulationConfig(horizon=horizon, num_traj=num_traj, seed=0)
-        sr.simulate_ensemble(plant, sr.FeedbackGain(K=np.zeros((m, n))), cfg)
-        assert (len(forks) > before) is fork, (n, m, horizon, num_traj)
-    assert_no_child_left()
+        decided = sr.forked.may_fork(blocks, traj_steps, sr.montecarlo._FORK_MIN_TRAJ_STEPS)
+        assert decided is forks, (platform, threads, blocks, traj_steps, cpus)
 
 
 def _alone_then_forced_to_fork(monkeypatch, sys_, gain):
@@ -684,7 +660,6 @@ plant = sr.SystemSpec(A=[[0.9, 0.2], [0.0, 0.8]], B=[[0.0], [1.0]], W=[[0.01, 0.
 gain = sr.FeedbackGain(K=[[-0.3, -0.6]])
 cfg = sr.SimulationConfig(horizon=100, num_traj=1000, seed=5)
 ellipsoid = sr.Ellipsoid(P=np.eye(2), r=0.5)
-sr.montecarlo._FORK_MIN_WORK = 0
 real_fork, forks = os.fork, []
 os.fork = lambda: forks.append(1) or real_fork()
 runs = []

@@ -417,7 +417,7 @@ def test_ensemble_is_bitwise_invariant_to_the_block_size(
     reference = sr.simulate_ensemble(sys_r, gain, cfg, ellipsoid=ellipsoid)
     runs = []
     with (
-        mock.patch.object(sr.montecarlo, "_FORK_MIN_WORK", 0),
+        mock.patch.object(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0),
         mock.patch.object(sr.forked.os, "sched_getaffinity", lambda pid: set(range(workers))),
     ):
         for size in (1, block, num_traj):
@@ -535,7 +535,7 @@ def test_the_ensemble_equals_a_reference_of_broadcast_products(
     ellipsoid = Ellipsoid(P=shape @ shape.T + np.eye(n), r=float(n))
     per_trajectory = sr.montecarlo._doubles_per_trajectory(n, m, horizon)
     with (
-        mock.patch.object(sr.montecarlo, "_FORK_MIN_WORK", 0),
+        mock.patch.object(sr.montecarlo, "_FORK_MIN_TRAJ_STEPS", 0),
         mock.patch.object(sr.forked.os, "sched_getaffinity", lambda pid: set(range(workers))),
         mock.patch.object(sr.montecarlo, "_BLOCK_DOUBLES", block * per_trajectory),
     ):
